@@ -107,7 +107,10 @@ def _add_net_args(p: argparse.ArgumentParser):
 def _eps_grid(spec: str | None):
     if spec is None:
         return DEFAULT_EPSILON_GRID
-    return [float(v) for v in spec.split(",") if v.strip()]
+    try:
+        return [float(v) for v in spec.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ParameterError(f"bad --eps-grid value {spec!r}: {exc}") from exc
 
 
 def _generate(args) -> ProductionNetwork:

@@ -1,16 +1,15 @@
 """Monte Carlo estimation of the resilience metric and its curve.
 
 Resilience at tolerance eps is the largest shock level x at which at
-least ceil((1-eps) K) products survive with probability at least 1 - 1/K.
-The estimator scans x over a grid, then refines the qualification
-boundary by bisection to x_step/16.
-
-All levels of one run share trial randomness: trial t's supplier uniforms
-depend only on (seed, t), so the survivor count S_t(x) is exactly
-nonincreasing in x and the qualification threshold s*(eps) is the only
-thing that changes with eps.  That coupling makes the estimated curve
-exactly nonincreasing in x and nondecreasing in eps, lets the grid scan
-exit early, and lets one batch of trials serve the whole eps grid.
+least s_min = ceil((1-eps) K) products survive with probability at least
+1 - 1/K.  All levels share trial randomness: trial t's draws depend only
+on (seed, t), and with the failure thresholds theta of `percolation`
+trial t keeps s_min survivors at x iff x <= u_t, its s_min-th largest
+theta.  The survival estimate at x is the share of trials with u_t >= x,
+so one sort of theta serves every level and the whole eps grid, and the
+curve is exactly nonincreasing in x and nondecreasing in eps.  The
+boundary is snapped down to the x_step grid refined by four halvings of
+each cell, the lattice of a grid scan with bisection.
 """
 
 from __future__ import annotations
@@ -22,60 +21,57 @@ import numpy as np
 
 from .errors import ParameterError
 from .network import ProductionNetwork
-from .percolation import derive_subseed, supplier_maxima
+from .percolation import _draws, _failure_thresholds, derive_subseed
 
 DEFAULT_EPSILON_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
-_REFINE_LEVELS = 4  # bisection halvings: tolerance x_step / 16
+_REFINE_LEVELS = 4  # halvings of a grid cell: tolerance x_step / 16
 _CEIL_GUARD = 1e-9  # absorbs float fuzz in (1-eps)*K before the ceiling
-
-
-class _TrialBank:
-    """Per-trial supplier maxima plus cached survivor counts per level.
-
-    Holds the (trials, K) matrix of per-product supplier-uniform maxima;
-    product i is spontaneous at level x iff its maximum is < x.  Survivor
-    counts are computed through the shared reachability closure and cached
-    by level, sorted for fast threshold queries.
-    """
-
-    def __init__(self, net: ProductionNetwork, n: int, trials: int, seed: int):
-        self.net = net
-        self.trials = trials
-        k = net.node_count
-        maxima = np.empty((trials, k), dtype=np.float64)
-        for t in range(trials):
-            rng = np.random.default_rng(derive_subseed(seed, t))
-            maxima[t] = supplier_maxima(rng, k, n)
-        self._maxima = maxima
-        self._reach = net.reachability().astype(np.float32)
-        self._cache: dict[float, np.ndarray] = {}
-
-    def survivors_sorted(self, x: float) -> np.ndarray:
-        key = float(x)
-        if key not in self._cache:
-            spont = (self._maxima < x).astype(np.float32)
-            failed = spont @ self._reach > 0.5
-            s = self.net.node_count - failed.sum(axis=1)
-            self._cache[key] = np.sort(s)
-        return self._cache[key]
-
-    def survival_estimate(self, x: float, s_min: int) -> float:
-        s = self.survivors_sorted(x)
-        return float(self.trials - np.searchsorted(s, s_min, side="left")) / self.trials
 
 
 def _s_min(epsilon: float, k: int) -> int:
     return int(math.ceil((1.0 - epsilon) * k - _CEIL_GUARD))
 
 
-def _x_grid(x_step: float) -> list[float]:
+def _survival_levels(net: ProductionNetwork, n: int, trials: int, seed: int, s_mins) -> list:
+    """Per s_min, the ascending levels u_t with S_t(x) >= s_min iff x <= u_t."""
+    maxima, _ = _draws(net, n, 1.0, [derive_subseed(seed, t) for t in range(trials)])
+    ranked = np.sort(_failure_thresholds(net, maxima), axis=1)
+    return [np.sort(ranked[:, -s]) if s > 0 else np.full(trials, np.inf) for s in s_mins]
+
+
+def _survival_estimate(levels: np.ndarray, x: float) -> float:
+    return float(len(levels) - np.searchsorted(levels, x)) / len(levels)
+
+
+def _resilience(levels: np.ndarray, k: int, x_step: float) -> float:
+    """Largest lattice level at which the survival estimate reaches 1 - 1/K.
+
+    The estimate qualifies at x iff at least `need` trials have u_t >= x,
+    i.e. iff x <= top.  top is snapped down to the x_step grid refined by
+    _REFINE_LEVELS halvings of its cell, in the float arithmetic of a grid
+    scan followed by bisection.
+    """
+    trials = len(levels)
+    need = int(np.argmax(np.arange(trials + 1) / trials >= 1.0 - 1.0 / k))
+    top = levels[trials - need] if need else math.inf
+    if top >= 1.0:
+        return 1.0
     steps = int(math.floor(1.0 / x_step + 1e-12))
-    grid = [i * x_step for i in range(steps + 1)]
-    if grid[-1] < 1.0 - 1e-12:
-        grid.append(1.0)
-    else:
-        grid[-1] = 1.0
-    return grid
+    last = steps + 1 if steps * x_step < 1.0 - 1e-12 else steps  # grid index of 1.0
+
+    def grid(i: int) -> float:
+        return i * x_step if i < last else 1.0
+
+    i = min(int(top / x_step), last - 1)
+    while grid(i) > top:
+        i -= 1
+    while grid(i + 1) <= top:
+        i += 1
+    lo, hi = grid(i), grid(i + 1)
+    for _ in range(_REFINE_LEVELS):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mid <= top else (lo, mid)
+    return lo
 
 
 def _validate_common(epsilon_values, n, trials, x_step):
@@ -102,62 +98,19 @@ def estimate_survival_prob(
     if not (0.0 <= x <= 1.0):
         raise ParameterError(f"x must lie in [0, 1], got {x!r}")
     _validate_common([epsilon], n, trials, 0.1)
-    bank = _TrialBank(net, n, trials, seed)
-    p_hat = bank.survival_estimate(x, _s_min(epsilon, net.node_count))
+    levels = _survival_levels(net, n, trials, seed, [_s_min(epsilon, net.node_count)])
+    p_hat = _survival_estimate(levels[0], x)
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / trials)
 
 
-def _scan(bank: _TrialBank, epsilons: list[float], x_step: float) -> list[tuple[float, float]]:
-    """Per-epsilon (r_hat, survival estimate at r_hat), shared grid scan.
-
-    Returns entries aligned with `epsilons`, which must be sorted
-    ascending.  Qualification is monotone in both x and eps under the
-    coupled draws, so each epsilon's last qualifying grid point is found
-    in one ascending pass and refined on the dyadic lattice of its cell.
-    """
-    k = bank.net.node_count
-    theta = 1.0 - 1.0 / k
-    s_mins = [_s_min(e, k) for e in epsilons]
-    grid = _x_grid(x_step)
-
-    def q_at(x_value: float, ei: int) -> bool:
-        return bank.survival_estimate(x_value, s_mins[ei]) >= theta
-
-    cells: list[tuple[float, float | None] | None] = [None] * len(epsilons)
-    active_from = 0  # epsilons below this index are already disqualified
-    last_ok = [None] * len(epsilons)
-    for x in grid:
-        # smaller eps disqualify first; find the new cutoff among active ones
-        new_from = active_from
-        while new_from < len(epsilons) and not q_at(x, new_from):
-            new_from = new_from + 1
-        for ei in range(active_from, new_from):
-            prev = last_ok[ei]
-            cells[ei] = (prev, x) if prev is not None else None
-        for ei in range(new_from, len(epsilons)):
-            last_ok[ei] = x
-        active_from = new_from
-        if active_from >= len(epsilons):
-            break
-    for ei in range(active_from, len(epsilons)):
-        cells[ei] = (last_ok[ei], None)  # qualified through the end of the grid
-
-    out = []
-    for ei in range(len(epsilons)):
-        cell = cells[ei]
-        if cell is None:
-            out.append((0.0, bank.survival_estimate(0.0, s_mins[ei])))
-            continue
-        lo, hi = cell
-        if hi is not None:
-            for _ in range(_REFINE_LEVELS):
-                mid = 0.5 * (lo + hi)
-                if q_at(mid, ei):
-                    lo = mid
-                else:
-                    hi = mid
-        out.append((lo, bank.survival_estimate(lo, s_mins[ei])))
-    return out
+def _curve_points(
+    net: ProductionNetwork, epsilons: list[float], n: int, trials: int, x_step: float, seed: int
+) -> list[tuple[float, float]]:
+    """Per epsilon, (r_hat, survival estimate at r_hat) from one set of draws."""
+    k = net.node_count
+    all_levels = _survival_levels(net, n, trials, seed, [_s_min(e, k) for e in epsilons])
+    r_hats = [_resilience(levels, k, x_step) for levels in all_levels]
+    return [(r, _survival_estimate(levels, r)) for r, levels in zip(r_hats, all_levels)]
 
 
 def estimate_resilience(
@@ -170,8 +123,7 @@ def estimate_resilience(
 ) -> float:
     """Estimated resilience at a single tolerance eps."""
     _validate_common([epsilon], n, trials, x_step)
-    bank = _TrialBank(net, n, trials, seed)
-    return _scan(bank, [epsilon], x_step)[0][0]
+    return _curve_points(net, [epsilon], n, trials, x_step, seed)[0][0]
 
 
 @dataclass
@@ -215,8 +167,7 @@ def resilience_curve(
     if np.any(np.diff(eps) <= 0.0):
         raise ParameterError("epsilon_grid must be strictly increasing")
     _validate_common(eps.tolist(), n, trials, x_step)
-    bank = _TrialBank(net, n, trials, seed)
-    results = _scan(bank, eps.tolist(), x_step)
+    results = _curve_points(net, eps.tolist(), n, trials, x_step, seed)
     r_hat = np.array([r for r, _ in results])
     p_at = np.array([p for _, p in results])
     stderr = np.sqrt(p_at * (1.0 - p_at) / trials)

@@ -130,13 +130,18 @@ def load_network_json(path) -> ProductionNetwork:
     for key in ("k", "n", "edges"):
         if key not in doc:
             raise FormatError(f"{path}: missing field {key!r}")
-    tiers = doc.get("tiers")
-    if tiers is not None:
-        tiers = {int(v): int(t) for v, t in tiers.items()}
+    try:
+        k, n = int(doc["k"]), int(doc["n"])
+        edges = [(int(j), int(i)) for j, i in doc["edges"]]
+        tiers = doc.get("tiers")
+        if tiers is not None:
+            tiers = {int(v): int(t) for v, t in tiers.items()}
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise FormatError(f"{path}: malformed network field: {exc}") from exc
     return ProductionNetwork(
-        int(doc["k"]),
-        [(int(j), int(i)) for j, i in doc["edges"]],
-        supplier_count=int(doc["n"]),
+        k,
+        edges,
+        supplier_count=n,
         tiers=tiers,
         acyclic=bool(doc["acyclic"]) if doc.get("acyclic") else None,
     )

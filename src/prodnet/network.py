@@ -4,12 +4,14 @@ A production network is a directed graph on products 1..K where an edge
 (j, i) means product j is a required input of product i.  Sources (raw
 materials) are products with no inputs.  Networks are immutable after
 construction and safe to share across workers; derived structures
-(adjacency matrix, reachability closure) are computed lazily and cached.
+(edge arrays, strongly connected components, adjacency matrix,
+reachability closure) are computed lazily and cached.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -192,6 +194,42 @@ class ProductionNetwork:
             self._cache["reachability"] = reach
         return self._cache["reachability"]
 
+    def strong_components(self) -> tuple[tuple[int, ...], ...]:
+        """Strongly connected components in topological order, 0-based ids.
+
+        Iterative Tarjan.  Every edge joining two components runs from the
+        earlier one to the later one; members are listed in ascending order.
+        """
+        if "strong_components" not in self._cache:
+            index, low, stack, comps = {}, {}, [], []
+            for root in range(1, self.node_count + 1):
+                work = [] if root in index else [(root, None)]
+                while work:
+                    u, it = work.pop()
+                    if it is None:  # first visit
+                        index[u] = low[u] = len(index)
+                        stack.append(u)
+                        it = iter(self._succ[u])
+                    for w in it:
+                        if w not in index:
+                            work += [(u, it), (w, None)]
+                            break
+                        low[u] = min(low[u], index[w])  # inf once w's component is out
+                    else:
+                        if work:
+                            parent = work[-1][0]
+                            low[parent] = min(low[parent], low[u])
+                        if low[u] == index[u]:
+                            comp = [stack.pop()]
+                            while comp[-1] != u:
+                                comp.append(stack.pop())
+                            for w in comp:
+                                index[w] = math.inf
+                            comps.append(tuple(sorted(w - 1 for w in comp)))
+            comps.reverse()  # Tarjan emits sinks first
+            self._cache["strong_components"] = tuple(comps)
+        return self._cache["strong_components"]
+
     # -- internal ----------------------------------------------------------
 
     def _check_acyclic(self) -> bool:
@@ -227,40 +265,13 @@ def topological_order(net: ProductionNetwork) -> list[int]:
             if indeg[v] == 0:
                 heapq.heappush(heap, v)
     if len(order) < k:
-        edge = _find_cycle_edge(net, {i for i in range(1, k + 1) if indeg[i] > 0})
+        comp = next(c for c in net.strong_components() if len(c) > 1)
+        u = comp[0] + 1
+        edge = (u, next(v for v in net.successors(u) if v - 1 in comp))
         raise CyclicGraphError(
             f"network is not acyclic; edge {edge} lies on a cycle", edge=edge
         )
     return order
-
-
-def _find_cycle_edge(net: ProductionNetwork, remaining: set[int]) -> tuple[int, int]:
-    # Iterative DFS restricted to nodes that Kahn's algorithm never released;
-    # every such node lies on or feeds a cycle, so a back edge must exist.
-    color = {}  # 1 = on stack, 2 = done
-    for root in sorted(remaining):
-        if color.get(root):
-            continue
-        stack = [(root, iter(net.successors(root)))]
-        color[root] = 1
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for v in it:
-                if v not in remaining:
-                    continue
-                c = color.get(v)
-                if c == 1:
-                    return (u, v)
-                if c is None:
-                    color[v] = 1
-                    stack.append((v, iter(net.successors(v))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[u] = 2
-                stack.pop()
-    raise AssertionError("no cycle edge found among unreleased nodes")
 
 
 def reverse_graph(net: ProductionNetwork) -> ProductionNetwork:

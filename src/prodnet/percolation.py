@@ -14,6 +14,11 @@ sorted edge order.  A supplier fails at level x iff its uniform is < x,
 and an edge is operational iff its uniform is < y.  Evaluating two levels
 x1 <= x2 on the same draws therefore yields nested failure sets.
 
+Under that layout product i fails at level x iff theta[i] < x, where
+theta[i] is the least supplier maximum over i and every product that
+reaches i along operational edges.  Every entry point draws, computes
+theta for all its trials in one pass, and compares it with its levels.
+
 Batches derive trial t's seed from (seed, t) via `derive_subseed`, so
 results are reproducible and partitionable across workers regardless of
 execution order.
@@ -98,36 +103,80 @@ def supplier_maxima(rng: np.random.Generator, node_count: int, n: int) -> np.nda
     return rng.random((node_count, n)).max(axis=1)
 
 
-def _operational_mask(rng: np.random.Generator, edge_count: int, y: float) -> np.ndarray:
-    return rng.random(edge_count) < y
+def _draws(net: ProductionNetwork, n: int, y: float, seeds) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per seed, a row of supplier maxima and, when y < 1, of the operational mask."""
+    maxima = np.empty((len(seeds), net.node_count))
+    op_mask = None if y >= 1.0 else np.empty((len(seeds), net.edge_count), dtype=bool)
+    for t, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        maxima[t] = supplier_maxima(rng, net.node_count, n)
+        if op_mask is not None:
+            op_mask[t] = rng.random(net.edge_count) < y
+    return maxima, op_mask
 
 
-def _propagate(net: ProductionNetwork, spont: np.ndarray, op_mask: np.ndarray | None) -> np.ndarray:
-    """Failure indicators from spontaneous seeds via forward reachability."""
-    k = net.node_count
-    failed = spont.copy()
-    if op_mask is None:
-        stack = list(np.flatnonzero(spont) + 1)
-        while stack:
-            u = stack.pop()
-            for v in net.successors(u):
-                if not failed[v - 1]:
-                    failed[v - 1] = True
-                    stack.append(v)
-        return failed
-    # joint percolation: walk only operational edges
-    op_succ = [[] for _ in range(k + 1)]
-    for (j, i), ok in zip(net.edges, op_mask):
-        if ok:
-            op_succ[j].append(i)
-    stack = list(np.flatnonzero(spont) + 1)
-    while stack:
-        u = stack.pop()
-        for v in op_succ[u]:
-            if not failed[v - 1]:
-                failed[v - 1] = True
-                stack.append(v)
-    return failed
+def _failure_thresholds(
+    net: ProductionNetwork, maxima: np.ndarray, op_mask: np.ndarray | None = None, stop: float = 1.0
+) -> np.ndarray:
+    """theta (trials, K): product i fails at level x in trial t iff theta[t, i] < x.
+
+    Components are visited in topological order, vectorised over trials;
+    each product first takes the minimum of its own maximum and its
+    operational inputs.  A cyclic component then shares its least value
+    when every edge operates; otherwise `_flood` spreads values below
+    `stop` along its operational edges.  Entries below `stop` are exact;
+    an entry at or above `stop` is only known to be so.
+    """
+    src, dst = net.edge_arrays()
+    in_edges = np.argsort(dst, kind="stable")
+    in_src = src[in_edges]
+    starts = np.searchsorted(dst[in_edges], np.arange(net.node_count + 1)).tolist()
+    theta = np.array(maxima.T, order="C")  # a contiguous row of trials per product
+    live = None if op_mask is None else np.ascontiguousarray(op_mask.T)
+    for comp in net.strong_components():
+        for v in comp:
+            lo, hi = starts[v], starts[v + 1]
+            if lo == hi:
+                continue
+            inputs = theta[in_src[lo:hi]]
+            if live is not None:
+                inputs = np.where(live[in_edges[lo:hi]], inputs, np.inf)
+            np.minimum(theta[v], inputs.min(axis=0), out=theta[v])
+        rows = list(comp)
+        if len(rows) > 1 and live is None:
+            theta[rows] = theta[rows].min(axis=0)
+        elif len(rows) > 1:
+            local = {v: a for a, v in enumerate(rows)}
+            succ = [[] for _ in rows]  # per member: (member it feeds, edge id)
+            for v in rows:
+                span = slice(starts[v], starts[v + 1])
+                for j, e in zip(in_src[span].tolist(), in_edges[span].tolist()):
+                    if j in local:
+                        succ[local[j]].append((local[v], e))
+            _flood(theta, rows, succ, op_mask, stop)
+    return theta.T
+
+
+def _flood(theta: np.ndarray, rows: list, succ: list, op_mask: np.ndarray, stop: float):
+    # Per trial, spread the values of one cyclic component (rows of theta)
+    # along its operational edges, lowest value first, so a member keeps
+    # the first value that reaches it: the least one.
+    for t in range(theta.shape[1]):
+        value = theta[rows, t].tolist()
+        operational = op_mask[t]
+        seen = [False] * len(rows)
+        for a in sorted((a for a in range(len(rows)) if value[a] < stop), key=value.__getitem__):
+            if seen[a]:
+                continue
+            seen[a] = True
+            stack = [a]
+            while stack:
+                for b, e in succ[stack.pop()]:
+                    if not seen[b] and operational[e]:
+                        seen[b] = True
+                        value[b] = value[a]
+                        stack.append(b)
+        theta[rows, t] = value
 
 
 def _outcome_from_failed(failed: np.ndarray, spont: np.ndarray) -> CascadeOutcome:
@@ -143,14 +192,9 @@ def _outcome_from_failed(failed: np.ndarray, spont: np.ndarray) -> CascadeOutcom
 
 def run_trial(net: ProductionNetwork, cfg: PercolationConfig) -> CascadeOutcome:
     """Execute one percolation trial, deterministic given cfg.seed."""
-    rng = np.random.default_rng(cfg.seed)
-    maxima = supplier_maxima(rng, net.node_count, cfg.n)
-    spont = maxima < cfg.x
-    op_mask = None
-    if cfg.y < 1.0:
-        op_mask = _operational_mask(rng, net.edge_count, cfg.y)
-    failed = _propagate(net, spont, op_mask)
-    return _outcome_from_failed(failed, spont)
+    maxima, op_mask = _draws(net, cfg.n, cfg.y, [cfg.seed])
+    theta = _failure_thresholds(net, maxima, op_mask, stop=cfg.x)
+    return _outcome_from_failed(theta[0] < cfg.x, maxima[0] < cfg.x)
 
 
 def run_batch(
@@ -166,23 +210,10 @@ def run_batch(
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ParameterError(f"trials must be a positive integer, got {trials!r}")
     k = net.node_count
-    if cfg.y >= 1.0:
-        # pure node percolation: reachability closure is shared by all trials
-        reach = net.reachability().astype(np.float32)
-        spont_rows = np.empty((trials, k), dtype=np.float32)
-        for t in range(trials):
-            rng = np.random.default_rng(derive_subseed(cfg.seed, t))
-            spont_rows[t] = supplier_maxima(rng, k, cfg.n) < cfg.x
-        failed = spont_rows @ reach > 0.5
-        f_counts = failed.sum(axis=1).astype(np.int64)
-    else:
-        failed = np.empty((trials, k), dtype=bool)
-        for t in range(trials):
-            rng = np.random.default_rng(derive_subseed(cfg.seed, t))
-            spont = supplier_maxima(rng, k, cfg.n) < cfg.x
-            op_mask = _operational_mask(rng, net.edge_count, cfg.y)
-            failed[t] = _propagate(net, spont, op_mask)
-        f_counts = failed.sum(axis=1).astype(np.int64)
+    seeds = [derive_subseed(cfg.seed, t) for t in range(trials)]
+    maxima, op_mask = _draws(net, cfg.n, cfg.y, seeds)
+    failed = _failure_thresholds(net, maxima, op_mask, stop=cfg.x) < cfg.x
+    f_counts = failed.sum(axis=1).astype(np.int64)
     s_counts = k - f_counts
     pmf = np.bincount(f_counts, minlength=k + 1).astype(np.float64) / trials
     return BatchResult(
@@ -202,14 +233,6 @@ def run_coupled_pair(
         raise ParameterError("x1 and x2 must lie in [0, 1]")
     if x1 > x2:
         raise ParameterError(f"coupled pair requires x1 <= x2, got {x1} > {x2}")
-    rng = np.random.default_rng(cfg.seed)
-    maxima = supplier_maxima(rng, net.node_count, cfg.n)
-    op_mask = None
-    if cfg.y < 1.0:
-        op_mask = _operational_mask(rng, net.edge_count, cfg.y)
-    outcomes = []
-    for x in (x1, x2):
-        spont = maxima < x
-        failed = _propagate(net, spont, op_mask)
-        outcomes.append(_outcome_from_failed(failed, spont))
-    return outcomes[0], outcomes[1]
+    maxima, op_mask = _draws(net, cfg.n, cfg.y, [cfg.seed])
+    theta = _failure_thresholds(net, maxima, op_mask, stop=x2)
+    return tuple(_outcome_from_failed(theta[0] < x, maxima[0] < x) for x in (x1, x2))

@@ -165,3 +165,31 @@ def test_missing_arch_params_exit_code(tmp_path, capsys):
     )
     assert code == 2
     assert "--K" in stderr or "-K" in stderr
+
+
+@pytest.mark.parametrize(
+    "field",
+    [{"k": "abc"}, {"edges": [[1]]}, {"tiers": {"x": 0, "2": 1}}, {"edges": 5}],
+    ids=["k-not-int", "one-element-edge", "tier-key-not-int", "edges-not-list"],
+)
+def test_malformed_network_json_exit_code(tmp_path, capsys, field):
+    doc = {"schema": 1, "k": 2, "n": 1, "edges": [[1, 2]], "tiers": None}
+    doc.update(field)
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, stderr = run_cli(
+        capsys, "simulate", "--net", str(net_path), "--x", "0.2", "--out", str(tmp_path / "h.csv")
+    )
+    assert code == 2
+    assert "malformed" in stderr
+
+
+def test_non_numeric_eps_grid_exit_code(tmp_path, capsys):
+    net_path = tmp_path / "net.csv"
+    net_path.write_text("source,target\n1,2\n", encoding="utf-8")
+    code, _, stderr = run_cli(
+        capsys, "resilience", "--net", str(net_path), "--eps-grid", "a,b",
+        "--trials", "10", "--out", str(tmp_path / "r.csv"),
+    )
+    assert code == 2
+    assert "--eps-grid" in stderr

@@ -138,7 +138,8 @@ def test_curve_entries_match_single_estimates():
 
 
 def test_curve_on_cyclic_network():
-    # input-output-table networks can be cyclic; reachability handles them
+    # input-output-table networks can be cyclic; the threshold kernel takes
+    # the minimum over each strongly connected component
     edges = [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5)]
     net = ProductionNetwork(5, edges)
     assert not net.acyclic

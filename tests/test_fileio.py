@@ -145,3 +145,17 @@ def test_write_csv_deterministic_bytes(tmp_path):
     write_csv(b, ["i", "v", "s"], rows)
     assert a.read_bytes() == b.read_bytes()
     assert b"0.30000000000000004" in a.read_bytes()  # repr round-trip form
+
+
+@pytest.mark.parametrize(
+    "field",
+    [{"k": "abc"}, {"edges": [[1]]}, {"tiers": {"x": 0, "2": 1}}, {"edges": 5}],
+    ids=["k-not-int", "one-element-edge", "tier-key-not-int", "edges-not-list"],
+)
+def test_json_malformed_field_is_format_error(tmp_path, field):
+    doc = {"schema": 1, "k": 2, "n": 1, "edges": [[1, 2]], "tiers": None}
+    doc.update(field)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(FormatError):
+        load_network_json(path)
