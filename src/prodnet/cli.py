@@ -49,7 +49,7 @@ from .generators import (
     generate_rdag,
     generate_trellis,
 )
-from .interventions import optimal_protection, post_intervention_resilience_lb
+from .interventions import _protection_planner, post_intervention_resilience_lb
 from .network import ProductionNetwork
 from .percolation import PercolationConfig, run_batch
 
@@ -271,9 +271,10 @@ def _cmd_intervene(args):
     t_max = args.t_max if args.t_max is not None else net.node_count
     if t_max > net.node_count:
         raise ParameterError(f"--t-max {t_max} exceeds the product count {net.node_count}")
+    plan_for = _protection_planner(net, y)  # one reverse-Katz solve for the whole sweep
     rows = []
     for budget in range(0, t_max + 1):
-        plan = optimal_protection(net, budget, y)
+        plan = plan_for(budget)
         lb = post_intervention_resilience_lb(net, plan, args.epsilon, n)
         rows.append((budget, budget / net.node_count, plan.objective(args.x, n), lb))
     write_intervention_csv(rows, args.out)

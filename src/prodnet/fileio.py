@@ -78,7 +78,10 @@ def parse_io_table(path, threshold: float = 0.0) -> ProductionNetwork:
 
     Row industry j supplies column industry i, giving edge (j, i).  The
     diagonal is ignored and the result may be cyclic (flagged on the
-    network).  Non-square tables raise FormatError.
+    network).  Non-square tables, ragged rows and non-numeric off-diagonal
+    cells raise FormatError, whichever comes first in row order.  Each
+    row is converted as a whole, so only one row of floats is held beside
+    the parsed text.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -90,19 +93,26 @@ def parse_io_table(path, threshold: float = 0.0) -> ProductionNetwork:
     if len(rows) - 1 != k:
         raise FormatError(f"{path}: matrix is not square ({len(rows) - 1} rows, {k} columns)")
     edges = []
-    for r_idx, row in enumerate(rows[1:], start=1):
-        if len(row) - 1 != k:
-            raise FormatError(f"{path}: row {r_idx} has {len(row) - 1} cells, expected {k}")
-        for c_idx in range(1, k + 1):
-            if c_idx == r_idx:
-                continue
-            try:
-                value = float(row[c_idx])
-            except ValueError as exc:
-                raise FormatError(f"{path}: non-numeric cell at row {r_idx}, col {c_idx}") from exc
-            if value > threshold:
-                edges.append((r_idx, c_idx))
+    for r, row in enumerate(rows[1:]):
+        cells = row[1:]
+        if len(cells) != k:
+            raise FormatError(f"{path}: row {r + 1} has {len(cells)} cells, expected {k}")
+        cells[r] = "0"  # the diagonal is ignored, numeric or not
+        try:
+            values = np.array(cells, dtype=np.float64)
+        except ValueError as exc:
+            c = next(c for c, cell in enumerate(cells) if not _is_float(cell))
+            raise FormatError(f"{path}: non-numeric cell at row {r + 1}, col {c + 1}") from exc
+        edges += [(r + 1, c + 1) for c in np.flatnonzero(values > threshold).tolist() if c != r]
     return ProductionNetwork(k, edges)
+
+
+def _is_float(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def save_network_json(net: ProductionNetwork, path) -> None:
@@ -131,11 +141,11 @@ def load_network_json(path) -> ProductionNetwork:
         if key not in doc:
             raise FormatError(f"{path}: missing field {key!r}")
     try:
-        k, n = int(doc["k"]), int(doc["n"])
-        edges = [(int(j), int(i)) for j, i in doc["edges"]]
+        k, n = _json_int(doc["k"]), _json_int(doc["n"])
+        edges = [(_json_int(j), _json_int(i)) for j, i in doc["edges"]]
         tiers = doc.get("tiers")
         if tiers is not None:
-            tiers = {int(v): int(t) for v, t in tiers.items()}
+            tiers = {_json_int(v): _json_int(t) for v, t in tiers.items()}
     except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed network field: {exc}") from exc
     return ProductionNetwork(
@@ -145,6 +155,13 @@ def load_network_json(path) -> ProductionNetwork:
         tiers=tiers,
         acyclic=bool(doc["acyclic"]) if doc.get("acyclic") else None,
     )
+
+
+def _json_int(value) -> int:
+    # int() alone would truncate 2.7 to 2 and read true as 1
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def save_edge_csv(net: ProductionNetwork, path) -> None:

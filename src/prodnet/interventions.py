@@ -6,6 +6,12 @@ worst-case expected damage of a protection set decomposes through the
 reverse-graph Katz vector, so the optimal plan protects the top-budget
 products by that score; supplier-count allocation follows the same
 ordering with a greedy prefix fill.
+
+The reverse-graph Katz vector solves (I - y A) g = 1 with the sparse
+strong-component solver of `contagion`, on the network itself (no
+reversed copy is built).  One solve, one sort by (-g, id) and one suffix
+sum give the plan for every budget, so a sweep over budgets 0..T costs
+one solve plus O(K log K) and O(K) per plan built.
 """
 
 from __future__ import annotations
@@ -15,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contagion import fixed_point_beta, katz_centrality
+from .contagion import _katz_solve, fixed_point_beta
 from .errors import ParameterError, PreconditionError
-from .network import ProductionNetwork, reverse_graph
+from .network import ProductionNetwork
 
 
 def _max_degree_both(net: ProductionNetwork) -> int:
@@ -58,6 +64,39 @@ class InterventionPlan:
         return (x**n) * self.unprotected_mass
 
 
+def _reverse_katz_order(net: ProductionNetwork, y: float) -> tuple[np.ndarray, np.ndarray]:
+    """Reverse-graph Katz vector and the 0-based products ranked by (-score, id)."""
+    _check_spectral_y(net, y)
+    gamma_rev = _katz_solve(net, y, np.ones(net.node_count), reverse=True)
+    return gamma_rev, np.argsort(-gamma_rev, kind="stable")
+
+
+def _protection_planner(net: ProductionNetwork, y: float):
+    """T -> the optimal plan for budget T, from one reverse-Katz solve and sort.
+
+    The unprotected mass of budget T is the suffix sum of the ranked
+    scores from rank T on, so it never increases with T and is exactly 0
+    at T = K.
+    """
+    gamma_rev, order = _reverse_katz_order(net, y)
+    k = net.node_count
+    mass = np.zeros(k + 1)
+    mass[:k] = np.cumsum(gamma_rev[order][::-1])[::-1]
+
+    def plan(T: int) -> InterventionPlan:
+        protected = np.zeros(k, dtype=bool)
+        protected[order[:T]] = True
+        return InterventionPlan(
+            protected=protected,
+            reverse_katz=gamma_rev,
+            unprotected_mass=float(mass[T]),
+            budget=int(T),
+            y=y,
+        )
+
+    return plan
+
+
 def optimal_protection(net: ProductionNetwork, T: int, y: float) -> InterventionPlan:
     """Protect the T products with the largest reverse-graph Katz scores.
 
@@ -67,18 +106,7 @@ def optimal_protection(net: ProductionNetwork, T: int, y: float) -> Intervention
         raise ParameterError(f"T must be a nonnegative integer, got {T!r}")
     if T > net.node_count:
         raise ParameterError(f"T = {T} exceeds the product count {net.node_count}")
-    _check_spectral_y(net, y)
-    gamma_rev = katz_centrality(reverse_graph(net), y)
-    order = sorted(range(net.node_count), key=lambda i: (-gamma_rev[i], i))
-    protected = np.zeros(net.node_count, dtype=bool)
-    protected[order[:T]] = True
-    return InterventionPlan(
-        protected=protected,
-        reverse_katz=gamma_rev,
-        unprotected_mass=float(gamma_rev[~protected].sum()),
-        budget=int(T),
-        y=y,
-    )
+    return _protection_planner(net, y)(T)
 
 
 def evaluate_intervention(
@@ -87,9 +115,11 @@ def evaluate_intervention(
     """Damage bound and per-product betas for an arbitrary protection set.
 
     Under the closed-form preconditions solves (I - y A^T) beta = x^n (1-t)
-    directly; when only y <= 1/Delta holds, falls back to the fixed point
-    with the protected spontaneous terms zeroed (a valid bound, but the
-    top-centrality plan is no longer guaranteed optimal for it).
+    with the sparse strong-component solver behind `katz_centrality`, in
+    O(K + |E|) memory; when only y <= 1/Delta holds, falls back to the
+    fixed point with the protected spontaneous terms zeroed (a valid
+    bound, but the top-centrality plan is no longer guaranteed optimal
+    for it).
     """
     t = np.asarray(t, dtype=bool)
     if t.shape != (net.node_count,):
@@ -103,9 +133,7 @@ def evaluate_intervention(
     delta = net.max_out_degree
     spontaneous = (x**n) * (~t).astype(np.float64)
     if delta == 0 or (y < 1.0 / delta and x < (1.0 - y * delta) ** (1.0 / n)):
-        k = net.node_count
-        a = net.adjacency_matrix()
-        beta = np.linalg.solve(np.eye(k) - y * a.T, spontaneous)
+        beta = _katz_solve(net, y, spontaneous)
     else:
         warnings.warn(
             "closed-form preconditions violated; evaluating via the fixed point, "
@@ -172,9 +200,8 @@ def supplier_allocation(
         )
     if np.any(caps < 0):
         raise ParameterError("caps must be nonnegative")
-    _check_spectral_y(net, y)
-    gamma_rev = katz_centrality(reverse_graph(net), y)
-    order = sorted(range(net.node_count), key=lambda i: (-gamma_rev[i], i))
+    gamma_rev, order = _reverse_katz_order(net, y)
+    order = order.tolist()
     extra = np.zeros(net.node_count, dtype=np.int64)
     remaining = int(budget)
     for i in order:

@@ -4,8 +4,8 @@ A production network is a directed graph on products 1..K where an edge
 (j, i) means product j is a required input of product i.  Sources (raw
 materials) are products with no inputs.  Networks are immutable after
 construction and safe to share across workers; derived structures
-(edge arrays, strongly connected components, adjacency matrix,
-reachability closure) are computed lazily and cached.
+(edge arrays, the input CSR, strongly connected components, adjacency
+matrix, reachability closure) are computed lazily and cached.
 """
 
 from __future__ import annotations
@@ -162,6 +162,20 @@ class ProductionNetwork:
                 dst = np.zeros(0, dtype=np.int64)
             self._cache["edge_arrays"] = (src, dst)
         return self._cache["edge_arrays"]
+
+    def input_csr(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+        """Edges grouped by consuming product: (edge ids, their sources, starts).
+
+        The inputs of product v+1 are in_src[starts[v]:starts[v+1]], 0-based
+        and ascending, reached by the edges in_edges[starts[v]:starts[v+1]]
+        (indices into `edge_arrays()`).  starts holds K+1 offsets.
+        """
+        if "input_csr" not in self._cache:
+            src, dst = self.edge_arrays()
+            in_edges = np.argsort(dst, kind="stable")
+            starts = tuple(np.searchsorted(dst[in_edges], np.arange(self.node_count + 1)).tolist())
+            self._cache["input_csr"] = (in_edges, src[in_edges], starts)
+        return self._cache["input_csr"]
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense 0/1 adjacency A with A[j-1, i-1] = 1 for each edge (j, i)."""

@@ -127,10 +127,7 @@ def _failure_thresholds(
     `stop` along its operational edges.  Entries below `stop` are exact;
     an entry at or above `stop` is only known to be so.
     """
-    src, dst = net.edge_arrays()
-    in_edges = np.argsort(dst, kind="stable")
-    in_src = src[in_edges]
-    starts = np.searchsorted(dst[in_edges], np.arange(net.node_count + 1)).tolist()
+    in_edges, in_src, starts = net.input_csr()
     theta = np.array(maxima.T, order="C")  # a contiguous row of trials per product
     live = None if op_mask is None else np.ascontiguousarray(op_mask.T)
     for comp in net.strong_components():

@@ -114,6 +114,36 @@ def test_intervene_monotone_lower_bound(tmp_path, capsys):
     assert all(a >= b - 1e-12 for a, b in zip(objs, objs[1:]))
 
 
+def test_intervene_rows_equal_optimal_protection(tmp_path, capsys, monkeypatch):
+    # one reverse-Katz solve serves the whole sweep, and row T is exactly
+    # the objective of the optimal plan for budget T
+    import prodnet.interventions as itv
+    from prodnet import generate_rdag, optimal_protection, save_network_json
+
+    net = generate_rdag(40, 0.1, seed=3)
+    net_path = tmp_path / "net.json"
+    save_network_json(net, net_path)
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(kwargs.get("reverse", False))
+        return solve(*args, **kwargs)
+
+    solve = itv._katz_solve
+    monkeypatch.setattr(itv, "_katz_solve", counted)
+    out = tmp_path / "sweep.csv"
+    code, stdout, _ = run_cli(
+        capsys, "intervene", "--net", str(net_path), "--x", "0.3", "--n", "2", "--out", str(out)
+    )
+    assert code == 0
+    assert solves == [True]
+    y = json.loads(stdout)["y"]
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(41))
+    for r in rows:
+        assert float(r[2]) == optimal_protection(net, int(r[0]), y).objective(0.3, 2)
+
+
 def test_io_table_ingestion(tmp_path, capsys):
     table = tmp_path / "econ.csv"
     table.write_text(",A,B,C\nA,0,3,1\nB,0,0,2\nC,5,0,0\n", encoding="utf-8")
@@ -169,8 +199,16 @@ def test_missing_arch_params_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "field",
-    [{"k": "abc"}, {"edges": [[1]]}, {"tiers": {"x": 0, "2": 1}}, {"edges": 5}],
-    ids=["k-not-int", "one-element-edge", "tier-key-not-int", "edges-not-list"],
+    [
+        {"k": "abc"},
+        {"edges": [[1]]},
+        {"tiers": {"x": 0, "2": 1}},
+        {"edges": 5},
+        {"k": 2.7, "edges": [[1, 2.9]]},
+        {"n": True},
+    ],
+    ids=["k-not-int", "one-element-edge", "tier-key-not-int", "edges-not-list",
+         "fractional-k-and-edge", "n-bool"],
 )
 def test_malformed_network_json_exit_code(tmp_path, capsys, field):
     doc = {"schema": 1, "k": 2, "n": 1, "edges": [[1, 2]], "tiers": None}

@@ -104,6 +104,37 @@ def test_io_table_non_square(tmp_path):
         parse_io_table(f)
 
 
+def test_io_table_non_numeric_diagonal_ignored(tmp_path):
+    f = tmp_path / "io.csv"
+    f.write_text(",A,B\nA,n/a,5\nB,1e-3,x\n", encoding="utf-8")
+    assert parse_io_table(f).edges == ((1, 2), (2, 1))
+
+
+def test_io_table_negative_threshold_skips_diagonal(tmp_path):
+    f = tmp_path / "io.csv"
+    f.write_text(",A,B\nA,0,0\nB,0,0\n", encoding="utf-8")
+    assert parse_io_table(f, threshold=-1.0).edges == ((1, 2), (2, 1))
+
+
+def test_io_table_non_numeric_cell_is_located(tmp_path):
+    f = tmp_path / "io.csv"
+    f.write_text(",A,B,C\nA,0,1,2\nB,0,0,abc\nC,1,0,0\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="row 2, col 3"):
+        parse_io_table(f)
+
+
+def test_io_table_errors_in_row_order(tmp_path):
+    # a ragged row is reported ahead of its own and later cells, after
+    # any non-numeric cell of an earlier row
+    f = tmp_path / "io.csv"
+    f.write_text(",A,B,C\nA,0,1,1\nB,abc,0\nC,x,0,0\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="row 2 has 2 cells"):
+        parse_io_table(f)
+    f.write_text(",A,B,C\nA,0,abc,1\nB,0,0\nC,1,0,0\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="row 1, col 2"):
+        parse_io_table(f)
+
+
 def test_json_round_trip(tmp_path):
     net = generate_parallel(5, 2, 3, seed=3)
     path = tmp_path / "net.json"
@@ -149,8 +180,17 @@ def test_write_csv_deterministic_bytes(tmp_path):
 
 @pytest.mark.parametrize(
     "field",
-    [{"k": "abc"}, {"edges": [[1]]}, {"tiers": {"x": 0, "2": 1}}, {"edges": 5}],
-    ids=["k-not-int", "one-element-edge", "tier-key-not-int", "edges-not-list"],
+    [
+        {"k": "abc"},
+        {"edges": [[1]]},
+        {"tiers": {"x": 0, "2": 1}},
+        {"edges": 5},
+        {"k": 2.7, "edges": [[1, 2.9]]},
+        {"n": True},
+        {"tiers": {"1": 0.5, "2": 1}},
+    ],
+    ids=["k-not-int", "one-element-edge", "tier-key-not-int", "edges-not-list",
+         "fractional-k-and-edge", "n-bool", "fractional-tier"],
 )
 def test_json_malformed_field_is_format_error(tmp_path, field):
     doc = {"schema": 1, "k": 2, "n": 1, "edges": [[1, 2]], "tiers": None}

@@ -108,3 +108,14 @@ def test_adjacency_matrix_orientation():
     a = net.adjacency_matrix()
     assert a[0, 1] == 1.0 and a[1, 0] == 0.0
     assert np.count_nonzero(a) == 1
+
+
+def test_input_csr_lists_inputs_per_product():
+    net = ProductionNetwork(4, [(3, 1), (1, 2), (4, 2), (2, 3), (1, 4)])
+    in_edges, in_src, starts = net.input_csr()
+    src, dst = net.edge_arrays()
+    for v in range(4):
+        span = slice(starts[v], starts[v + 1])
+        assert (in_src[span] + 1).tolist() == list(net.predecessors(v + 1))
+        assert np.all(dst[in_edges[span]] == v) and np.all(src[in_edges[span]] == in_src[span])
+    assert net.input_csr() is net.input_csr()
