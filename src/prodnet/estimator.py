@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .network import ProductionNetwork
-from .percolation import _draws, _failure_thresholds, derive_subseed
+from .percolation import _draws, _failure_thresholds, _pcg64_states, _subseeds
 
 DEFAULT_EPSILON_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
 _REFINE_LEVELS = 4  # halvings of a grid cell: tolerance x_step / 16
@@ -34,7 +34,7 @@ def _s_min(epsilon: float, k: int) -> int:
 
 def _survival_levels(net: ProductionNetwork, n: int, trials: int, seed: int, s_mins) -> list:
     """Per s_min, the ascending levels u_t with S_t(x) >= s_min iff x <= u_t."""
-    maxima, _ = _draws(net, n, 1.0, [derive_subseed(seed, t) for t in range(trials)])
+    maxima, _ = _draws(net, n, 1.0, _pcg64_states(_subseeds(seed, trials)))
     ranked = np.sort(_failure_thresholds(net, maxima), axis=1)
     return [np.sort(ranked[:, -s]) if s > 0 else np.full(trials, np.inf) for s in s_mins]
 
@@ -197,11 +197,10 @@ def estimate_resilience_ensemble(
     a derived per-network seed; the ensemble expectation in the metric's
     definition is reported as mean +/- stderr across realizations.
     """
+    networks = list(networks)
+    seeds = _subseeds(seed, len(networks)).tolist()
     values = np.array(
-        [
-            estimate_resilience(g, epsilon, n, trials, x_step, derive_subseed(seed, i))
-            for i, g in enumerate(networks)
-        ]
+        [estimate_resilience(g, epsilon, n, trials, x_step, s) for g, s in zip(networks, seeds)]
     )
     stderr = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
     return float(values.mean()), stderr, values

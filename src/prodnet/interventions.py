@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contagion import _katz_solve, fixed_point_beta
+from .contagion import _check_xyn, _katz_solve, fixed_point_beta
 from .errors import ParameterError, PreconditionError
 from .network import ProductionNetwork
 
@@ -126,10 +126,7 @@ def evaluate_intervention(
         raise ParameterError(
             f"t must have one entry per product ({net.node_count}), got shape {t.shape}"
         )
-    if not (0.0 <= x <= 1.0):
-        raise ParameterError(f"x must lie in [0, 1], got {x!r}")
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterError(f"n must be a positive integer, got {n!r}")
+    _check_xyn(x, y, n)
     delta = net.max_out_degree
     spontaneous = (x**n) * (~t).astype(np.float64)
     if delta == 0 or (y < 1.0 / delta and x < (1.0 - y * delta) ** (1.0 / n)):

@@ -19,9 +19,14 @@ theta[i] is the least supplier maximum over i and every product that
 reaches i along operational edges.  Every entry point draws, computes
 theta for all its trials in one pass, and compares it with its levels.
 
-Batches derive trial t's seed from (seed, t) via `derive_subseed`, so
-results are reproducible and partitionable across workers regardless of
-execution order.
+Seeding contract, fixed because every seeded output depends on it: a
+single trial draws from `default_rng(seed)`, and trial t of a batch from
+`default_rng(derive_subseed(seed, t))`, so batches are reproducible and
+partitionable across workers by trial index.  No generator is seeded per
+trial, though.  `_subseeds` and `_pcg64_states` recompute numpy's
+SeedSequence hash and PCG64 seeding bit for bit, for a whole batch at
+once in uint32 array arithmetic, and `_draws` loads each trial's PCG64
+state into one reused generator, so the draws themselves are numpy's.
 """
 
 from __future__ import annotations
@@ -50,8 +55,7 @@ class PercolationConfig:
             raise ParameterError(f"y must lie in [0, 1], got {self.y!r}")
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ParameterError(f"n must be a positive integer, got {self.n!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ParameterError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        _check_seed(self.seed)
 
 
 @dataclass
@@ -90,9 +94,108 @@ class BatchResult:
         return list(zip(self.F.tolist(), self.S.tolist()))
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _check_seed(value, name: str = "seed"):
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ParameterError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
+def _seed_words(value, name: str = "seed") -> list[int]:
+    """SeedSequence's entropy words of a nonnegative int: 32 bits each, low first."""
+    _check_seed(value, name)
+    value = int(value)
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_words(entropy: list, count: int) -> list:
+    """The first `count` uint32 words of `SeedSequence(entropy).generate_state`.
+
+    Each entropy word is a Python int or a uint32 array holding that word
+    for every trial of a batch; the result has the same form.  Every
+    product is masked to 32 bits, which keeps Python ints in uint32 range
+    and is a no-op on uint32 arrays, so one batch costs a fixed number of
+    array operations and a single seed costs Python int arithmetic only.
+    """
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const  # never in place: entropy arrays are hashed again
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+        return value ^ value >> 16
+
+    # a missing pool word hashes as 0, so [w] and [w, 0] give one pool
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+    const = _INIT_B
+    out = []
+    for i in range(count):
+        value = pool[i % _POOL_SIZE] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const & _MASK32
+        out.append(value ^ value >> 16)
+    return out
+
+
 def derive_subseed(seed: int, index: int) -> int:
-    """Stable 64-bit mix of (seed, trial index) used to seed trial draws."""
-    return int(np.random.SeedSequence((int(seed), int(index))).generate_state(1, np.uint64)[0])
+    """Stable 64-bit mix of (seed, trial index) used to seed trial draws.
+
+    Equals `SeedSequence((seed, index)).generate_state(1, np.uint64)[0]`.
+    """
+    lo, hi = _hash_words(_seed_words(seed) + _seed_words(index, "index"), 2)
+    return lo | hi << 32
+
+
+def _subseeds(seed: int, count: int) -> np.ndarray:
+    """`derive_subseed(seed, t)` for t in range(count), as one uint64 array."""
+    lo, hi = _hash_words(_seed_words(seed) + [np.arange(count, dtype=np.uint32)], 2)
+    return lo.astype(np.uint64) | hi.astype(np.uint64) << 32
+
+
+def _pcg64_states(seeds) -> list[tuple[int, int]]:
+    """(state, inc) of `PCG64(s)` for each seed: one int, or a uint64 array of them.
+
+    `generate_state(4, np.uint64)` gives initstate and initseq (high word
+    first); PCG64's srandom sets inc = initseq << 1 | 1 and state = 0,
+    steps, adds initstate and steps again.
+    """
+    if isinstance(seeds, np.ndarray):
+        # a 64-bit seed's entropy is [lo, hi]; [w] hashes as [w, 0]
+        entropy = [(seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32)]
+        words = [w.astype(np.uint64) for w in _hash_words(entropy, 8)]
+        halves = [(words[i] | words[i + 1] << 32).tolist() for i in range(0, 8, 2)]
+    else:
+        words = _hash_words(_seed_words(seeds), 8)
+        halves = [[words[i] | words[i + 1] << 32] for i in range(0, 8, 2)]
+    states = []
+    for state_hi, state_lo, seq_hi, seq_lo in zip(*halves):
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        states.append((((state_hi << 64 | state_lo) + inc) * _PCG64_MULT + inc & _MASK128, inc))
+    return states
 
 
 def supplier_maxima(rng: np.random.Generator, node_count: int, n: int) -> np.ndarray:
@@ -103,16 +206,30 @@ def supplier_maxima(rng: np.random.Generator, node_count: int, n: int) -> np.nda
     return rng.random((node_count, n)).max(axis=1)
 
 
-def _draws(net: ProductionNetwork, n: int, y: float, seeds) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per seed, a row of supplier maxima and, when y < 1, of the operational mask."""
-    maxima = np.empty((len(seeds), net.node_count))
-    op_mask = None if y >= 1.0 else np.empty((len(seeds), net.edge_count), dtype=bool)
-    for t, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        maxima[t] = supplier_maxima(rng, net.node_count, n)
+def _draws(net: ProductionNetwork, n: int, y: float, states) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per PCG64 (state, inc), a row of supplier maxima and, when y < 1, of the operational mask.
+
+    Each trial's draws are numpy's own: one reused generator takes the
+    trial's state, fills its (K, n) row of the supplier block and then,
+    when y < 1, its edge uniforms.
+    """
+    uniforms = np.empty((len(states), net.node_count, n))
+    op_mask = None if y >= 1.0 else np.empty((len(states), net.edge_count), dtype=bool)
+    edge_uniforms = np.empty(net.edge_count)
+    bits = np.random.PCG64(0)  # every trial overwrites this state
+    rng = np.random.Generator(bits)
+    for t, (state, inc) in enumerate(states):
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        rng.random(out=uniforms[t])
         if op_mask is not None:
-            op_mask[t] = rng.random(net.edge_count) < y
-    return maxima, op_mask
+            rng.random(out=edge_uniforms)
+            np.less(edge_uniforms, y, out=op_mask[t])
+    return uniforms.max(axis=2), op_mask
 
 
 def _failure_thresholds(
@@ -189,7 +306,7 @@ def _outcome_from_failed(failed: np.ndarray, spont: np.ndarray) -> CascadeOutcom
 
 def run_trial(net: ProductionNetwork, cfg: PercolationConfig) -> CascadeOutcome:
     """Execute one percolation trial, deterministic given cfg.seed."""
-    maxima, op_mask = _draws(net, cfg.n, cfg.y, [cfg.seed])
+    maxima, op_mask = _draws(net, cfg.n, cfg.y, _pcg64_states(cfg.seed))
     theta = _failure_thresholds(net, maxima, op_mask, stop=cfg.x)
     return _outcome_from_failed(theta[0] < cfg.x, maxima[0] < cfg.x)
 
@@ -207,8 +324,7 @@ def run_batch(
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ParameterError(f"trials must be a positive integer, got {trials!r}")
     k = net.node_count
-    seeds = [derive_subseed(cfg.seed, t) for t in range(trials)]
-    maxima, op_mask = _draws(net, cfg.n, cfg.y, seeds)
+    maxima, op_mask = _draws(net, cfg.n, cfg.y, _pcg64_states(_subseeds(cfg.seed, trials)))
     failed = _failure_thresholds(net, maxima, op_mask, stop=cfg.x) < cfg.x
     f_counts = failed.sum(axis=1).astype(np.int64)
     s_counts = k - f_counts
@@ -230,6 +346,6 @@ def run_coupled_pair(
         raise ParameterError("x1 and x2 must lie in [0, 1]")
     if x1 > x2:
         raise ParameterError(f"coupled pair requires x1 <= x2, got {x1} > {x2}")
-    maxima, op_mask = _draws(net, cfg.n, cfg.y, [cfg.seed])
+    maxima, op_mask = _draws(net, cfg.n, cfg.y, _pcg64_states(cfg.seed))
     theta = _failure_thresholds(net, maxima, op_mask, stop=x2)
     return tuple(_outcome_from_failed(theta[0] < x, maxima[0] < x) for x in (x1, x2))

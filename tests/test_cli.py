@@ -222,6 +222,17 @@ def test_malformed_network_json_exit_code(tmp_path, capsys, field):
     assert "malformed" in stderr
 
 
+def test_negative_seed_exit_code(tmp_path, capsys):
+    net_path = tmp_path / "net.csv"
+    net_path.write_text("source,target\n1,2\n", encoding="utf-8")
+    code, _, stderr = run_cli(
+        capsys, "resilience", "--net", str(net_path), "--trials", "10", "--seed", "-1",
+        "--out", str(tmp_path / "r.csv"),
+    )
+    assert code == 2
+    assert "seed" in stderr
+
+
 def test_non_numeric_eps_grid_exit_code(tmp_path, capsys):
     net_path = tmp_path / "net.csv"
     net_path.write_text("source,target\n1,2\n", encoding="utf-8")

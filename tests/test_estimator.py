@@ -109,6 +109,20 @@ def test_grid_validation():
         estimate_resilience(net, 1.5, trials=10)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_estimators_reject_bad_seeds(seed):
+    # a negative seed used to escape as numpy's bare ValueError and 1.5 ran as seed 1
+    net = chain(3)
+    with pytest.raises(ParameterError):
+        resilience_curve(net, trials=10, seed=seed)
+    with pytest.raises(ParameterError):
+        estimate_resilience(net, 0.5, trials=10, seed=seed)
+    with pytest.raises(ParameterError):
+        estimate_survival_prob(net, 0.3, 1, 0.5, trials=10, seed=seed)
+    with pytest.raises(ParameterError):
+        estimate_resilience_ensemble([net, net], 0.5, trials=10, seed=seed)
+
+
 def test_curve_provenance_fields():
     net = chain(3)
     curve = resilience_curve(net, epsilon_grid=[0.2, 0.5], n=2, trials=50, x_step=0.05, seed=17)

@@ -137,6 +137,13 @@ def test_evaluate_intervention_fallback_warns():
     assert np.all(beta <= 1.0)
 
 
+@pytest.mark.parametrize("y", [-0.5, 1.5, float("nan")])
+def test_evaluate_intervention_rejects_y_outside_unit_interval(y):
+    # y = -0.5 used to return a damage of 0.225, below the 0.3 of no propagation
+    with pytest.raises(ParameterError):
+        evaluate_intervention(chain(3), np.zeros(3, dtype=bool), 0.1, y)
+
+
 def test_protection_spectral_precondition():
     net = ProductionNetwork(3, [(1, 2), (1, 3)])  # Delta = 2
     with pytest.raises(PreconditionError):

@@ -1,0 +1,126 @@
+"""Bulk trial seeding against numpy itself.
+
+`percolation` recomputes numpy's SeedSequence hash and PCG64 seeding for
+a whole batch at once.  These properties hold it to numpy bit for bit:
+the batch subseeds equal `SeedSequence((seed, t))`, the drawn uniforms
+equal `default_rng(...)`'s, and single trials seeded with integers of
+any size draw what `default_rng(cfg.seed)` draws.  Seeds of 2**96 and
+more give entropy pools of more than four words, which take the hash's
+tail-mixing loop.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from prodnet import (
+    ParameterError,
+    PercolationConfig,
+    ProductionNetwork,
+    derive_subseed,
+    run_coupled_pair,
+    run_trial,
+)
+from prodnet.percolation import _draws, _failure_thresholds, _pcg64_states, _subseeds
+
+EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 7, 2**130 + 5)
+seeds = st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**140))
+shocks = dict(y=st.sampled_from([1.0, 0.5]), n=st.sampled_from([1, 2]))
+
+
+@st.composite
+def networks(draw):
+    """Random networks with K <= 12, cyclic or not."""
+    k = draw(st.integers(1, 12))
+    pairs = [(j, i) for j in range(1, k + 1) for i in range(1, k + 1) if j != i]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=30)) if pairs else []
+    return ProductionNetwork(k, edges)
+
+
+def pin_edge_seeds(**others):
+    """Adds every seed of EDGE_SEEDS as an explicit example of a property."""
+
+    def pin(test):
+        for seed in EDGE_SEEDS:
+            test = example(seed=seed, **others)(test)
+        return test
+
+    return pin
+
+
+def numpy_subseed(seed, t):
+    return int(np.random.SeedSequence((seed, t)).generate_state(1, np.uint64)[0])
+
+
+def numpy_draws(net, seed, n, y):
+    """One trial's supplier maxima and operational mask, drawn by `default_rng(seed)`."""
+    rng = np.random.default_rng(seed)
+    maxima = rng.random((net.node_count, n)).max(axis=1)
+    return maxima, (rng.random(net.edge_count) < y if y < 1.0 else None)
+
+
+def numpy_outcome(net, seed, x, n, y):
+    """Failed and spontaneously failed products at level x on `default_rng(seed)`'s draws."""
+    maxima, live = numpy_draws(net, seed, n, y)
+    theta = _failure_thresholds(net, maxima[None], None if live is None else live[None])[0]
+    return theta < x, maxima < x
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=seeds, trials=st.integers(1, 50))
+@pin_edge_seeds(trials=50)
+def test_batch_subseeds_match_seed_sequence(seed, trials):
+    expected = [numpy_subseed(seed, t) for t in range(trials)]
+    assert _subseeds(seed, trials).tolist() == expected
+    assert [derive_subseed(seed, t) for t in range(trials)] == expected
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_subseed_of_large_index_matches_seed_sequence(seed):
+    for index in (2**32 - 1, 2**32, 2**64 + 3, 2**100):
+        assert derive_subseed(seed, index) == numpy_subseed(seed, index)
+    assert derive_subseed(np.uint64(2**64 - 1), np.int8(7)) == numpy_subseed(2**64 - 1, 7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(net=networks(), seed=seeds, trials=st.integers(1, 50), **shocks)
+@pin_edge_seeds(net=ProductionNetwork(3, [(1, 2), (2, 3), (3, 1)]), trials=50, n=2, y=0.5)
+def test_batch_draws_match_default_rng(net, seed, trials, n, y):
+    maxima, op_mask = _draws(net, n, y, _pcg64_states(_subseeds(seed, trials)))
+    expected = [numpy_draws(net, numpy_subseed(seed, t), n, y) for t in range(trials)]
+    assert np.array_equal(maxima, np.array([m for m, _ in expected]))
+    if y < 1.0:
+        assert np.array_equal(op_mask, np.array([live for _, live in expected]))
+    else:
+        assert op_mask is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    net=networks(),
+    seed=st.integers(2**64, 2**200),
+    x1=st.floats(0.0, 1.0),
+    x2=st.floats(0.0, 1.0),
+    **shocks,
+)
+@example(net=ProductionNetwork(3, [(1, 2), (2, 3), (3, 1)]), seed=2**64, x1=0.3, x2=0.6, n=2, y=0.5)
+@example(net=ProductionNetwork(4, [(1, 2), (2, 3)]), seed=2**130 + 5, x1=0.2, x2=0.7, n=1, y=1.0)
+def test_single_trials_with_wide_seeds_match_default_rng(net, seed, x1, x2, n, y):
+    x1, x2 = min(x1, x2), max(x1, x2)
+    cfg = PercolationConfig(x=x2, y=y, n=n, seed=seed)
+    outcomes = (run_trial(net, cfg), *run_coupled_pair(net, cfg, x1, x2))
+    for out, x in zip(outcomes, (x2, x1, x2)):
+        failed, spontaneous = numpy_outcome(net, seed, x, n, y)
+        assert np.array_equal(out.Z == 0, failed)
+        assert out.spontaneous_failures == frozenset((np.flatnonzero(spontaneous) + 1).tolist())
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, np.float64(2.0), "3"])
+def test_seeding_rejects_non_integer_or_negative_seeds(seed):
+    with pytest.raises(ParameterError):
+        derive_subseed(seed, 0)
+    with pytest.raises(ParameterError):
+        _subseeds(seed, 3)
+    with pytest.raises(ParameterError):
+        PercolationConfig(x=0.5, seed=seed)
