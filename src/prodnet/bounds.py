@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterError, UnsupportedRegimeError
+from .errors import ParameterError, UnsupportedRegimeError, check_int, check_real
 from .generators import BranchingDistribution
 
 BISECTION_TOL = 1e-10
@@ -48,30 +48,6 @@ def _clamp01(v: float) -> tuple[float, bool]:
     return v, False
 
 
-def _check_eps(epsilon, closed_top=False):
-    hi_ok = epsilon <= 1.0 if closed_top else epsilon < 1.0
-    if not (0.0 < epsilon and hi_ok):
-        top = "(0, 1]" if closed_top else "(0, 1)"
-        raise ParameterError(f"epsilon must lie in {top}, got {epsilon!r}")
-
-
-def _check_prob(v, name):
-    if not (0.0 <= v <= 1.0):
-        raise ParameterError(f"{name} must lie in [0, 1], got {v!r}")
-
-
-def _check_n(n):
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterError(f"n must be a positive integer, got {n!r}")
-    return int(n)
-
-
-def _check_pos_int(v, name):
-    if not isinstance(v, (int, np.integer)) or v < 1:
-        raise ParameterError(f"{name} must be a positive integer, got {v!r}")
-    return int(v)
-
-
 # ---------------------------------------------------------------------------
 # Random DAG: cascade-size power law and tail function
 # ---------------------------------------------------------------------------
@@ -85,13 +61,13 @@ def powerlaw_pmf(f: int, K: int, p: float, x: float, n: int = 1) -> float:
     everything it reaches.  Limits p -> 0 (value 1/K), p -> 1 (x^n / K),
     and x -> 1 (1/K) all fall out of the formula; x = 0 gives 0.
     """
-    K = _check_pos_int(K, "K")
-    f = _check_pos_int(f, "f")
+    K = check_int(K, "K")
+    f = check_int(f, "f")
     if f > K:
         raise ParameterError(f"f must lie in 1..K, got f={f}, K={K}")
-    _check_prob(p, "p")
-    _check_prob(x, "x")
-    n = _check_n(n)
+    check_real(p, "p")
+    check_real(x, "x")
+    n = check_int(n, "n")
     if x == 0.0:
         return 0.0
     xn = x**n
@@ -101,10 +77,10 @@ def powerlaw_pmf(f: int, K: int, p: float, x: float, n: int = 1) -> float:
 
 def powerlaw_tail_constant(K: int, p: float, x: float, n: int = 1) -> float:
     """The constant C(K, p, x, n) in the tail lower bound Pr[F >= f] >= C/f."""
-    K = _check_pos_int(K, "K")
-    _check_prob(p, "p")
-    _check_prob(x, "x")
-    n = _check_n(n)
+    K = check_int(K, "K")
+    check_real(p, "p")
+    check_real(x, "x")
+    n = check_int(n, "n")
     if x == 0.0:
         return 0.0
     xn = x**n
@@ -119,12 +95,11 @@ def cascade_tail_g(x: float, K: int, p: float, epsilon: float, n: int = 1) -> fl
     Evaluates the displayed closed form exactly; requires p in (0, 1) so
     log(1/(1-p)) is finite and positive.
     """
-    K = _check_pos_int(K, "K")
-    if not (0.0 < p < 1.0):
-        raise ParameterError(f"p must lie strictly inside (0, 1), got {p!r}")
-    _check_prob(x, "x")
-    _check_eps(epsilon, closed_top=True)
-    n = _check_n(n)
+    K = check_int(K, "K")
+    check_real(p, "p", "(0, 1)")
+    check_real(x, "x")
+    check_real(epsilon, "epsilon", "(0, 1]")
+    n = check_int(n, "n")
     if x == 0.0:
         return 0.0
     xn = x**n
@@ -137,12 +112,11 @@ def cascade_tail_g(x: float, K: int, p: float, epsilon: float, n: int = 1) -> fl
 
 def cascade_tail_g_envelope(x: float, K: int, p: float, epsilon: float, n: int = 1) -> float:
     """Analytic majorant of the tail function: x^n (1-eps) + 1/(K log(1/(1-p)))."""
-    K = _check_pos_int(K, "K")
-    if not (0.0 < p < 1.0):
-        raise ParameterError(f"p must lie strictly inside (0, 1), got {p!r}")
-    _check_prob(x, "x")
-    _check_eps(epsilon, closed_top=True)
-    n = _check_n(n)
+    K = check_int(K, "K")
+    check_real(p, "p", "(0, 1)")
+    check_real(x, "x")
+    check_real(epsilon, "epsilon", "(0, 1]")
+    n = check_int(n, "n")
     return x**n * (1.0 - epsilon) + 1.0 / (K * -math.log1p(-p))
 
 
@@ -152,11 +126,10 @@ def rdag_lb_x(K: int, p: float, epsilon: float, n: int = 1) -> float:
     Returns (1 / (K log(1/(1-p)) (1-eps)))^(1/n) clamped to [0, 1]; at this
     x the majorant equals 2 / (K log(1/(1-p))).
     """
-    K = _check_pos_int(K, "K")
-    if not (0.0 < p < 1.0):
-        raise ParameterError(f"p must lie strictly inside (0, 1), got {p!r}")
-    _check_eps(epsilon)
-    n = _check_n(n)
+    K = check_int(K, "K")
+    check_real(p, "p", "(0, 1)")
+    check_real(epsilon, "epsilon", "(0, 1)")
+    n = check_int(n, "n")
     big_l = -math.log1p(-p)
     value, clamped = _clamp01((1.0 / (K * big_l * (1.0 - epsilon))) ** (1.0 / n))
     if clamped:
@@ -177,13 +150,13 @@ def parallel_bounds(
     scope selects the product set the bound speaks about: the complex
     products alone or raw materials included.
     """
-    K = _check_pos_int(K, "K")
+    K = check_int(K, "K")
     if K < 3:
         raise ParameterError(f"K must be at least 3 for the log terms, got {K}")
-    m = _check_pos_int(m, "m")
-    d = _check_pos_int(d, "d")
-    _check_eps(epsilon)
-    n = _check_n(n)
+    m = check_int(m, "m")
+    d = check_int(d, "d")
+    check_real(epsilon, "epsilon", "(0, 1)")
+    n = check_int(n, "n")
     if scope == "complex-only":
         lower_raw = (epsilon / (d * m) + math.sqrt(math.log(K) / (2.0 * m * K))) ** (1.0 / n)
         upper_raw = (1.0 - ((1.0 - epsilon) / 2.0) ** (1.0 / m)) ** (1.0 / n)
@@ -213,15 +186,15 @@ def parallel_bounds(
 
 def tree_node_count(m: int, D: int) -> int:
     """Products in the complete m-ary supply tree: sum of m^(d-1) over tiers."""
-    m = _check_pos_int(m, "m")
-    D = _check_pos_int(D, "D")
+    m = check_int(m, "m")
+    D = check_int(D, "D")
     return D if m == 1 else (m**D - 1) // (m - 1)
 
 
 def tree_bounds(m: int, D: int, epsilon: float, n: int = 1) -> BoundResult:
     """Resilience bounds for the backward m-ary tree of depth D."""
-    _check_eps(epsilon)
-    n = _check_n(n)
+    check_real(epsilon, "epsilon", "(0, 1)")
+    n = check_int(n, "n")
     K = tree_node_count(m, D)
     lower_raw = (-math.expm1(math.log1p(-1.0 / K) / ((1.0 - epsilon) * K))) ** (1.0 / n)
     if m == 1:
@@ -250,10 +223,10 @@ def tree_tier_survival(m: int, D: int, x: float, n: int = 1) -> np.ndarray:
     Tier D holds the raw materials; q satisfies q_d = q_{d+1}^m (1 - x^n)
     with q_{D+1} = 1, whose closed form is evaluated here.
     """
-    m = _check_pos_int(m, "m")
-    D = _check_pos_int(D, "D")
-    _check_prob(x, "x")
-    n = _check_n(n)
+    m = check_int(m, "m")
+    D = check_int(D, "D")
+    check_real(x, "x")
+    n = check_int(n, "n")
     log_z = math.log1p(-(x**n)) if x < 1.0 else -math.inf
     q = np.empty(D, dtype=np.float64)
     for d in range(1, D + 1):
@@ -271,10 +244,10 @@ def tree_catastrophe_prob(m: int, D: int, x: float, n: int = 1) -> tuple[float, 
     Returns (exact, envelope): 1 - (1-x^n)^(m^(D-1)) and its lower envelope
     1 - exp(-x^n m^(D-1)).
     """
-    m = _check_pos_int(m, "m")
-    D = _check_pos_int(D, "D")
-    _check_prob(x, "x")
-    n = _check_n(n)
+    m = check_int(m, "m")
+    D = check_int(D, "D")
+    check_real(x, "x")
+    n = check_int(n, "n")
     leaves = m ** (D - 1)
     xn = x**n
     if x >= 1.0:
@@ -292,14 +265,14 @@ def tree_expected_survivors_envelope(m: int, D: int, x: float, n: int = 1) -> tu
     instrument valid in the large-shock regime, not a uniform bound on
     E[S] (it dips below the truth for small x).
     """
-    m = _check_pos_int(m, "m")
+    m = check_int(m, "m")
     if m < 2:
         raise ParameterError(
             "envelope is stated for m >= 2; for m = 1 sum tree_tier_survival instead"
         )
-    D = _check_pos_int(D, "D")
-    _check_prob(x, "x")
-    n = _check_n(n)
+    D = check_int(D, "D")
+    check_real(x, "x")
+    n = check_int(n, "n")
     K = tree_node_count(m, D)
     xn = x**n
     return K * (1.0 - xn * (D - 1)), K * xn * (D - 1) / 2.0
@@ -380,8 +353,7 @@ def _gw_x_interval_top(mu: float, n: int) -> float:
 
 
 def _gw_check_regime(mu: float, side: str, epsilon: float):
-    if mu <= 0.0:
-        raise ParameterError(f"mu must be positive, got {mu!r}")
+    check_real(mu, "mu", "(0, inf)")
     gap_top = math.e**2 if side == "upper" else math.e
     if 1.0 <= mu <= gap_top:
         raise UnsupportedRegimeError(
@@ -407,9 +379,9 @@ def gw_bound_upper(mu: float, tau: int, epsilon: float, n: int = 1) -> float:
     Solved by bisection (tolerance 1e-10) on the interval [0, 1] for mu < 1
     and [0, (1 - 1/mu)^(1/n)] for mu > e^2; other regimes are refused.
     """
-    tau = _check_pos_int(tau, "tau")
-    _check_eps(epsilon)
-    n = _check_n(n)
+    tau = check_int(tau, "tau")
+    check_real(epsilon, "epsilon", "(0, 1)")
+    n = check_int(n, "n")
     _gw_check_regime(mu, "upper", epsilon)
     alpha = (1.0 - epsilon) / 2.0
     sat = lambda x: _gw_survivor_leq(mu, tau, 1.0 - x**n, alpha)
@@ -433,9 +405,9 @@ def gw_bound_upper(mu: float, tau: int, epsilon: float, n: int = 1) -> float:
 
 def gw_bound_lower(mu: float, tau: int, epsilon: float, n: int = 1) -> float:
     """Largest x keeping expected failures <= eps, by bisection to 1e-10."""
-    tau = _check_pos_int(tau, "tau")
-    _check_eps(epsilon)
-    n = _check_n(n)
+    tau = check_int(tau, "tau")
+    check_real(epsilon, "epsilon", "(0, 1)")
+    n = check_int(n, "n")
     _gw_check_regime(mu, "lower", epsilon)
     sat = lambda x: _gw_failure_leq(mu, tau, 1.0 - x**n, epsilon)
     hi = _gw_x_interval_top(mu, n)
@@ -470,9 +442,9 @@ def simulate_extinction_depths(
     (including runs whose population exceeded an internal cap, which are
     certain never to die out up to error eta*^cap).
     """
-    max_tau = _check_pos_int(max_tau, "max_tau")
-    samples = _check_pos_int(samples, "samples")
-    rng = np.random.default_rng(seed)
+    max_tau = check_int(max_tau, "max_tau")
+    samples = check_int(samples, "samples")
+    rng = np.random.default_rng(check_int(seed, "seed", minimum=0))
     z = np.ones(samples, dtype=np.int64)
     tau = np.zeros(samples, dtype=np.int64)
     alive = np.arange(samples)
@@ -514,8 +486,8 @@ def gw_expected_bounds(
     max_tau).  Runs that never die out contribute zero, matching the
     defining sum over finite extinction times only.
     """
-    _check_eps(epsilon)
-    n = _check_n(n)
+    check_real(epsilon, "epsilon", "(0, 1)")
+    n = check_int(n, "n")
     mu = dist.mean
     _gw_check_regime(mu, "upper", epsilon)
     _gw_check_regime(mu, "lower", epsilon)
@@ -544,11 +516,11 @@ def trellis_bounds(w: int, D: int, p: float, epsilon: float, n: int = 1) -> Boun
     (the pw <= 1 constant is 1/(1-pw) for pw < 1 and 1 at pw = 1); upper
     bounds equate its expected-failure lower bounds to (1+eps)K/2.
     """
-    w = _check_pos_int(w, "w")
-    D = _check_pos_int(D, "D")
-    _check_prob(p, "p")
-    _check_eps(epsilon, closed_top=True)
-    n = _check_n(n)
+    w = check_int(w, "w")
+    D = check_int(D, "D")
+    check_real(p, "p")
+    check_real(epsilon, "epsilon", "(0, 1]")
+    n = check_int(n, "n")
     K = w * D
     pw = p * w
     if pw > 1.0:

@@ -22,13 +22,7 @@ import numpy as np
 from . import __version__
 from . import bounds as bnd
 from .contagion import dag_beta, fixed_point_beta, katz_beta, vulnerability_ranking
-from .errors import (
-    ConvergenceError,
-    ParameterError,
-    PreconditionError,
-    ProdnetError,
-    ValidationError,
-)
+from .errors import ConvergenceError, ParameterError, PreconditionError, ProdnetError, check_int
 from .estimator import DEFAULT_EPSILON_GRID, resilience_curve
 from .fileio import (
     load_network_json,
@@ -268,7 +262,7 @@ def _cmd_intervene(args):
     if y is None:
         # the spectral default: safely below 1/max(Delta, Delta_R)
         y = 1.0 / (1e-5 + max(net.max_out_degree, net.max_in_degree, 1))
-    t_max = args.t_max if args.t_max is not None else net.node_count
+    t_max = net.node_count if args.t_max is None else check_int(args.t_max, "--t-max", minimum=0)
     if t_max > net.node_count:
         raise ParameterError(f"--t-max {t_max} exceeds the product count {net.node_count}")
     plan_for = _protection_planner(net, y)  # one reverse-Katz solve for the whole sweep
@@ -370,19 +364,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PreconditionError,) as exc:
+    except PreconditionError as exc:
         print(f"prodnet: precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except ConvergenceError as exc:
         print(f"prodnet: failed to converge: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except (ParameterError, ValidationError) as exc:
-        print(f"prodnet: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ProdnetError as exc:
-        print(f"prodnet: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+    except (ProdnetError, OSError) as exc:  # bad arguments or input, unreadable or unwritable files
         print(f"prodnet: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

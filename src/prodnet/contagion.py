@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, CyclicGraphError, ParameterError, PreconditionError
+from .errors import ConvergenceError, CyclicGraphError, PreconditionError, check_int, check_real
 from .network import ProductionNetwork, topological_order
 
 
@@ -39,22 +39,15 @@ class BetaVector:
         return float(self.beta.sum())
 
 
-def _check_xyn(x, y, n):
-    if not (0.0 <= x <= 1.0):
-        raise ParameterError(f"x must lie in [0, 1], got {x!r}")
-    if not (0.0 <= y <= 1.0):
-        raise ParameterError(f"y must lie in [0, 1], got {y!r}")
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterError(f"n must be a positive integer, got {n!r}")
-
-
 def dag_beta(net: ProductionNetwork, x: float, y: float, n: int = 1) -> BetaVector:
     """Exact program optimum on a DAG by one pass in topological order.
 
     beta of every source is x^n; downstream, beta_i = min(1, y * sum of
     input betas + x^n).  Linear in K + |E|.
     """
-    _check_xyn(x, y, n)
+    check_real(x, "x")
+    check_real(y, "y")
+    n = check_int(n, "n")
     if not net.acyclic:
         raise CyclicGraphError("dag_beta requires an acyclic network")
     xn = x**n
@@ -80,7 +73,13 @@ def contraction_step(
     `spontaneous` optionally replaces the uniform x^n vector (used by
     interventions, where protected products have their term zeroed).
     """
-    _check_xyn(x, y, n)
+    check_real(x, "x")
+    check_real(y, "y")
+    return _contract(net, beta, x, y, check_int(n, "n"), spontaneous)
+
+
+def _contract(net, beta, x, y, n, spontaneous):
+    # contraction_step without the argument checks, for the iteration loop
     src, dst = net.edge_arrays()
     if spontaneous is None:
         acc = np.full(net.node_count, x**n)
@@ -107,9 +106,11 @@ def fixed_point_beta(
     in which case the fixed point is still computed but is not guaranteed
     to solve the program.
     """
-    _check_xyn(x, y, n)
-    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
-        raise ParameterError(f"max_iter must be a positive integer, got {max_iter!r}")
+    check_real(x, "x")
+    check_real(y, "y")
+    n = check_int(n, "n")
+    check_real(tol, "tol", "[0, inf)")
+    max_iter = check_int(max_iter, "max_iter")
     delta = net.max_out_degree
     if delta > 0 and y > 1.0 / delta:
         if not allow_above_threshold:
@@ -124,7 +125,7 @@ def fixed_point_beta(
         )
     beta = np.ones(net.node_count, dtype=np.float64)
     for it in range(1, max_iter + 1):
-        nxt = contraction_step(net, beta, x, y, n, spontaneous=spontaneous)
+        nxt = _contract(net, beta, x, y, n, spontaneous)
         residual = float(np.max(np.abs(nxt - beta))) if net.node_count else 0.0
         beta = nxt
         if residual < tol:
@@ -138,6 +139,22 @@ def fixed_point_beta(
 def _spectral_threshold(net: ProductionNetwork) -> float:
     delta = net.max_out_degree
     return math.inf if delta == 0 else 1.0 / delta
+
+
+def _closed_form_ok(net: ProductionNetwork, x: float, y: float, n: int) -> tuple[bool, float]:
+    """Whether x^n * Katz(net, y) solves the program, and the cap x_cap on x.
+
+    The closed form needs y < 1/Delta and x < x_cap = (1 - y Delta)^(1/n),
+    Delta the forward max out-degree; x_cap = 1 (at Delta = 0 or y = 0)
+    restricts no x.  x_cap is 0 when the y-condition fails.
+    """
+    delta = net.max_out_degree
+    if delta == 0:
+        return True, 1.0
+    if y >= 1.0 / delta:
+        return False, 0.0
+    x_cap = (1.0 - y * delta) ** (1.0 / n)
+    return x < x_cap or x_cap >= 1.0, x_cap
 
 
 def _katz_solve(
@@ -206,8 +223,8 @@ def katz_centrality(net: ProductionNetwork, y: float, tol: float = 1e-12) -> np.
     a solve of that component's own block) for a cyclic component.
     Memory is O(K + |E|) unless such a block is needed.
     """
-    if y < 0.0:
-        raise ParameterError(f"y must be nonnegative, got {y!r}")
+    check_real(y, "y", "[0, inf)")
+    check_real(tol, "tol", "[0, inf)")
     if y >= _spectral_threshold(net):
         raise PreconditionError(
             f"Katz centrality needs y < 1/Delta = {_spectral_threshold(net):g}, got y = {y:g}"
@@ -221,14 +238,15 @@ def katz_beta(net: ProductionNetwork, x: float, y: float, n: int = 1) -> BetaVec
     Equals the fixed point (and hence the program optimum) when
     0 <= y < 1/Delta and x < (1 - y Delta)^(1/n).
     """
-    _check_xyn(x, y, n)
-    delta = net.max_out_degree
+    check_real(x, "x")
+    check_real(y, "y")
+    n = check_int(n, "n")
     if y >= _spectral_threshold(net):
         raise PreconditionError(
             f"katz_beta needs y < 1/Delta = {_spectral_threshold(net):g}, got y = {y:g}"
         )
-    x_cap = (1.0 - y * delta) ** (1.0 / n) if delta > 0 else 1.0
-    if x >= x_cap and x_cap < 1.0:
+    x_ok, x_cap = _closed_form_ok(net, x, y, n)
+    if not x_ok:
         raise PreconditionError(
             f"katz_beta needs x < (1 - y Delta)^(1/n) = {x_cap:g}, got x = {x:g}"
         )
@@ -251,38 +269,30 @@ class KatzResilienceBound:
 
 def resilience_lb_katz(net: ProductionNetwork, y: float, epsilon: float, n: int = 1) -> KatzResilienceBound:
     """Resilience lower bound (eps / sum of Katz centralities)^(1/n)."""
-    if not (0.0 < epsilon < 1.0):
-        raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterError(f"n must be a positive integer, got {n!r}")
+    check_real(epsilon, "epsilon", "(0, 1)")
+    n = check_int(n, "n")
     gamma = katz_centrality(net, y)
     raw = (epsilon / float(gamma.sum())) ** (1.0 / n)
     value = min(1.0, max(0.0, raw))
-    delta = net.max_out_degree
-    x_cap = (1.0 - y * delta) ** (1.0 / n) if delta > 0 else 1.0
     return KatzResilienceBound(
-        value=value, precondition_ok=value < x_cap or x_cap >= 1.0, clamped=value != raw
+        value=value, precondition_ok=_closed_form_ok(net, value, y, n)[0], clamped=value != raw
     )
 
 
 def dag_sparse_bound(K: int, x: float, y: float, n: int = 1) -> float:
     """Closed-form expected-failure bound x^n e^{Ky} / y for any DAG."""
-    if not isinstance(K, (int, np.integer)) or K < 1:
-        raise ParameterError(f"K must be a positive integer, got {K!r}")
-    if not (0.0 < y <= 1.0):
-        raise ParameterError(f"y must lie in (0, 1], got {y!r}")
-    _check_xyn(x, y, n)
+    K = check_int(K, "K")
+    check_real(x, "x")
+    check_real(y, "y", "(0, 1]")
+    n = check_int(n, "n")
     return (x**n) * math.exp(K * y) / y
 
 
 def dag_resilience_lb(K: int, epsilon: float, n: int = 1) -> float:
     """Universal DAG resilience lower bound (eps / (e K))^(1/n) at y = 1/K."""
-    if not isinstance(K, (int, np.integer)) or K < 1:
-        raise ParameterError(f"K must be a positive integer, got {K!r}")
-    if not (0.0 < epsilon < 1.0):
-        raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterError(f"n must be a positive integer, got {n!r}")
+    K = check_int(K, "K")
+    check_real(epsilon, "epsilon", "(0, 1)")
+    n = check_int(n, "n")
     return min(1.0, (epsilon / (math.e * K)) ** (1.0 / n))
 
 

@@ -2,8 +2,13 @@
 
 The CLI maps these onto exit codes: parameter/validation problems exit
 with 2, violated numeric preconditions with 3, and failed iterative
-solves with 4.
+solves with 4.  `check_int` and `check_real` are the one place where an
+argument's domain is checked: every public entry point runs its
+arguments through them once, so NaN, bools and non-numbers end in a
+ParameterError wherever they are passed.
 """
+
+import numbers
 
 
 class ProdnetError(Exception):
@@ -54,3 +59,38 @@ class ConvergenceError(ProdnetError, RuntimeError):
     def __init__(self, message: str, residual=None):
         super().__init__(message)
         self.residual = residual
+
+
+def check_int(value, name: str, minimum: int = 1) -> int:
+    """`value` as an int, refused unless it is an integer >= minimum (0 or 1).
+
+    Python and numpy integers qualify; bools, Python's or numpy's, do not,
+    although Python counts its own as integers.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        kind = "nonnegative" if minimum == 0 else "positive"
+        raise ParameterError(f"{name} must be a {kind} integer, got {value!r}")
+    return int(value)
+
+
+def check_real(value, name: str, interval: str = "[0, 1]") -> float:
+    """`value` as a float, refused unless it is a real number in `interval`.
+
+    interval is written as the message shows it, such as "(0, 1]" or
+    "[0, inf)": a bracket closes an end and a parenthesis opens it.  NaN
+    lies in no interval, and bools are not real numbers.
+    """
+    lo, hi, closed_lo, closed_hi = _interval_ends(interval)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not (lo <= value if closed_lo else lo < value)
+        or not (value <= hi if closed_hi else value < hi)
+    ):
+        raise ParameterError(f"{name} must lie in {interval}, got {value!r}")
+    return float(value)
+
+
+def _interval_ends(interval: str) -> tuple[float, float, bool, bool]:
+    lo, hi = interval[1:-1].split(",")
+    return float(lo), float(hi), interval[0] == "[", interval[-1] == "]"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_int, check_real
 from .network import ProductionNetwork
 from .percolation import _draws, _failure_thresholds, _pcg64_states, _subseeds
 
@@ -74,18 +74,6 @@ def _resilience(levels: np.ndarray, k: int, x_step: float) -> float:
     return lo
 
 
-def _validate_common(epsilon_values, n, trials, x_step):
-    for e in epsilon_values:
-        if not (0.0 < e < 1.0):
-            raise ParameterError(f"epsilon values must lie in (0, 1), got {e!r}")
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ParameterError(f"trials must be a positive integer, got {trials!r}")
-    if not (0.0 < x_step <= 0.1):
-        raise ParameterError(f"x_step must lie in (0, 0.1], got {x_step!r}")
-
-
 def estimate_survival_prob(
     net: ProductionNetwork,
     x: float,
@@ -95,9 +83,9 @@ def estimate_survival_prob(
     seed: int = 0,
 ) -> tuple[float, float]:
     """Estimate Pr[S >= ceil((1-eps) K)] with its binomial standard error."""
-    if not (0.0 <= x <= 1.0):
-        raise ParameterError(f"x must lie in [0, 1], got {x!r}")
-    _validate_common([epsilon], n, trials, 0.1)
+    check_real(x, "x")
+    check_real(epsilon, "epsilon", "(0, 1)")
+    n, trials = check_int(n, "n"), check_int(trials, "trials")
     levels = _survival_levels(net, n, trials, seed, [_s_min(epsilon, net.node_count)])
     p_hat = _survival_estimate(levels[0], x)
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / trials)
@@ -122,7 +110,9 @@ def estimate_resilience(
     seed: int = 0,
 ) -> float:
     """Estimated resilience at a single tolerance eps."""
-    _validate_common([epsilon], n, trials, x_step)
+    check_real(epsilon, "epsilon", "(0, 1)")
+    n, trials = check_int(n, "n"), check_int(trials, "trials")
+    check_real(x_step, "x_step", "(0, 0.1]")
     return _curve_points(net, [epsilon], n, trials, x_step, seed)[0][0]
 
 
@@ -161,12 +151,13 @@ def resilience_curve(
     the trapezoidal integral over [0, 1] with the boundary estimates
     extended flat.
     """
-    eps = np.asarray(list(epsilon_grid), dtype=np.float64)
+    eps = np.array([check_real(e, "epsilon", "(0, 1)") for e in epsilon_grid])
     if eps.size == 0:
         raise ParameterError("epsilon_grid must not be empty")
     if np.any(np.diff(eps) <= 0.0):
         raise ParameterError("epsilon_grid must be strictly increasing")
-    _validate_common(eps.tolist(), n, trials, x_step)
+    n, trials = check_int(n, "n"), check_int(trials, "trials")
+    check_real(x_step, "x_step", "(0, 0.1]")
     results = _curve_points(net, eps.tolist(), n, trials, x_step, seed)
     r_hat = np.array([r for r, _ in results])
     p_at = np.array([p for _, p in results])

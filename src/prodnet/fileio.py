@@ -5,6 +5,8 @@ Three network file formats are supported: edge CSVs with a
 become edges, and the package's own JSON schema.  Node names are
 normalized to dense ids 1..K; JSON round-trips preserve the logical
 content exactly.  All CSV output is plain ASCII with '.' decimal points.
+Every input file is read as UTF-8; bytes that do not decode raise
+FormatError, like any other malformed content.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, check_real
 from .network import ProductionNetwork
 
 NETWORK_JSON_SCHEMA = 1
@@ -38,30 +40,29 @@ def parse_edge_csv(path) -> ProductionNetwork:
     edges = []
     seen = set()
     duplicates = 0
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header[:2]] != ["source", "target"]:
-            raise FormatError(f"{path}: expected header 'source,target', got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise FormatError(f"{path}:{lineno}: expected two columns, got {row!r}")
-            src, dst = row[0].strip(), row[1].strip()
-            if not src or not dst:
-                raise FormatError(f"{path}:{lineno}: empty node name")
-            if src == dst:
-                raise ValidationError(f"{path}:{lineno}: self-loop on {src!r}")
-            for name in (src, dst):
-                if name not in ids:
-                    ids[name] = len(ids) + 1
-            e = (ids[src], ids[dst])
-            if e in seen:
-                duplicates += 1
-                continue
-            seen.add(e)
-            edges.append(e)
+    reader = _csv_rows(path)
+    header = next(reader, None)
+    if header is None or [c.strip().lower() for c in header[:2]] != ["source", "target"]:
+        raise FormatError(f"{path}: expected header 'source,target', got {header!r}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) < 2:
+            raise FormatError(f"{path}:{lineno}: expected two columns, got {row!r}")
+        src, dst = row[0].strip(), row[1].strip()
+        if not src or not dst:
+            raise FormatError(f"{path}:{lineno}: empty node name")
+        if src == dst:
+            raise ValidationError(f"{path}:{lineno}: self-loop on {src!r}")
+        for name in (src, dst):
+            if name not in ids:
+                ids[name] = len(ids) + 1
+        e = (ids[src], ids[dst])
+        if e in seen:
+            duplicates += 1
+            continue
+        seen.add(e)
+        edges.append(e)
     if not ids:
         raise FormatError(f"{path}: no edges found")
     if duplicates:
@@ -71,6 +72,15 @@ def parse_edge_csv(path) -> ProductionNetwork:
             stacklevel=2,
         )
     return ProductionNetwork(len(ids), edges)
+
+
+def _csv_rows(path: Path):
+    """The rows of a UTF-8 CSV file; undecodable bytes and csv errors raise FormatError."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        try:
+            yield from csv.reader(fh)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise FormatError(f"{path}: unreadable CSV: {exc}") from exc
 
 
 def parse_io_table(path, threshold: float = 0.0) -> ProductionNetwork:
@@ -84,8 +94,8 @@ def parse_io_table(path, threshold: float = 0.0) -> ProductionNetwork:
     the parsed text.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
+    check_real(threshold, "threshold", "[-inf, inf]")
+    rows = [r for r in _csv_rows(path) if r and any(c.strip() for c in r)]
     if len(rows) < 2:
         raise FormatError(f"{path}: expected a labeled square matrix")
     col_labels = [c.strip() for c in rows[0][1:]]
@@ -133,7 +143,7 @@ def load_network_json(path) -> ProductionNetwork:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bytes that are not UTF-8, deep nesting
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("schema") != NETWORK_JSON_SCHEMA:
         raise FormatError(f"{path}: unsupported or missing schema tag")

@@ -11,21 +11,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterError, SizeError
+from .errors import ParameterError, SizeError, check_int, check_real
 from .network import ProductionNetwork
 
 MAX_TREE_NODES = 10_000_000
-
-
-def _check_probability(p, name="p"):
-    if not (0.0 <= p <= 1.0):
-        raise ParameterError(f"{name} must lie in [0, 1], got {p!r}")
-
-
-def _check_positive_int(v, name):
-    if not isinstance(v, (int, np.integer)) or v < 1:
-        raise ParameterError(f"{name} must be a positive integer, got {v!r}")
-    return int(v)
 
 
 class BranchingDistribution:
@@ -40,23 +29,14 @@ class BranchingDistribution:
         self.kind = kind
         self.params = dict(params)
         if kind == "point":
-            value = params["value"]
-            if not isinstance(value, (int, np.integer)) or value < 0:
-                raise ParameterError(f"point-mass value must be a nonnegative integer, got {value!r}")
-            self._value = int(value)
-            self._mean = float(value)
+            self._value = check_int(params["value"], "point-mass value", minimum=0)
+            self._mean = float(self._value)
         elif kind == "binomial":
-            k, p = params["k"], params["p"]
-            _check_positive_int(k, "k")
-            _check_probability(p)
-            self._k, self._p = int(k), float(p)
+            self._k, self._p = check_int(params["k"], "k"), check_real(params["p"], "p")
             self._mean = self._k * self._p
         elif kind == "poisson":
-            mu = params["mu"]
-            if mu < 0:
-                raise ParameterError(f"poisson rate must be nonnegative, got {mu!r}")
-            self._mu = float(mu)
-            self._mean = float(mu)
+            self._mu = check_real(params["mu"], "poisson rate", "[0, inf)")
+            self._mean = self._mu
         else:
             raise ParameterError(f"unknown branching distribution kind {kind!r}")
 
@@ -131,9 +111,9 @@ class GWTreeResult:
 
 def generate_rdag(K: int, p: float, seed: int) -> ProductionNetwork:
     """Random DAG on K ordered products: edge (l, k) for l < k w.p. p."""
-    K = _check_positive_int(K, "K")
-    _check_probability(p)
-    rng = np.random.default_rng(seed)
+    K = check_int(K, "K")
+    check_real(p, "p")
+    rng = np.random.default_rng(check_int(seed, "seed", minimum=0))
     edges = []
     if K > 1:
         lo, hi = np.triu_indices(K, k=1)
@@ -151,16 +131,16 @@ def generate_parallel(K: int, m: int, d: int, seed: int) -> ProductionNetwork:
     with the most remaining capacity (seeded random tie-breaks), which
     keeps capacities balanced and never dead-ends.
     """
-    K = _check_positive_int(K, "K")
-    m = _check_positive_int(m, "m")
-    d = _check_positive_int(d, "d")
+    K = check_int(K, "K")
+    m = check_int(m, "m")
+    d = check_int(d, "d")
     rho = -(-m * K // d)  # ceil
     if rho < m:
         raise ParameterError(
             f"supply dependency d={d} too large: raw pool ceil(m*K/d)={rho} "
             f"cannot provide m={m} distinct inputs per product"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int(seed, "seed", minimum=0))
     capacity = np.full(rho, d, dtype=np.int64)
     edges = []
     tiers = {r: 1 for r in range(1, rho + 1)}
@@ -186,8 +166,8 @@ def generate_backward_tree(m: int, D: int) -> ProductionNetwork:
     m inputs at tier d+1, and edges run tier d+1 -> d so cascades flow
     from the leaves toward the root.  Deterministic (no seed).
     """
-    m = _check_positive_int(m, "m")
-    D = _check_positive_int(D, "D")
+    m = check_int(m, "m")
+    D = check_int(D, "D")
     total = D if m == 1 else (m**D - 1) // (m - 1)
     if total > MAX_TREE_NODES:
         raise SizeError(f"tree would have {total} nodes, exceeding the limit of {MAX_TREE_NODES}")
@@ -216,8 +196,8 @@ def generate_gw_tree(dist: BranchingDistribution, max_depth: int, seed: int) -> 
     root -> leaves.  Growth stops when a generation comes up empty
     (extinct) or at max_depth (truncated).
     """
-    max_depth = _check_positive_int(max_depth, "max_depth")
-    rng = np.random.default_rng(seed)
+    max_depth = check_int(max_depth, "max_depth")
+    rng = np.random.default_rng(check_int(seed, "seed", minimum=0))
     edges = []
     tiers = {1: 1}
     level = [1]
@@ -251,10 +231,10 @@ def generate_gw_tree(dist: BranchingDistribution, max_depth: int, seed: int) -> 
 
 def generate_trellis(w: int, D: int, p: float, seed: int) -> ProductionNetwork:
     """Random width-w trellis: D tiers of w products, inter-tier edges w.p. p."""
-    w = _check_positive_int(w, "w")
-    D = _check_positive_int(D, "D")
-    _check_probability(p)
-    rng = np.random.default_rng(seed)
+    w = check_int(w, "w")
+    D = check_int(D, "D")
+    check_real(p, "p")
+    rng = np.random.default_rng(check_int(seed, "seed", minimum=0))
     edges = []
     tiers = {}
     for d in range(1, D + 1):

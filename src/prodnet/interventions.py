@@ -21,19 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contagion import _check_xyn, _katz_solve, fixed_point_beta
-from .errors import ParameterError, PreconditionError
+from .contagion import _closed_form_ok, _katz_solve, fixed_point_beta
+from .errors import ParameterError, PreconditionError, check_int, check_real
 from .network import ProductionNetwork
 
 
-def _max_degree_both(net: ProductionNetwork) -> int:
-    return max(net.max_out_degree, net.max_in_degree)
-
-
 def _check_spectral_y(net: ProductionNetwork, y: float):
-    delta = _max_degree_both(net)
-    if y < 0.0:
-        raise ParameterError(f"y must be nonnegative, got {y!r}")
+    # planning needs the spectral condition on the network and its reverse
+    check_real(y, "y", "[0, inf)")
+    delta = max(net.max_out_degree, net.max_in_degree)
     if delta > 0 and y >= 1.0 / delta:
         raise PreconditionError(
             f"interventions need y < 1/max(Delta, Delta_R) = {1.0 / delta:g}, got y = {y:g} "
@@ -61,7 +57,8 @@ class InterventionPlan:
 
     def objective(self, x: float, n: int = 1) -> float:
         """Worst-case expected damage bound of this plan at shock level x."""
-        return (x**n) * self.unprotected_mass
+        check_real(x, "x")
+        return (x ** check_int(n, "n")) * self.unprotected_mass
 
 
 def _reverse_katz_order(net: ProductionNetwork, y: float) -> tuple[np.ndarray, np.ndarray]:
@@ -102,8 +99,7 @@ def optimal_protection(net: ProductionNetwork, T: int, y: float) -> Intervention
 
     Ties break by ascending product id so plans are reproducible.
     """
-    if not isinstance(T, (int, np.integer)) or T < 0:
-        raise ParameterError(f"T must be a nonnegative integer, got {T!r}")
+    T = check_int(T, "T", minimum=0)
     if T > net.node_count:
         raise ParameterError(f"T = {T} exceeds the product count {net.node_count}")
     return _protection_planner(net, y)(T)
@@ -126,10 +122,11 @@ def evaluate_intervention(
         raise ParameterError(
             f"t must have one entry per product ({net.node_count}), got shape {t.shape}"
         )
-    _check_xyn(x, y, n)
-    delta = net.max_out_degree
+    check_real(x, "x")
+    check_real(y, "y")
+    n = check_int(n, "n")
     spontaneous = (x**n) * (~t).astype(np.float64)
-    if delta == 0 or (y < 1.0 / delta and x < (1.0 - y * delta) ** (1.0 / n)):
+    if _closed_form_ok(net, x, y, n)[0]:
         beta = _katz_solve(net, y, spontaneous)
     else:
         warnings.warn(
@@ -149,10 +146,8 @@ def post_intervention_resilience_lb(
     Clamped to [0, 1]; a fully protected network gives 1.  Nondecreasing in
     the budget since protecting more only shrinks the denominator.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterError(f"n must be a positive integer, got {n!r}")
+    check_real(epsilon, "epsilon", "(0, 1)")
+    n = check_int(n, "n")
     if plan.unprotected_mass <= 0.0:
         return 1.0
     return min(1.0, (epsilon / plan.unprotected_mass) ** (1.0 / n))
@@ -174,6 +169,7 @@ class SupplierAllocation:
 
     def objective(self, x: float) -> float:
         """Katz-weighted residual fragility sum gamma_i * x^extra_i."""
+        check_real(x, "x")
         return float(np.sum(self.reverse_katz * np.power(x, self.extra)))
 
 
@@ -186,10 +182,8 @@ def supplier_allocation(
     id) and assigns each its cap, or whatever budget remains.  Feasible by
     construction: totals never exceed the budget and per-product caps hold.
     """
-    if not isinstance(budget, (int, np.integer)) or budget < 0:
-        raise ParameterError(f"budget must be a nonnegative integer, got {budget!r}")
-    if not isinstance(base_n, (int, np.integer)) or base_n < 1:
-        raise ParameterError(f"base_n must be a positive integer, got {base_n!r}")
+    budget = check_int(budget, "budget", minimum=0)
+    check_int(base_n, "base_n")
     caps = np.asarray(caps, dtype=np.int64)
     if caps.shape != (net.node_count,):
         raise ParameterError(
@@ -200,7 +194,7 @@ def supplier_allocation(
     gamma_rev, order = _reverse_katz_order(net, y)
     order = order.tolist()
     extra = np.zeros(net.node_count, dtype=np.int64)
-    remaining = int(budget)
+    remaining = budget
     for i in order:
         if remaining <= 0:
             break
@@ -210,7 +204,7 @@ def supplier_allocation(
     return SupplierAllocation(
         extra=extra,
         caps=caps,
-        budget=int(budget),
+        budget=budget,
         order=[i + 1 for i in order],
         reverse_katz=gamma_rev,
     )

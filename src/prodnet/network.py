@@ -4,8 +4,9 @@ A production network is a directed graph on products 1..K where an edge
 (j, i) means product j is a required input of product i.  Sources (raw
 materials) are products with no inputs.  Networks are immutable after
 construction and safe to share across workers; derived structures
-(edge arrays, the input CSR, strongly connected components, adjacency
-matrix, reachability closure) are computed lazily and cached.
+(edge arrays, the input CSR, strongly connected components) are computed
+lazily and cached, and none is dense in K except the reachability
+closure, which only tests and `perfbench`'s tracer use.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import CyclicGraphError, ParameterError, ValidationError
+from .errors import CyclicGraphError, ValidationError, check_int
 
 
 class ProductionNetwork:
@@ -50,11 +51,8 @@ class ProductionNetwork:
         tiers: Optional[Mapping[int, int]] = None,
         acyclic: Optional[bool] = None,
     ):
-        if not isinstance(node_count, (int, np.integer)) or node_count < 1:
-            raise ParameterError(f"node_count must be a positive integer, got {node_count!r}")
-        if not isinstance(supplier_count, (int, np.integer)) or supplier_count < 1:
-            raise ParameterError(f"supplier_count must be a positive integer, got {supplier_count!r}")
-        k = int(node_count)
+        k = check_int(node_count, "node_count")
+        n = check_int(supplier_count, "supplier_count")
         edge_list = []
         seen = set()
         for e in edges:
@@ -84,7 +82,7 @@ class ProductionNetwork:
 
         object.__setattr__(self, "node_count", k)
         object.__setattr__(self, "edges", tuple(edge_list))
-        object.__setattr__(self, "supplier_count", int(supplier_count))
+        object.__setattr__(self, "supplier_count", n)
         object.__setattr__(self, "tiers", tier_map)
         object.__setattr__(self, "_succ", tuple(tuple(s) for s in succ))
         object.__setattr__(self, "_pred", tuple(tuple(p) for p in pred))
@@ -176,15 +174,6 @@ class ProductionNetwork:
             starts = tuple(np.searchsorted(dst[in_edges], np.arange(self.node_count + 1)).tolist())
             self._cache["input_csr"] = (in_edges, src[in_edges], starts)
         return self._cache["input_csr"]
-
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense 0/1 adjacency A with A[j-1, i-1] = 1 for each edge (j, i)."""
-        if "adjacency" not in self._cache:
-            a = np.zeros((self.node_count, self.node_count), dtype=np.float64)
-            src, dst = self.edge_arrays()
-            a[src, dst] = 1.0
-            self._cache["adjacency"] = a
-        return self._cache["adjacency"]
 
     def reachability(self) -> np.ndarray:
         """Boolean closure R with R[j-1, i-1] True iff a path j -> i exists.

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_int, check_real
 from .network import ProductionNetwork
 
 
@@ -49,13 +49,10 @@ class PercolationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 <= self.x <= 1.0):
-            raise ParameterError(f"x must lie in [0, 1], got {self.x!r}")
-        if not (0.0 <= self.y <= 1.0):
-            raise ParameterError(f"y must lie in [0, 1], got {self.y!r}")
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ParameterError(f"n must be a positive integer, got {self.n!r}")
-        _check_seed(self.seed)
+        check_real(self.x, "x")
+        check_real(self.y, "y")
+        check_int(self.n, "n")
+        check_int(self.seed, "seed", minimum=0)
 
 
 @dataclass
@@ -105,15 +102,13 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
 
-def _check_seed(value, name: str = "seed"):
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ParameterError(f"{name} must be a nonnegative integer, got {value!r}")
-
-
 def _seed_words(value, name: str = "seed") -> list[int]:
-    """SeedSequence's entropy words of a nonnegative int: 32 bits each, low first."""
-    _check_seed(value, name)
-    value = int(value)
+    """SeedSequence's entropy words of a nonnegative int: 32 bits each, low first.
+
+    The check refuses negative seeds, for which the split below would
+    never end.
+    """
+    value = check_int(value, name, minimum=0)
     words = [value & _MASK32]
     while value := value >> 32:
         words.append(value & _MASK32)
@@ -321,8 +316,7 @@ def run_batch(
     keep_failures=True the (trials, K) failure-indicator matrix is kept in
     the result for per-product statistics.
     """
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ParameterError(f"trials must be a positive integer, got {trials!r}")
+    trials = check_int(trials, "trials")
     k = net.node_count
     maxima, op_mask = _draws(net, cfg.n, cfg.y, _pcg64_states(_subseeds(cfg.seed, trials)))
     failed = _failure_thresholds(net, maxima, op_mask, stop=cfg.x) < cfg.x
@@ -342,8 +336,8 @@ def run_coupled_pair(
     Requires x1 <= x2; the shared draws make the failure sets nested, so
     S(x1) >= S(x2) holds trialwise and Z(x1) >= Z(x2) pointwise.
     """
-    if not (0.0 <= x1 <= 1.0) or not (0.0 <= x2 <= 1.0):
-        raise ParameterError("x1 and x2 must lie in [0, 1]")
+    check_real(x1, "x1")
+    check_real(x2, "x2")
     if x1 > x2:
         raise ParameterError(f"coupled pair requires x1 <= x2, got {x1} > {x2}")
     maxima, op_mask = _draws(net, cfg.n, cfg.y, _pcg64_states(cfg.seed))

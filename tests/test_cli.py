@@ -242,3 +242,47 @@ def test_non_numeric_eps_grid_exit_code(tmp_path, capsys):
     )
     assert code == 2
     assert "--eps-grid" in stderr
+
+
+def test_generate_negative_seed_exit_code(tmp_path, capsys):
+    code, _, stderr = run_cli(
+        capsys, "generate", "--arch", "rdag", "--K", "5", "--p", "0.3", "--seed", "-1",
+        "--out", str(tmp_path / "net.json"),
+    )
+    assert code == 2
+    assert "seed" in stderr
+
+
+@pytest.mark.parametrize(
+    "fmt, content",
+    [
+        ("edge-csv", b"source,target\n\xff,b\n"),
+        ("io-table", b",a,b\na,0,\xff\nb,0,0\n"),
+        ("json", b'{"schema": 1, "k": \xff}'),
+        ("auto", None),
+    ],
+    ids=["edge-csv-not-utf8", "io-table-not-utf8", "json-not-utf8", "directory"],
+)
+def test_unreadable_network_exit_code(tmp_path, capsys, fmt, content):
+    net_path = tmp_path / "net"
+    if content is None:
+        net_path.mkdir()
+    else:
+        net_path.write_bytes(content)
+    code, _, stderr = run_cli(
+        capsys, "simulate", "--net", str(net_path), "--net-format", fmt, "--x", "0.2",
+        "--out", str(tmp_path / "h.csv"),
+    )
+    assert code == 2
+    assert stderr.startswith("prodnet: ")
+
+
+def test_negative_t_max_exit_code(tmp_path, capsys):
+    net_path = tmp_path / "net.csv"
+    net_path.write_text("source,target\n1,2\n", encoding="utf-8")
+    code, _, stderr = run_cli(
+        capsys, "intervene", "--net", str(net_path), "--t-max", "-1",
+        "--out", str(tmp_path / "i.csv"),
+    )
+    assert code == 2
+    assert "--t-max" in stderr

@@ -103,13 +103,6 @@ def test_reachability_closure():
     assert cyc.reachability().all()
 
 
-def test_adjacency_matrix_orientation():
-    net = ProductionNetwork(2, [(1, 2)])
-    a = net.adjacency_matrix()
-    assert a[0, 1] == 1.0 and a[1, 0] == 0.0
-    assert np.count_nonzero(a) == 1
-
-
 def test_input_csr_lists_inputs_per_product():
     net = ProductionNetwork(4, [(3, 1), (1, 2), (4, 2), (2, 3), (1, 4)])
     in_edges, in_src, starts = net.input_csr()

@@ -1,0 +1,197 @@
+"""Every malformed argument or input file ends in a ProdnetError.
+
+The table drives public entry points with values outside their domain:
+NaN where a real is expected, bools where an int is expected, negative
+and fractional seeds, non-numbers and out-of-range values.  Each one
+must raise ParameterError, never a bare TypeError or ValueError and
+never a result computed from the bad value.  The fuzz properties write
+arbitrary bytes, and arbitrary or nearly well-formed text in one of three
+encodings, to a file and hand it to each parser, which may warn but may
+raise nothing but a ProdnetError.
+"""
+
+import json
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from prodnet import (
+    BranchingDistribution,
+    ParameterError,
+    PercolationConfig,
+    ProdnetError,
+    ProductionNetwork,
+    dag_beta,
+    dag_resilience_lb,
+    dag_sparse_bound,
+    estimate_resilience,
+    estimate_survival_prob,
+    evaluate_intervention,
+    fixed_point_beta,
+    generate_gw_tree,
+    generate_parallel,
+    generate_rdag,
+    generate_trellis,
+    gw_bounds,
+    katz_beta,
+    katz_centrality,
+    load_network_json,
+    optimal_protection,
+    parse_edge_csv,
+    parse_io_table,
+    powerlaw_pmf,
+    resilience_curve,
+    resilience_lb_katz,
+    run_batch,
+    run_coupled_pair,
+    simulate_extinction_depths,
+    supplier_allocation,
+    trellis_bounds,
+)
+
+NAN = float("nan")
+CHAIN = ProductionNetwork(3, [(1, 2), (2, 3)])
+EDGELESS = ProductionNetwork(2, [])
+
+
+def _io_table(tmp_path, threshold):
+    path = tmp_path / "io.csv"
+    path.write_text(",a,b\na,0,1\nb,0,0\n", encoding="utf-8")
+    return parse_io_table(path, threshold=threshold)
+
+
+CASES = {
+    # NaN where a real is expected
+    "katz_centrality-y-nan": lambda tmp: katz_centrality(CHAIN, NAN),
+    "katz_centrality-tol-nan": lambda tmp: katz_centrality(CHAIN, 0.5, tol=NAN),
+    "optimal_protection-y-nan": lambda tmp: optimal_protection(CHAIN, 1, NAN),
+    "supplier_allocation-y-nan": lambda tmp: supplier_allocation(CHAIN, NAN, 1, [1, 1, 1], 2),
+    "resilience_lb_katz-y-nan": lambda tmp: resilience_lb_katz(CHAIN, NAN, 0.3),
+    "poisson-nan": lambda tmp: BranchingDistribution.poisson(NAN),
+    "gw_bounds-mu-nan": lambda tmp: gw_bounds(NAN, 3, 0.3),
+    "plan-objective-x-nan": lambda tmp: optimal_protection(CHAIN, 1, 0.5).objective(NAN),
+    "parse_io_table-threshold-nan": lambda tmp: _io_table(tmp, NAN),
+    # bools where an int is expected
+    "estimate_resilience-n-bool": lambda tmp: estimate_resilience(CHAIN, 0.5, n=True, trials=10),
+    "optimal_protection-T-bool": lambda tmp: optimal_protection(CHAIN, True, 0.5),
+    "PercolationConfig-n-bool": lambda tmp: PercolationConfig(x=0.1, n=True),
+    "run_batch-trials-bool": lambda tmp: run_batch(CHAIN, PercolationConfig(x=0.1), trials=True),
+    "ProductionNetwork-K-bool": lambda tmp: ProductionNetwork(True, []),
+    "generate_trellis-w-bool": lambda tmp: generate_trellis(True, 2, 0.5, seed=1),
+    "powerlaw_pmf-K-bool": lambda tmp: powerlaw_pmf(1, True, 0.5, 0.5),
+    "katz_beta-n-bool": lambda tmp: katz_beta(CHAIN, 0.1, 0.1, n=True),
+    "fixed_point_beta-max_iter-bool": lambda tmp: fixed_point_beta(CHAIN, 0.1, 0.1, max_iter=True),
+    "binomial-k-bool": lambda tmp: BranchingDistribution.binomial(True, 0.5),
+    "point-value-bool": lambda tmp: BranchingDistribution.point(True),
+    "evaluate_intervention-n-bool": lambda tmp: evaluate_intervention(
+        CHAIN, [0, 0, 0], 0.1, 0.5, n=True
+    ),
+    "dag_sparse_bound-K-bool": lambda tmp: dag_sparse_bound(True, 0.1, 0.5),
+    "dag_resilience_lb-K-bool": lambda tmp: dag_resilience_lb(True, 0.3),
+    # bools where a real is expected
+    "dag_beta-x-bool": lambda tmp: dag_beta(CHAIN, True, 0.5),
+    # seeds: negative, fractional, bool
+    "generate_rdag-seed-negative": lambda tmp: generate_rdag(5, 0.3, seed=-1),
+    "generate_parallel-seed-fractional": lambda tmp: generate_parallel(3, 2, 2, seed=1.5),
+    "generate_trellis-seed-bool": lambda tmp: generate_trellis(2, 2, 0.5, seed=True),
+    "generate_gw_tree-seed-negative": lambda tmp: generate_gw_tree(
+        BranchingDistribution.point(1), 3, seed=-1
+    ),
+    "simulate_extinction_depths-seed-negative": lambda tmp: simulate_extinction_depths(
+        BranchingDistribution.poisson(0.5), max_tau=5, samples=10, seed=-1
+    ),
+    # non-numbers
+    "PercolationConfig-x-str": lambda tmp: PercolationConfig(x="a"),
+    "dag_beta-y-none": lambda tmp: dag_beta(CHAIN, 0.1, None),
+    "estimate_resilience-x_step-str": lambda tmp: estimate_resilience(CHAIN, 0.5, x_step="a"),
+    "resilience_curve-eps-str": lambda tmp: resilience_curve(CHAIN, ["0.5"], trials=10),
+    "run_coupled_pair-x1-str": lambda tmp: run_coupled_pair(
+        CHAIN, PercolationConfig(x=0.1), "a", 0.5
+    ),
+    "estimate_survival_prob-x-complex": lambda tmp: estimate_survival_prob(CHAIN, 1j, 1, 0.5, 10),
+    "trellis_bounds-p-array": lambda tmp: trellis_bounds(2, 2, np.array([0.5]), 0.3),
+    # out of range
+    "poisson-inf": lambda tmp: BranchingDistribution.poisson(float("inf")),
+    "katz_centrality-y-inf": lambda tmp: katz_centrality(EDGELESS, float("inf")),
+}
+
+
+@pytest.mark.parametrize("call", CASES.values(), ids=CASES.keys())
+def test_bad_argument_raises_parameter_error(call, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ParameterError):
+            call(tmp_path)
+
+
+def test_messages_name_the_argument_and_its_domain():
+    with pytest.raises(ParameterError, match=r"^x must lie in \[0, 1\], got nan$"):
+        PercolationConfig(x=NAN)
+    with pytest.raises(ParameterError, match=r"^node_count must be a positive integer, got True$"):
+        ProductionNetwork(True, [])
+    with pytest.raises(ParameterError, match=r"^seed must be a nonnegative integer, got -1$"):
+        generate_rdag(5, 0.3, seed=-1)
+    with pytest.raises(ParameterError, match=r"^epsilon must lie in \(0, 1\), got 1$"):
+        resilience_lb_katz(CHAIN, 0.1, 1)
+
+
+PARSERS = (parse_edge_csv, parse_io_table, load_network_json)
+
+
+def _parse_each(data: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_bytes(data)
+        for parse in PARSERS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    parse(path)
+                except ProdnetError:
+                    pass
+
+
+# text near each format, so the fuzz reaches past the first check of each parser
+csv_tokens = st.sampled_from(list("ab01.-e, \n\r\"") + ["nan", "inf", "1e999"])
+csv_text = st.lists(csv_tokens, max_size=40).map("".join)
+near_inputs = st.one_of(
+    csv_text.map(lambda t: "source,target\n" + t),
+    csv_text.map(lambda t: ",a,b\n" + t),
+    st.text(max_size=80).map(lambda t: '{"schema": 1, "k": 2, "n": 1, "edges": ' + t),
+    st.fixed_dictionaries(
+        {"schema": st.just(1)},
+        optional={
+            key: st.recursive(
+                st.none()
+                | st.booleans()
+                | st.integers(-3, 3)
+                | st.floats(-3, 3)  # no huge k: a network that large takes gigabytes to build
+                | st.sampled_from([NAN, float("inf")])
+                | st.text(max_size=3),
+                lambda inner: st.lists(inner, max_size=3)
+                | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+                max_leaves=6,
+            )
+            for key in ("k", "n", "edges", "tiers", "acyclic")
+        },
+    ).map(json.dumps),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=200))
+def test_parsers_raise_only_prodnet_errors_on_bytes(data):
+    _parse_each(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.text(max_size=200), near_inputs), st.sampled_from(["utf-8", "utf-16", "latin-1"])
+)
+def test_parsers_raise_only_prodnet_errors_on_text(text, encoding):
+    _parse_each(text.encode(encoding, "replace"))
