@@ -9,7 +9,7 @@ centrality scaled by the spontaneous-failure probability x^n.  No LP
 solver is embedded: these three routes cover every regime in use, and
 anything else is reported as unsupported.  Every Katz-type linear system
 (here and in `interventions`) goes through one sparse solver over the
-strongly connected components.
+strongly connected components, walking the network's level plan.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, CyclicGraphError, PreconditionError, check_int, check_real
-from .network import ProductionNetwork, topological_order
+from .network import ProductionNetwork
 
 
 @dataclass
@@ -40,10 +40,10 @@ class BetaVector:
 
 
 def dag_beta(net: ProductionNetwork, x: float, y: float, n: int = 1) -> BetaVector:
-    """Exact program optimum on a DAG by one pass in topological order.
+    """Exact program optimum on a DAG by one pass over `net.level_plan()`.
 
     beta of every source is x^n; downstream, beta_i = min(1, y * sum of
-    input betas + x^n).  Linear in K + |E|.
+    input betas + x^n), one `np.add.at` per level.  Linear in K + |E|.
     """
     check_real(x, "x")
     check_real(y, "y")
@@ -52,11 +52,10 @@ def dag_beta(net: ProductionNetwork, x: float, y: float, n: int = 1) -> BetaVect
         raise CyclicGraphError("dag_beta requires an acyclic network")
     xn = x**n
     beta = np.zeros(net.node_count, dtype=np.float64)
-    for v in topological_order(net):
-        acc = xn
-        for j in net.predecessors(v):
-            acc += y * beta[j - 1]
-        beta[v - 1] = min(1.0, acc)
+    for level in net.level_plan():
+        acc = np.full(len(level.products), xn, dtype=np.float64)  # then y beta_j, in input order
+        np.add.at(acc, level.segment, y * beta[level.sources])
+        beta[level.products] = np.minimum(1.0, acc)
     return BetaVector(beta=beta, method="dag-linear")
 
 
@@ -163,65 +162,44 @@ def _katz_solve(
     """Solve (I - y A^T) g = b, or (I - y A) g = b when reverse, for y A of spectral radius < 1.
 
     Row i reads g_i = b_i + y * (sum of g over the inputs of i), or over
-    the products i feeds when reverse.  Strong components are visited in
-    topological order (reversed when reverse), so every term from outside
-    a component is final when it is reached: a product on no cycle is
-    exact forward substitution.  A cyclic component adds its outside terms
-    to b and runs Neumann sweeps over its internal edges until the update
-    is within tol of the largest entry.  A component still short of that
+    the products i feeds when reverse.  `net.level_plan(reverse)` is walked
+    in order, so every term from outside a component is final when it is
+    reached: one `bincount` per level substitutes exactly off cycles and
+    adds a cyclic component's outside terms to b.  That component then
+    runs Neumann sweeps over its internal edges until the update is
+    within tol of the largest entry.  A component still short of that
     after len(component) sweeps, which happens when y * A is close to
     spectral radius 1 on it, solves its own dense block instead.
     """
-    k = net.node_count
-    # row v sums g over nbr[starts[v]:starts[v + 1]]
-    if reverse:
-        src, dst = net.edge_arrays()  # sorted by source
-        nbr, starts = dst.tolist(), np.searchsorted(src, np.arange(k + 1)).tolist()
-        comps = net.strong_components()[::-1]
-    else:
-        _, in_src, starts = net.input_csr()
-        nbr, comps = in_src.tolist(), net.strong_components()
-    rhs = np.asarray(b, dtype=np.float64).tolist()
-    g = [0.0] * k  # members of later components read as 0 until solved
-    for comp in comps:
-        if len(comp) == 1:
-            v = comp[0]
-            g[v] = rhs[v] + y * sum([g[j] for j in nbr[starts[v] : starts[v + 1]]])
-            continue
-        local = {v: a for a, v in enumerate(comp)}
-        r, heads, tails = [], [], []  # internal terms: row heads[e] sums g at tails[e], local ids
-        for a, v in enumerate(comp):
-            terms = nbr[starts[v] : starts[v + 1]]
-            r.append(rhs[v] + y * sum([g[j] for j in terms]))
-            for j in terms:
-                if j in local:
-                    heads.append(a)
-                    tails.append(local[j])
-        m, r, heads, tails = len(comp), np.array(r), np.array(heads), np.array(tails)
-        gc = r
-        for _ in range(m):
-            nxt = r + y * np.bincount(heads, weights=gc[tails], minlength=m)
-            converged = np.max(np.abs(nxt - gc)) <= tol * np.max(np.abs(nxt))
-            gc = nxt
-            if converged:
-                break
-        else:
-            block = np.eye(m)
-            block[heads, tails] = -y
-            gc = np.linalg.solve(block, r)
-        for v, value in zip(comp, gc.tolist()):
-            g[v] = value
-    return np.array(g)
+    g = np.array(b, dtype=np.float64)
+    for level in net.level_plan(reverse):
+        outside = np.bincount(level.segment, g[level.sources], len(level.products))
+        g[level.products] += y * outside
+        for cycle in level.cycles:
+            m, r = len(cycle.members), g[cycle.members]
+            gc = r
+            for _ in range(m):
+                nxt = r + y * np.bincount(cycle.heads, weights=gc[cycle.tails], minlength=m)
+                converged = np.max(np.abs(nxt - gc)) <= tol * np.max(np.abs(nxt))
+                gc = nxt
+                if converged:
+                    break
+            else:
+                block = np.eye(m)
+                block[cycle.heads, cycle.tails] = -y
+                gc = np.linalg.solve(block, r)
+            g[cycle.members] = gc
+    return g
 
 
 def katz_centrality(net: ProductionNetwork, y: float, tol: float = 1e-12) -> np.ndarray:
     """Katz vector (I - y A^T)^{-1} 1, requiring y < 1/Delta.
 
-    Solved sparsely over the strong components in topological order: exact
-    forward substitution for a product on no cycle, Neumann sweeps to a
-    relative update of tol (or, failing that within the component's size,
-    a solve of that component's own block) for a cyclic component.
-    Memory is O(K + |E|) unless such a block is needed.
+    Solved sparsely over `net.level_plan()`: exact forward substitution,
+    one `bincount` per level, off cycles, and Neumann sweeps to a relative
+    update of tol (or, failing that within the component's size, a solve
+    of that component's own block) for a cyclic component.  Memory is
+    O(K + |E|) unless such a block is needed.
     """
     check_real(y, "y", "[0, inf)")
     check_real(tol, "tol", "[0, inf)")

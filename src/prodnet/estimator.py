@@ -189,6 +189,8 @@ def estimate_resilience_ensemble(
     definition is reported as mean +/- stderr across realizations.
     """
     networks = list(networks)
+    if not networks:
+        raise ParameterError("the ensemble must hold at least one network")
     seeds = _subseeds(seed, len(networks)).tolist()
     values = np.array(
         [estimate_resilience(g, epsilon, n, trials, x_step, s) for g, s in zip(networks, seeds)]

@@ -12,9 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError, SizeError, check_int, check_real
-from .network import ProductionNetwork
-
-MAX_TREE_NODES = 10_000_000
+from .network import MAX_NODES, ProductionNetwork
 
 
 class BranchingDistribution:
@@ -169,8 +167,8 @@ def generate_backward_tree(m: int, D: int) -> ProductionNetwork:
     m = check_int(m, "m")
     D = check_int(D, "D")
     total = D if m == 1 else (m**D - 1) // (m - 1)
-    if total > MAX_TREE_NODES:
-        raise SizeError(f"tree would have {total} nodes, exceeding the limit of {MAX_TREE_NODES}")
+    if total > MAX_NODES:
+        raise SizeError(f"tree would have {total} nodes, exceeding the limit of {MAX_NODES}")
     edges = []
     tiers = {}
     tier_start = 1
@@ -209,9 +207,9 @@ def generate_gw_tree(dist: BranchingDistribution, max_depth: int, seed: int) -> 
             truncated = True
             break
         counts = dist.sample(rng, len(level))
-        if next_id + int(counts.sum()) > MAX_TREE_NODES:
+        if next_id + int(counts.sum()) > MAX_NODES:
             raise SizeError(
-                f"branching tree exceeded the limit of {MAX_TREE_NODES} nodes; "
+                f"branching tree exceeded the limit of {MAX_NODES} nodes; "
                 f"lower max_depth for supercritical distributions"
             )
         nxt = []

@@ -8,10 +8,10 @@ products by that score; supplier-count allocation follows the same
 ordering with a greedy prefix fill.
 
 The reverse-graph Katz vector solves (I - y A) g = 1 with the sparse
-strong-component solver of `contagion`, on the network itself (no
-reversed copy is built).  One solve, one sort by (-g, id) and one suffix
-sum give the plan for every budget, so a sweep over budgets 0..T costs
-one solve plus O(K log K) and O(K) per plan built.
+strong-component solver of `contagion`, on the network's reverse level
+plan (no reversed copy is built).  One solve, one sort by (-g, id) and
+one suffix sum give the plan for every budget, so a sweep over budgets
+0..T costs one solve plus O(K log K) and O(K) per plan built.
 """
 
 from __future__ import annotations
@@ -184,13 +184,14 @@ def supplier_allocation(
     """
     budget = check_int(budget, "budget", minimum=0)
     check_int(base_n, "base_n")
-    caps = np.asarray(caps, dtype=np.int64)
+    caps = np.asarray(caps)
     if caps.shape != (net.node_count,):
         raise ParameterError(
             f"caps must have one entry per product ({net.node_count}), got shape {caps.shape}"
         )
-    if np.any(caps < 0):
-        raise ParameterError("caps must be nonnegative")
+    caps = np.array(
+        [check_int(c, f"caps[{i}]", minimum=0) for i, c in enumerate(caps.tolist())], np.int64
+    )
     gamma_rev, order = _reverse_katz_order(net, y)
     order = order.tolist()
     extra = np.zeros(net.node_count, dtype=np.int64)

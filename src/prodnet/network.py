@@ -4,20 +4,58 @@ A production network is a directed graph on products 1..K where an edge
 (j, i) means product j is a required input of product i.  Sources (raw
 materials) are products with no inputs.  Networks are immutable after
 construction and safe to share across workers; derived structures
-(edge arrays, the input CSR, strongly connected components) are computed
+(edge arrays, strongly connected components, level plans) are computed
 lazily and cached, and none is dense in K except the reachability
-closure, which only tests and `perfbench`'s tracer use.
+closure, which only tests and `perfbench`'s tracer use.  A level plan is
+the one walk over the strong components, in topological order, that the
+failure thresholds, Katz solves and `dag_beta` share.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import CyclicGraphError, ValidationError, check_int
+from .errors import CyclicGraphError, SizeError, ValidationError, check_int
+
+MAX_NODES = 10_000_000  # products per network: construction builds lists of K entries
+
+
+class Cycle(NamedTuple):
+    """A strong component of several products and its internal edges.
+
+    Edge edges[e] (an index into `edge_arrays()`) runs from input
+    members[tails[e]] to consumer members[heads[e]]; edges are sorted by
+    (tail, head), those leaving member a at tail_starts[a]:tail_starts[a + 1].
+    """
+
+    members: np.ndarray  # 0-based, ascending
+    tails: np.ndarray
+    heads: np.ndarray
+    edges: np.ndarray
+    tail_starts: np.ndarray
+
+
+class Level(NamedTuple):
+    """One depth of a level plan: its products and their inputs from earlier levels.
+
+    Input e is edge edges[e] (an index into `edge_arrays()`) from
+    sources[e] to consumers[e], which is products[segment[e]].  Inputs are
+    sorted by (rank, consumer), rank being the input's place among its
+    consumer's by ascending source, so round r, the span
+    rounds[r]:rounds[r + 1], holds each consumer's r-th input.  cycles are
+    the level's strong components of several products.
+    """
+
+    products: np.ndarray  # 0-based, ascending, cycles' members included
+    consumers: np.ndarray
+    segment: np.ndarray
+    sources: np.ndarray
+    edges: np.ndarray
+    rounds: tuple[int, ...]
+    cycles: tuple[Cycle, ...]
 
 
 class ProductionNetwork:
@@ -52,6 +90,8 @@ class ProductionNetwork:
         acyclic: Optional[bool] = None,
     ):
         k = check_int(node_count, "node_count")
+        if k > MAX_NODES:
+            raise SizeError(f"node_count {k} exceeds the limit of {MAX_NODES} products")
         n = check_int(supplier_count, "supplier_count")
         edge_list = []
         seen = set()
@@ -161,19 +201,16 @@ class ProductionNetwork:
             self._cache["edge_arrays"] = (src, dst)
         return self._cache["edge_arrays"]
 
-    def input_csr(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-        """Edges grouped by consuming product: (edge ids, their sources, starts).
+    def level_plan(self, reverse: bool = False) -> tuple[Level, ...]:
+        """Products by the longest-path depth of their strong component, 0-based.
 
-        The inputs of product v+1 are in_src[starts[v]:starts[v+1]], 0-based
-        and ascending, reached by the edges in_edges[starts[v]:starts[v+1]]
-        (indices into `edge_arrays()`).  starts holds K+1 offsets.
+        A product's inputs are its predecessors, or its successors when
+        reverse; every input from another component lies at an earlier
+        level, so the levels in order are a topological order.
         """
-        if "input_csr" not in self._cache:
-            src, dst = self.edge_arrays()
-            in_edges = np.argsort(dst, kind="stable")
-            starts = tuple(np.searchsorted(dst[in_edges], np.arange(self.node_count + 1)).tolist())
-            self._cache["input_csr"] = (in_edges, src[in_edges], starts)
-        return self._cache["input_csr"]
+        if ("level_plan", reverse) not in self._cache:
+            self._cache["level_plan", reverse] = self._build_level_plan(reverse)
+        return self._cache["level_plan", reverse]
 
     def reachability(self) -> np.ndarray:
         """Boolean closure R with R[j-1, i-1] True iff a path j -> i exists.
@@ -235,6 +272,69 @@ class ProductionNetwork:
 
     # -- internal ----------------------------------------------------------
 
+    def _build_level_plan(self, reverse: bool) -> tuple[Level, ...]:
+        source, consumer = self.edge_arrays()
+        comps, inputs = self.strong_components(), self._pred
+        if reverse:
+            source, consumer, comps, inputs = consumer, source, comps[::-1], self._succ
+        # comps run in topological order along inputs, so the depths of a
+        # component's inputs are known when it is reached
+        comp, depth = [0] * self.node_count, []
+        for c, members in enumerate(comps):
+            d = 0
+            for v in members:
+                comp[v] = c
+            for v in members:
+                for j in inputs[v + 1]:
+                    if comp[j - 1] != c and depth[comp[j - 1]] >= d:
+                        d = depth[comp[j - 1]] + 1
+            depth.append(d)
+        comp, levels = np.array(comp), max(depth) + 1
+        level = np.array(depth)[comp]
+        internal = comp[source] == comp[consumer]
+        # rank each consumer's inputs by source, the order canonical edge order keeps
+        by_consumer = np.lexsort((consumer, internal))
+        first = np.flatnonzero(np.diff(consumer[by_consumer], prepend=-1))
+        rank = np.empty_like(by_consumer)
+        runs = np.diff(first, append=len(rank))
+        rank[by_consumer] = np.arange(len(rank)) - np.repeat(first, runs)
+        # per level, its inputs from other components by (rank, consumer), then
+        # its cyclic components' internal edges by (component, tail, head)
+        order = np.lexsort((
+            consumer,
+            np.where(internal, source, rank),
+            np.where(internal, comp[consumer], -1),
+            level[consumer],
+        ))
+        internal_count = np.bincount(comp[consumer[internal]], minlength=len(comps))
+        cuts = np.searchsorted(2 * level[consumer[order]] + internal[order], range(2 * levels + 1))
+        source, consumer, rank, cuts = source[order], consumer[order], rank[order], cuts.tolist()
+        products = np.argsort(level, kind="stable")
+        product_cuts = np.searchsorted(level[products], range(levels + 1)).tolist()
+        plan = []
+        for d in range(levels):
+            at_level = products[product_cuts[d] : product_cuts[d + 1]]
+            lo, mid, hi = cuts[2 * d : 2 * d + 3]
+            cycles, at = [], mid
+            while at < hi:  # one span of internal edges per cyclic component
+                c = comp[consumer[at]]
+                members, span = np.array(comps[c]), slice(at, at + internal_count[c])
+                tails = np.searchsorted(members, source[span])
+                heads = np.searchsorted(members, consumer[span])
+                starts = np.searchsorted(tails, range(len(members) + 1))
+                cycles.append(Cycle(members, tails, heads, order[span], starts))
+                at = span.stop
+            plan.append(Level(
+                at_level,
+                consumer[lo:mid],
+                np.searchsorted(at_level, consumer[lo:mid]),
+                source[lo:mid],
+                order[lo:mid],
+                (0, *np.bincount(rank[lo:mid]).cumsum().tolist()),
+                tuple(cycles),
+            ))
+        return tuple(plan)
+
     def _check_acyclic(self) -> bool:
         indeg = [len(self._pred[i]) for i in range(self.node_count + 1)]
         ready = [i for i in range(1, self.node_count + 1) if indeg[i] == 0]
@@ -250,31 +350,19 @@ class ProductionNetwork:
 
 
 def topological_order(net: ProductionNetwork) -> list[int]:
-    """Topological order of an acyclic network, smallest-id-first ties.
+    """Topological order of an acyclic network: `net.level_plan()`, level by level.
 
-    Every edge (j, i) has j earlier than i in the result.  Raises
-    CyclicGraphError naming one cycle edge if the network is cyclic.
+    Ids ascend within a level, and every edge (j, i) has j earlier than i.
+    Raises CyclicGraphError naming one cycle edge if the network is cyclic.
     """
-    k = net.node_count
-    indeg = [net.in_degree(i) for i in range(k + 1)]
-    heap = [i for i in range(1, k + 1) if indeg[i] == 0]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        u = heapq.heappop(heap)
-        order.append(u)
-        for v in net.successors(u):
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(heap, v)
-    if len(order) < k:
+    if not net.acyclic:
         comp = next(c for c in net.strong_components() if len(c) > 1)
         u = comp[0] + 1
         edge = (u, next(v for v in net.successors(u) if v - 1 in comp))
         raise CyclicGraphError(
             f"network is not acyclic; edge {edge} lies on a cycle", edge=edge
         )
-    return order
+    return [v + 1 for level in net.level_plan() for v in level.products.tolist()]
 
 
 def reverse_graph(net: ProductionNetwork) -> ProductionNetwork:

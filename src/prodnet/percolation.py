@@ -31,12 +31,13 @@ state into one reused generator, so the draws themselves are numpy's.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, check_int, check_real
-from .network import ProductionNetwork
+from .network import Cycle, ProductionNetwork
 
 
 @dataclass(frozen=True)
@@ -201,6 +202,17 @@ def supplier_maxima(rng: np.random.Generator, node_count: int, n: int) -> np.nda
     return rng.random((node_count, n)).max(axis=1)
 
 
+@functools.cache
+def _zero_seed():
+    # seeds PCG64 without SeedSequence's hash of a state every trial then
+    # overwrites; built on first use, as numpy.random loads only then
+    class ZeroSeed(np.random.bit_generator.ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype=dtype)
+
+    return ZeroSeed()
+
+
 def _draws(net: ProductionNetwork, n: int, y: float, states) -> tuple[np.ndarray, np.ndarray | None]:
     """Per PCG64 (state, inc), a row of supplier maxima and, when y < 1, of the operational mask.
 
@@ -211,7 +223,7 @@ def _draws(net: ProductionNetwork, n: int, y: float, states) -> tuple[np.ndarray
     uniforms = np.empty((len(states), net.node_count, n))
     op_mask = None if y >= 1.0 else np.empty((len(states), net.edge_count), dtype=bool)
     edge_uniforms = np.empty(net.edge_count)
-    bits = np.random.PCG64(0)  # every trial overwrites this state
+    bits = np.random.PCG64(_zero_seed())  # every trial overwrites this state
     rng = np.random.Generator(bits)
     for t, (state, inc) in enumerate(states):
         bits.state = {
@@ -232,44 +244,38 @@ def _failure_thresholds(
 ) -> np.ndarray:
     """theta (trials, K): product i fails at level x in trial t iff theta[t, i] < x.
 
-    Components are visited in topological order, vectorised over trials;
-    each product first takes the minimum of its own maximum and its
-    operational inputs.  A cyclic component then shares its least value
-    when every edge operates; otherwise `_flood` spreads values below
-    `stop` along its operational edges.  Entries below `stop` are exact;
-    an entry at or above `stop` is only known to be so.
+    The levels of `net.level_plan()` are visited in order, vectorised over
+    trials; each product first takes the minimum of its own maximum and
+    its operational inputs from earlier levels, one in each round of its
+    level.  A cyclic component then shares its least value when every
+    edge operates; otherwise `_flood` spreads values below `stop` along
+    its operational edges.  Entries below `stop` are exact; an entry at
+    or above `stop` is only known to be so.
     """
-    in_edges, in_src, starts = net.input_csr()
     theta = np.array(maxima.T, order="C")  # a contiguous row of trials per product
-    live = None if op_mask is None else np.ascontiguousarray(op_mask.T)
-    for comp in net.strong_components():
-        for v in comp:
-            lo, hi = starts[v], starts[v + 1]
-            if lo == hi:
-                continue
-            inputs = theta[in_src[lo:hi]]
-            if live is not None:
-                inputs = np.where(live[in_edges[lo:hi]], inputs, np.inf)
-            np.minimum(theta[v], inputs.min(axis=0), out=theta[v])
-        rows = list(comp)
-        if len(rows) > 1 and live is None:
-            theta[rows] = theta[rows].min(axis=0)
-        elif len(rows) > 1:
-            local = {v: a for a, v in enumerate(rows)}
-            succ = [[] for _ in rows]  # per member: (member it feeds, edge id)
-            for v in rows:
-                span = slice(starts[v], starts[v + 1])
-                for j, e in zip(in_src[span].tolist(), in_edges[span].tolist()):
-                    if j in local:
-                        succ[local[j]].append((local[v], e))
-            _flood(theta, rows, succ, op_mask, stop)
+    dead = None if op_mask is None else np.logical_not(op_mask.T, order="C")
+    for level in net.level_plan():
+        for lo, hi in zip(level.rounds, level.rounds[1:]):
+            inputs = theta[level.sources[lo:hi]]
+            if dead is not None:
+                np.putmask(inputs, dead[level.edges[lo:hi]], np.inf)
+            consumers = level.consumers[lo:hi]
+            theta[consumers] = np.minimum(theta[consumers], inputs, out=inputs)
+        for cycle in level.cycles:
+            if dead is None:
+                theta[cycle.members] = theta[cycle.members].min(axis=0)
+            else:
+                _flood(theta, cycle, op_mask, stop)
     return theta.T
 
 
-def _flood(theta: np.ndarray, rows: list, succ: list, op_mask: np.ndarray, stop: float):
+def _flood(theta: np.ndarray, cycle: Cycle, op_mask: np.ndarray, stop: float):
     # Per trial, spread the values of one cyclic component (rows of theta)
     # along its operational edges, lowest value first, so a member keeps
     # the first value that reaches it: the least one.
+    rows, starts = cycle.members, cycle.tail_starts.tolist()
+    out = list(zip(cycle.heads.tolist(), cycle.edges.tolist()))  # (member fed, edge id)
+    succ = [out[lo:hi] for lo, hi in zip(starts, starts[1:])]
     for t in range(theta.shape[1]):
         value = theta[rows, t].tolist()
         operational = op_mask[t]

@@ -146,6 +146,53 @@ def toposort_propagate(net, spont: np.ndarray, op_mask=None) -> np.ndarray:
     return failed
 
 
+def _kahn_order(net) -> list[int]:
+    # a topological order computed here, independent of the library's plan
+    indeg = {i: net.in_degree(i) for i in range(1, net.node_count + 1)}
+    order, ready = [], [i for i in indeg if indeg[i] == 0]
+    while ready:
+        u = ready.pop()
+        order.append(u)
+        for v in net.successors(u):
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                ready.append(v)
+    assert len(order) == net.node_count, "needs a DAG"
+    return order
+
+
+def katz_substitution(net, y: float, b, reverse: bool = False) -> np.ndarray:
+    """(I - y A^T)^{-1} b, or (I - y A)^{-1} b when reverse, on a DAG.
+
+    Per-product forward substitution: in topological order (reversed when
+    reverse), g_i = b_i + y * (sum of g over the inputs of i, or over the
+    products i feeds when reverse), the sum taken left to right in
+    ascending id.
+    """
+    order = _kahn_order(net)
+    g = [0.0] * net.node_count
+    for v in order[::-1] if reverse else order:
+        terms = net.successors(v) if reverse else net.predecessors(v)
+        g[v - 1] = float(b[v - 1]) + y * sum(g[j - 1] for j in terms)
+    return np.array(g)
+
+
+def dag_beta_pass(net, x: float, y: float, n: int = 1) -> np.ndarray:
+    """Union-bound program optimum on a DAG, one product at a time.
+
+    beta_i = min(1, x^n + y * beta_j + ... over the inputs j of i in
+    ascending id), accumulated left to right from x^n.
+    """
+    xn = x**n
+    beta = np.zeros(net.node_count)
+    for v in _kahn_order(net):
+        acc = xn
+        for j in net.predecessors(v):
+            acc += y * beta[j - 1]
+        beta[v - 1] = min(1.0, acc)
+    return beta
+
+
 def exact_survival_prob(net, x: float, n: int, s_min: int) -> float:
     """Exact Pr[S >= s_min] under pure node percolation."""
     return exact_cascade_stats(net, x, 1.0, n).survival_prob(s_min)

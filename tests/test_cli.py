@@ -222,6 +222,17 @@ def test_malformed_network_json_exit_code(tmp_path, capsys, field):
     assert "malformed" in stderr
 
 
+def test_oversized_network_json_exit_code(tmp_path, capsys):
+    # 48 bytes that claim 10^8 products are refused before anything is sized by K
+    net_path = tmp_path / "net.json"
+    net_path.write_text('{"schema": 1, "k": 100000000, "n": 1, "edges": []}', encoding="utf-8")
+    code, _, stderr = run_cli(
+        capsys, "simulate", "--net", str(net_path), "--x", "0.2", "--out", str(tmp_path / "h.csv")
+    )
+    assert code == 2
+    assert "exceeds the limit" in stderr
+
+
 def test_negative_seed_exit_code(tmp_path, capsys):
     net_path = tmp_path / "net.csv"
     net_path.write_text("source,target\n1,2\n", encoding="utf-8")

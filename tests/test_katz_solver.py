@@ -4,6 +4,8 @@ The strong-component solver is checked against a dense solve on random
 cyclic and acyclic graphs in both orientations, on long directed cycles
 at a y so close to 1 that Neumann sweeps alone would need millions of
 steps, and for memory that stays linear in K on a large cyclic network.
+On DAGs it, and the `dag_beta` pass that walks the same level plan, must
+equal per-product substitution bit for bit.
 """
 
 import tracemalloc
@@ -15,17 +17,24 @@ from hypothesis import strategies as st
 
 from prodnet import (
     ProductionNetwork,
+    dag_beta,
     evaluate_intervention,
     katz_centrality,
     optimal_protection,
 )
 from prodnet.contagion import _katz_solve
 
+from oracles import dag_beta_pass, katz_substitution
+
 
 @st.composite
-def systems(draw):
-    """A random network with K <= 12, a y below 1/Delta and a nonnegative right-hand side."""
-    acyclic = draw(st.booleans())
+def systems(draw, acyclic=None):
+    """A random network with K <= 12, a y below 1/Delta and a nonnegative right-hand side.
+
+    The network is acyclic when `acyclic`, which is drawn if not given.
+    """
+    if acyclic is None:
+        acyclic = draw(st.booleans())
     k = draw(st.integers(1, 12))
     pairs = [
         (j, i)
@@ -52,6 +61,27 @@ def test_solver_matches_dense_solve(system, reverse):
     ref = np.linalg.solve(np.eye(k) - y * (a if reverse else a.T), b)
     got = _katz_solve(net, y, b, reverse=reverse)
     np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12 * max(1.0, np.abs(ref).max()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems(acyclic=True), st.booleans())
+def test_solver_is_substitution_on_dags(system, reverse):
+    net, y, b = system
+    np.testing.assert_array_equal(
+        _katz_solve(net, y, b, reverse=reverse), katz_substitution(net, y, b, reverse)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    systems(acyclic=True),
+    st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1])),
+    st.floats(0.0, 1.0),
+    st.sampled_from([1, 3]),
+)
+def test_dag_beta_is_the_per_product_pass(system, x, y, n):
+    net = system[0]
+    np.testing.assert_array_equal(dag_beta(net, x, y, n).beta, dag_beta_pass(net, x, y, n))
 
 
 @pytest.mark.parametrize("length", [2, 50, 400])

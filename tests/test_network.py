@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prodnet import (
     CyclicGraphError,
@@ -103,12 +105,63 @@ def test_reachability_closure():
     assert cyc.reachability().all()
 
 
-def test_input_csr_lists_inputs_per_product():
-    net = ProductionNetwork(4, [(3, 1), (1, 2), (4, 2), (2, 3), (1, 4)])
-    in_edges, in_src, starts = net.input_csr()
+@st.composite
+def small_networks(draw):
+    """Random cyclic or acyclic networks with K <= 10."""
+    acyclic = draw(st.booleans())
+    k = draw(st.integers(1, 10))
+    pairs = [
+        (j, i)
+        for j in range(1, k + 1)
+        for i in range(1, k + 1)
+        if j != i and (j < i or not acyclic)
+    ]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=25)) if pairs else []
+    return ProductionNetwork(k, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(net=small_networks(), reverse=st.booleans())
+def test_level_plan_orders_inputs_before_consumers(net, reverse):
+    plan = net.level_plan(reverse)
+    assert net.level_plan(reverse) is plan
     src, dst = net.edge_arrays()
-    for v in range(4):
-        span = slice(starts[v], starts[v + 1])
-        assert (in_src[span] + 1).tolist() == list(net.predecessors(v + 1))
-        assert np.all(dst[in_edges[span]] == v) and np.all(src[in_edges[span]] == in_src[span])
-    assert net.input_csr() is net.input_csr()
+    source, consumer = (dst, src) if reverse else (src, dst)
+    comps = set(net.strong_components())
+    level_of, edges = {}, []
+    for d, level in enumerate(plan):
+        assert np.all(np.diff(level.products) > 0)
+        assert not set(level.products.tolist()) & set(level_of)
+        level_of.update((v, d) for v in level.products.tolist())
+        members = [c.members.tolist() for c in level.cycles]
+        alone = set(level.products.tolist()) - {v for m in members for v in m}
+        groups = [[v] for v in sorted(alone)] + members
+        assert all(tuple(group) in comps for group in groups)
+        # inputs from other components, earlier in the plan
+        assert np.array_equal(level.consumers, level.products[level.segment])
+        assert np.array_equal(source[level.edges], level.sources)
+        assert np.array_equal(consumer[level.edges], level.consumers)
+        assert all(level_of.get(j, d) < d for j in level.sources.tolist())
+        edges += level.edges.tolist()
+        # round r holds each consumer's r-th input, by ascending source
+        rounds = [level.consumers[lo:hi].tolist() for lo, hi in zip(level.rounds, level.rounds[1:])]
+        assert level.rounds[0] == 0 and level.rounds[-1] == len(level.sources)
+        assert all(r and r == sorted(set(r)) for r in rounds)
+        assert all(set(later) <= set(r) for r, later in zip(rounds, rounds[1:]))
+        for v in set(level.consumers.tolist()):
+            assert np.all(np.diff(level.sources[level.consumers == v]) > 0)
+        # internal edges join members of one component, by (tail, head)
+        for c in level.cycles:
+            assert np.array_equal(source[c.edges], c.members[c.tails])
+            assert np.array_equal(consumer[c.edges], c.members[c.heads])
+            pairs = list(zip(c.tails.tolist(), c.heads.tolist()))
+            assert pairs == sorted(pairs)
+            starts = np.searchsorted(c.tails, range(len(c.members) + 1))
+            assert np.array_equal(c.tail_starts, starts)
+            edges += c.edges.tolist()
+        # the level is the longest-path depth: a component past level 0 has an input one level up
+        for group in groups:
+            inputs = [j for j, v in zip(source, consumer) if v in group and j not in group]
+            assert max((level_of[j] + 1 for j in inputs), default=0) == d
+    assert sorted(level_of) == list(range(net.node_count))
+    assert sorted(edges) == list(range(net.edge_count))

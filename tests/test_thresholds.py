@@ -144,6 +144,17 @@ def test_r_hat_is_last_qualifying_lattice_level(net, n, seed, x_step):
             assert not qualifies(r + x_step / 16, s_min)
 
 
+def test_long_chain_matches_oracle():
+    # a chain has one level per product, and failures run its length
+    k = 2000
+    net = ProductionNetwork(k, [(i, i + 1) for i in range(1, k)])
+    for y, seed in ((1.0, 3), (0.995, 4)):
+        out = run_trial(net, PercolationConfig(x=0.01, y=y, seed=seed))
+        maxima, op_edges = replay(net, seed, 1, y)
+        assert failed_set(out.Z) == oracle_failures(net, maxima, op_edges, 0.01)
+        assert 0 < out.F < k
+
+
 def test_large_sparse_network_memory_is_linear():
     # K = 8000 with two inputs per product plus back edges that close
     # cycles; a dense K x K closure alone would take 64 MB as bool

@@ -30,6 +30,7 @@ from prodnet import (
     dag_resilience_lb,
     dag_sparse_bound,
     estimate_resilience,
+    estimate_resilience_ensemble,
     estimate_survival_prob,
     evaluate_intervention,
     fixed_point_beta,
@@ -115,7 +116,13 @@ CASES = {
     ),
     "estimate_survival_prob-x-complex": lambda tmp: estimate_survival_prob(CHAIN, 1j, 1, 0.5, 10),
     "trellis_bounds-p-array": lambda tmp: trellis_bounds(2, 2, np.array([0.5]), 0.3),
+    # caps: NaN and fractional entries
+    "supplier_allocation-caps-nan": lambda tmp: supplier_allocation(CHAIN, 0.2, 1, [1, NAN, 1], 2),
+    "supplier_allocation-caps-fractional": lambda tmp: supplier_allocation(
+        CHAIN, 0.2, 1, [1.7, 1.7, 1.7], 2
+    ),
     # out of range
+    "estimate_resilience_ensemble-empty": lambda tmp: estimate_resilience_ensemble([], 0.3),
     "poisson-inf": lambda tmp: BranchingDistribution.poisson(float("inf")),
     "katz_centrality-y-inf": lambda tmp: katz_centrality(EDGELESS, float("inf")),
 }
