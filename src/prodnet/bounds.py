@@ -283,6 +283,17 @@ def tree_expected_survivors_envelope(m: int, D: int, x: float, n: int = 1) -> tu
 # ---------------------------------------------------------------------------
 
 
+def _bisect(pred, lo: float, hi: float) -> tuple[float, float]:
+    """Halve [lo, hi] to BISECTION_TOL, keeping pred(lo) true and pred(hi) false."""
+    while hi - lo > BISECTION_TOL:
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def gw_extinction(dist: BranchingDistribution) -> float:
     """Extinction probability: smallest fixed point of the pgf on [0, 1].
 
@@ -299,13 +310,7 @@ def gw_extinction(dist: BranchingDistribution) -> float:
         hi = 1.0 - (1.0 - hi) / 10.0
         if 1.0 - hi < 1e-15:
             return 1.0
-    lo = 0.0
-    while hi - lo > BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if h(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda eta: h(eta) < 0.0, 0.0, hi)
     return 0.5 * (lo + hi)
 
 
@@ -393,14 +398,7 @@ def gw_bound_upper(mu: float, tau: int, epsilon: float, n: int = 1) -> float:
             f"no x in [0, {hi:g}] satisfies the survivor condition for "
             f"mu={mu:g}, tau={tau}, epsilon={epsilon:g}"
         )
-    lo = 0.0
-    while hi - lo > BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if sat(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect(lambda x: not sat(x), 0.0, hi)[1]
 
 
 def gw_bound_lower(mu: float, tau: int, epsilon: float, n: int = 1) -> float:
@@ -417,14 +415,7 @@ def gw_bound_lower(mu: float, tau: int, epsilon: float, n: int = 1) -> float:
         )
     if sat(hi):
         return hi
-    lo = 0.0
-    while hi - lo > BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if sat(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _bisect(sat, 0.0, hi)[0]
 
 
 def gw_bounds(mu: float, tau: int, epsilon: float, n: int = 1) -> tuple[float, float]:

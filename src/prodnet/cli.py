@@ -315,7 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     res.add_argument("--eps-grid", help="comma-separated eps values (default 0.05..0.95)")
     res.add_argument("--n", type=int)
     res.add_argument("--trials", type=int, default=1000)
-    res.add_argument("--x-step", type=float, default=0.01)
+    res.add_argument(
+        "--x-step", type=float, default=0.01, help="no effect: r_hat is the exact supremum"
+    )
     res.add_argument("--seed", type=int, default=0)
     res.add_argument("--out", required=True)
     res.set_defaults(func=_cmd_resilience)

@@ -8,8 +8,9 @@ trial t keeps s_min survivors at x iff x <= u_t, its s_min-th largest
 theta.  The survival estimate at x is the share of trials with u_t >= x,
 so one sort of theta serves every level and the whole eps grid, and the
 curve is exactly nonincreasing in x and nondecreasing in eps.  The
-boundary is snapped down to the x_step grid refined by four halvings of
-each cell, the lattice of a grid scan with bisection.
+estimate is the exact supremum of the qualifying levels, read off one
+order statistic of u; the x_step arguments are accepted and recorded but
+have no effect.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .network import ProductionNetwork
 from .percolation import _draws, _failure_thresholds, _pcg64_states, _subseeds
 
 DEFAULT_EPSILON_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
-_REFINE_LEVELS = 4  # halvings of a grid cell: tolerance x_step / 16
 _CEIL_GUARD = 1e-9  # absorbs float fuzz in (1-eps)*K before the ceiling
 
 
@@ -43,35 +43,16 @@ def _survival_estimate(levels: np.ndarray, x: float) -> float:
     return float(len(levels) - np.searchsorted(levels, x)) / len(levels)
 
 
-def _resilience(levels: np.ndarray, k: int, x_step: float) -> float:
-    """Largest lattice level at which the survival estimate reaches 1 - 1/K.
+def _resilience(levels: np.ndarray, k: int) -> float:
+    """Largest x in [0, 1] at which the survival estimate reaches 1 - 1/K.
 
     The estimate qualifies at x iff at least `need` trials have u_t >= x,
-    i.e. iff x <= top.  top is snapped down to the x_step grid refined by
-    _REFINE_LEVELS halvings of its cell, in the float arithmetic of a grid
-    scan followed by bisection.
+    i.e. iff x <= top, the need-th largest u_t; the supremum is top
+    clamped to 1, and it is attained.
     """
     trials = len(levels)
     need = int(np.argmax(np.arange(trials + 1) / trials >= 1.0 - 1.0 / k))
-    top = levels[trials - need] if need else math.inf
-    if top >= 1.0:
-        return 1.0
-    steps = int(math.floor(1.0 / x_step + 1e-12))
-    last = steps + 1 if steps * x_step < 1.0 - 1e-12 else steps  # grid index of 1.0
-
-    def grid(i: int) -> float:
-        return i * x_step if i < last else 1.0
-
-    i = min(int(top / x_step), last - 1)
-    while grid(i) > top:
-        i -= 1
-    while grid(i + 1) <= top:
-        i += 1
-    lo, hi = grid(i), grid(i + 1)
-    for _ in range(_REFINE_LEVELS):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if mid <= top else (lo, mid)
-    return lo
+    return min(float(levels[trials - need]), 1.0) if need else 1.0
 
 
 def estimate_survival_prob(
@@ -92,12 +73,12 @@ def estimate_survival_prob(
 
 
 def _curve_points(
-    net: ProductionNetwork, epsilons: list[float], n: int, trials: int, x_step: float, seed: int
+    net: ProductionNetwork, epsilons: list[float], n: int, trials: int, seed: int
 ) -> list[tuple[float, float]]:
     """Per epsilon, (r_hat, survival estimate at r_hat) from one set of draws."""
     k = net.node_count
     all_levels = _survival_levels(net, n, trials, seed, [_s_min(e, k) for e in epsilons])
-    r_hats = [_resilience(levels, k, x_step) for levels in all_levels]
+    r_hats = [_resilience(levels, k) for levels in all_levels]
     return [(r, _survival_estimate(levels, r)) for r, levels in zip(r_hats, all_levels)]
 
 
@@ -113,7 +94,7 @@ def estimate_resilience(
     check_real(epsilon, "epsilon", "(0, 1)")
     n, trials = check_int(n, "n"), check_int(trials, "trials")
     check_real(x_step, "x_step", "(0, 0.1]")
-    return _curve_points(net, [epsilon], n, trials, x_step, seed)[0][0]
+    return _curve_points(net, [epsilon], n, trials, seed)[0][0]
 
 
 @dataclass
@@ -125,7 +106,7 @@ class ResilienceCurve:
     stderr: np.ndarray  # binomial SE of the survival estimate at r_hat
     auc: float
     trials: int
-    x_step: float
+    x_step: float  # accepted and recorded; r_hat is exact, so it has no effect
     seed: int
     n: int
 
@@ -158,7 +139,7 @@ def resilience_curve(
         raise ParameterError("epsilon_grid must be strictly increasing")
     n, trials = check_int(n, "n"), check_int(trials, "trials")
     check_real(x_step, "x_step", "(0, 0.1]")
-    results = _curve_points(net, eps.tolist(), n, trials, x_step, seed)
+    results = _curve_points(net, eps.tolist(), n, trials, seed)
     r_hat = np.array([r for r, _ in results])
     p_at = np.array([p for _, p in results])
     stderr = np.sqrt(p_at * (1.0 - p_at) / trials)

@@ -25,6 +25,8 @@ from .contagion import _closed_form_ok, _katz_solve, fixed_point_beta
 from .errors import ParameterError, PreconditionError, check_int, check_real
 from .network import ProductionNetwork
 
+_INT64_MAX = int(np.iinfo(np.int64).max)  # caps are stored as int64
+
 
 def _check_spectral_y(net: ProductionNetwork, y: float):
     # planning needs the spectral condition on the network and its reverse
@@ -189,9 +191,11 @@ def supplier_allocation(
         raise ParameterError(
             f"caps must have one entry per product ({net.node_count}), got shape {caps.shape}"
         )
-    caps = np.array(
-        [check_int(c, f"caps[{i}]", minimum=0) for i, c in enumerate(caps.tolist())], np.int64
-    )
+    caps = [check_int(c, f"caps[{i}]", minimum=0) for i, c in enumerate(caps.tolist())]
+    for i, c in enumerate(caps):
+        if c > _INT64_MAX:
+            raise ParameterError(f"caps[{i}] must be at most {_INT64_MAX}, got {c}")
+    caps = np.array(caps, np.int64)
     gamma_rev, order = _reverse_katz_order(net, y)
     order = order.tolist()
     extra = np.zeros(net.node_count, dtype=np.int64)

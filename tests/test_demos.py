@@ -1,7 +1,8 @@
-"""Every demo script runs to completion against the package in src/.
+"""Every demo script, and the README's quick start, runs to completion
+against the package in src/.
 
-The demos use the public API end to end, so a deleted or renamed public
-name fails here even where no unit test imports it.
+They use the public API end to end, so a deleted or renamed public name
+fails here even where no unit test imports it.
 """
 
 import os
@@ -15,11 +16,21 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_runs(demo, tmp_path):
+def _readme_quick_start() -> str:
+    """The README's `python` quick-start block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return text.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+SCRIPTS = {d.stem: [str(d)] for d in DEMOS}
+SCRIPTS["readme_quick_start"] = ["-c", _readme_quick_start()]
+
+
+@pytest.mark.parametrize("argv", SCRIPTS.values(), ids=SCRIPTS.keys())
+def test_demo_runs(argv, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, *argv],
         cwd=tmp_path,
         env=env,
         capture_output=True,

@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prodnet import (
     DuplicateEdgeWarning,
@@ -140,6 +144,36 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "net.json"
     save_network_json(net, path)
     loaded = load_network_json(path)
+    assert loaded == net
+    assert loaded.tiers == net.tiers
+    assert loaded.acyclic == net.acyclic
+
+
+@st.composite
+def tiered_networks(draw):
+    """Small networks, cyclic or acyclic, with or without tier labels."""
+    k = draw(st.integers(1, 7))
+    acyclic = draw(st.booleans())
+    pairs = [
+        (j, i) for j in range(1, k + 1) for i in range(1, k + 1) if j < i or (j > i and not acyclic)
+    ]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=14)) if pairs else []
+    tiers = draw(st.none() | st.lists(st.integers(0, 5), min_size=k, max_size=k))
+    return ProductionNetwork(
+        k,
+        edges,
+        supplier_count=draw(st.integers(1, 4)),
+        tiers=None if tiers is None else dict(enumerate(tiers, start=1)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(net=tiered_networks())
+def test_json_round_trip_property(net):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.json"
+        save_network_json(net, path)
+        loaded = load_network_json(path)
     assert loaded == net
     assert loaded.tiers == net.tiers
     assert loaded.acyclic == net.acyclic

@@ -116,10 +116,13 @@ CASES = {
     ),
     "estimate_survival_prob-x-complex": lambda tmp: estimate_survival_prob(CHAIN, 1j, 1, 0.5, 10),
     "trellis_bounds-p-array": lambda tmp: trellis_bounds(2, 2, np.array([0.5]), 0.3),
-    # caps: NaN and fractional entries
+    # caps: NaN, fractional and beyond-int64 entries
     "supplier_allocation-caps-nan": lambda tmp: supplier_allocation(CHAIN, 0.2, 1, [1, NAN, 1], 2),
     "supplier_allocation-caps-fractional": lambda tmp: supplier_allocation(
         CHAIN, 0.2, 1, [1.7, 1.7, 1.7], 2
+    ),
+    "supplier_allocation-caps-beyond-int64": lambda tmp: supplier_allocation(
+        CHAIN, 0.2, 1, [1, 2**70, 1], 2
     ),
     # out of range
     "estimate_resilience_ensemble-empty": lambda tmp: estimate_resilience_ensemble([], 0.3),
@@ -145,6 +148,8 @@ def test_messages_name_the_argument_and_its_domain():
         generate_rdag(5, 0.3, seed=-1)
     with pytest.raises(ParameterError, match=r"^epsilon must lie in \(0, 1\), got 1$"):
         resilience_lb_katz(CHAIN, 0.1, 1)
+    with pytest.raises(ParameterError, match=r"^caps\[1\] must be at most 9223372036854775807, "):
+        supplier_allocation(CHAIN, 0.2, 1, [1, 2**70, 1], 2)
 
 
 PARSERS = (parse_edge_csv, parse_io_table, load_network_json)
