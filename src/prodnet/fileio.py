@@ -12,6 +12,7 @@ FormatError, like any other malformed content.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import warnings
 from pathlib import Path
@@ -37,9 +38,7 @@ def parse_edge_csv(path) -> ProductionNetwork:
     """
     path = Path(path)
     ids: dict[str, int] = {}
-    edges = []
-    seen = set()
-    duplicates = 0
+    ends = []  # source and target id of each row, flat
     reader = _csv_rows(path)
     header = next(reader, None)
     if header is None or [c.strip().lower() for c in header[:2]] != ["source", "target"]:
@@ -54,24 +53,18 @@ def parse_edge_csv(path) -> ProductionNetwork:
             raise FormatError(f"{path}:{lineno}: empty node name")
         if src == dst:
             raise ValidationError(f"{path}:{lineno}: self-loop on {src!r}")
-        for name in (src, dst):
-            if name not in ids:
-                ids[name] = len(ids) + 1
-        e = (ids[src], ids[dst])
-        if e in seen:
-            duplicates += 1
-            continue
-        seen.add(e)
-        edges.append(e)
+        ends += (ids.setdefault(src, len(ids) + 1), ids.setdefault(dst, len(ids) + 1))
     if not ids:
         raise FormatError(f"{path}: no edges found")
-    if duplicates:
+    pairs = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    _, first = np.unique(pairs[:, 0] * (len(ids) + 1) + pairs[:, 1], return_index=True)
+    if len(first) < len(pairs):
         warnings.warn(
-            f"{path}: dropped {duplicates} duplicate edge row(s)",
+            f"{path}: dropped {len(pairs) - len(first)} duplicate edge row(s)",
             DuplicateEdgeWarning,
             stacklevel=2,
         )
-    return ProductionNetwork(len(ids), edges)
+    return ProductionNetwork(len(ids), pairs[first])
 
 
 def _csv_rows(path: Path):
@@ -89,32 +82,50 @@ def parse_io_table(path, threshold: float = 0.0) -> ProductionNetwork:
     Row industry j supplies column industry i, giving edge (j, i).  The
     diagonal is ignored and the result may be cyclic (flagged on the
     network).  Non-square tables, ragged rows and non-numeric off-diagonal
-    cells raise FormatError, whichever comes first in row order.  Each
-    row is converted as a whole, so only one row of floats is held beside
-    the parsed text.
+    cells raise FormatError: a non-square table first, else the first bad
+    row.  Rows stream from the CSV reader and only cells other than the
+    literal "0" are converted (all of them when the threshold is negative,
+    which makes "0" cells edges), so no K x K structure is held and memory
+    is O(K + E) on a sparse table.
     """
     path = Path(path)
-    check_real(threshold, "threshold", "[-inf, inf]")
-    rows = [r for r in _csv_rows(path) if r and any(c.strip() for c in r)]
-    if len(rows) < 2:
+    threshold = check_real(threshold, "threshold", "[-inf, inf]")
+    zero_is_edge = 0.0 > threshold
+    rows = (r for r in _csv_rows(path) if r and any(c.strip() for c in r))
+    header = next(rows, None)
+    k = 0 if header is None else len(header) - 1
+    # the cells other than "0", row by row: their columns and texts, and how many each row has
+    count, error, cols, texts, sizes = 0, None, [], [], []
+    for r, row in enumerate(rows):
+        count = r + 1
+        if error is not None or r >= k:
+            continue  # the row count decides whether the error is raised
+        if len(row) != k + 1:
+            error = FormatError(f"{path}: row {r + 1} has {len(row) - 1} cells, expected {k}")
+            continue
+        row[0] = row[r + 1] = "0"  # the label and the diagonal are ignored, numeric or not
+        if zero_is_edge:  # "0" cells are edges too: convert every cell off the diagonal
+            given = [c for c in range(1, k + 1) if c != r + 1]
+        else:
+            given = [c for c, cell in enumerate(row) if cell != "0"]
+        cols += given
+        texts += map(row.__getitem__, given)
+        sizes.append(len(given))
+    if count == 0:
         raise FormatError(f"{path}: expected a labeled square matrix")
-    col_labels = [c.strip() for c in rows[0][1:]]
-    k = len(col_labels)
-    if len(rows) - 1 != k:
-        raise FormatError(f"{path}: matrix is not square ({len(rows) - 1} rows, {k} columns)")
-    edges = []
-    for r, row in enumerate(rows[1:]):
-        cells = row[1:]
-        if len(cells) != k:
-            raise FormatError(f"{path}: row {r + 1} has {len(cells)} cells, expected {k}")
-        cells[r] = "0"  # the diagonal is ignored, numeric or not
-        try:
-            values = np.array(cells, dtype=np.float64)
-        except ValueError as exc:
-            c = next(c for c, cell in enumerate(cells) if not _is_float(cell))
-            raise FormatError(f"{path}: non-numeric cell at row {r + 1}, col {c + 1}") from exc
-        edges += [(r + 1, c + 1) for c in np.flatnonzero(values > threshold).tolist() if c != r]
-    return ProductionNetwork(k, edges)
+    if count != k:
+        raise FormatError(f"{path}: matrix is not square ({count} rows, {k} columns)")
+    try:  # every row before the first ragged one
+        values = np.array(texts, dtype=np.float64)
+    except ValueError as exc:
+        at = next(t for t, text in enumerate(texts) if not _is_float(text))
+        r = int(np.searchsorted(np.cumsum(sizes), at, side="right"))
+        raise FormatError(f"{path}: non-numeric cell at row {r + 1}, col {cols[at]}") from exc
+    if error is not None:
+        raise error
+    keep = values > threshold
+    suppliers = np.repeat(np.arange(1, k + 1), sizes)
+    return ProductionNetwork(k, np.column_stack((suppliers[keep], np.array(cols, dtype=np.int64)[keep])))
 
 
 def _is_float(cell: str) -> bool:
@@ -131,7 +142,7 @@ def save_network_json(net: ProductionNetwork, path) -> None:
         "schema": NETWORK_JSON_SCHEMA,
         "k": net.node_count,
         "n": net.supplier_count,
-        "edges": [[j, i] for j, i in net.edges],
+        "edges": (np.column_stack(net.edge_arrays()) + 1).tolist(),
         "tiers": {str(v): t for v, t in net.tiers.items()} if net.tiers is not None else None,
         "acyclic": net.acyclic,
     }
@@ -152,7 +163,7 @@ def load_network_json(path) -> ProductionNetwork:
             raise FormatError(f"{path}: missing field {key!r}")
     try:
         k, n = _json_int(doc["k"]), _json_int(doc["n"])
-        edges = [(_json_int(j), _json_int(i)) for j, i in doc["edges"]]
+        edges = _json_edges(doc["edges"])
         tiers = doc.get("tiers")
         if tiers is not None:
             tiers = {_json_int(v): _json_int(t) for v, t in tiers.items()}
@@ -165,6 +176,18 @@ def load_network_json(path) -> ProductionNetwork:
         tiers=tiers,
         acyclic=bool(doc["acyclic"]) if doc.get("acyclic") else None,
     )
+
+
+def _json_edges(value):
+    """Edge pairs: one int64 array when every id is an int, else checked pair by pair."""
+    try:
+        if set(map(type, itertools.chain.from_iterable(value))) <= {int}:
+            pairs = np.array(value, dtype=np.int64)
+            if pairs.ndim == 2 and pairs.shape[1] == 2:
+                return pairs
+    except (TypeError, ValueError, OverflowError):
+        pass  # not a list of int pairs: the check below names the fault
+    return [(_json_int(j), _json_int(i)) for j, i in value]
 
 
 def _json_int(value) -> int:
@@ -184,8 +207,7 @@ def save_edge_csv(net: ProductionNetwork, path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["source", "target"])
-        for j, i in net.edges:
-            writer.writerow([j, i])
+        writer.writerows((np.column_stack(net.edge_arrays()) + 1).tolist())
 
 
 def _fmt(v) -> str:

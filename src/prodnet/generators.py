@@ -14,6 +14,8 @@ import numpy as np
 from .errors import ParameterError, SizeError, check_int, check_real
 from .network import MAX_NODES, ProductionNetwork
 
+RDAG_BLOCK = 1 << 20  # node pairs per draw in generate_rdag: 8 MB of doubles
+
 
 class BranchingDistribution:
     """Offspring distribution for the branching-process generator.
@@ -108,15 +110,25 @@ class GWTreeResult:
 
 
 def generate_rdag(K: int, p: float, seed: int) -> ProductionNetwork:
-    """Random DAG on K ordered products: edge (l, k) for l < k w.p. p."""
+    """Random DAG on K ordered products: edge (l, k) for l < k w.p. p.
+
+    Pair t of the upper triangle in row-major order keeps its edge iff the
+    t-th double of the seeded stream is below p.  The doubles are drawn
+    RDAG_BLOCK at a time, which yields the stream of one call, so memory
+    is O(K + E + RDAG_BLOCK) rather than O(K^2).
+    """
     K = check_int(K, "K")
     check_real(p, "p")
     rng = np.random.default_rng(check_int(seed, "seed", minimum=0))
-    edges = []
-    if K > 1:
-        lo, hi = np.triu_indices(K, k=1)
-        keep = rng.random(lo.shape[0]) < p
-        edges = list(zip((lo[keep] + 1).tolist(), (hi[keep] + 1).tolist()))
+    rows = np.arange(K)
+    first = rows * (2 * K - rows - 1) // 2  # row l's pairs start at pair first[l]
+    pairs = K * (K - 1) // 2
+    kept = [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, pairs, RDAG_BLOCK):
+        kept.append(lo + np.flatnonzero(rng.random(min(RDAG_BLOCK, pairs - lo)) < p))
+    t = np.concatenate(kept)
+    src = np.searchsorted(first, t, side="right") - 1
+    edges = np.column_stack((src, t - first[src] + src + 1)) + 1
     return ProductionNetwork(K, edges, acyclic=True)
 
 
@@ -233,18 +245,13 @@ def generate_trellis(w: int, D: int, p: float, seed: int) -> ProductionNetwork:
     D = check_int(D, "D")
     check_real(p, "p")
     rng = np.random.default_rng(check_int(seed, "seed", minimum=0))
-    edges = []
     tiers = {}
     for d in range(1, D + 1):
         base = (d - 1) * w
         for v in range(base + 1, base + w + 1):
             tiers[v] = d
+    edges = [np.zeros((0, 2), dtype=np.int64)]
     for d in range(1, D):
-        draws = rng.random((w, w)) < p
-        src_base = (d - 1) * w
-        dst_base = d * w
-        for a in range(w):
-            for b in range(w):
-                if draws[a, b]:
-                    edges.append((src_base + a + 1, dst_base + b + 1))
-    return ProductionNetwork(w * D, edges, tiers=tiers, acyclic=True)
+        a, b = np.nonzero(rng.random((w, w)) < p)
+        edges.append(np.column_stack((a + (d - 1) * w, b + d * w)) + 1)
+    return ProductionNetwork(w * D, np.concatenate(edges), tiers=tiers, acyclic=True)

@@ -3,24 +3,28 @@
 A production network is a directed graph on products 1..K where an edge
 (j, i) means product j is a required input of product i.  Sources (raw
 materials) are products with no inputs.  Networks are immutable after
-construction and safe to share across workers; derived structures
-(edge arrays, strongly connected components, level plans) are computed
-lazily and cached, and none is dense in K except the reachability
-closure, which only tests and `perfbench`'s tracer use.  A level plan is
-the one walk over the strong components, in topological order, that the
-failure thresholds, Katz solves and `dag_beta` share.
+construction and safe to share across workers.  Construction takes the
+edges as pairs or as an (E, 2) array and checks, deduplicates and sorts
+them with numpy; it keeps them as sorted edge arrays plus successor and
+predecessor lists in CSR form (offsets of K + 1 entries), so a network
+holds O(K + E) memory.  Derived structures (the edge tuples, strongly
+connected components, level plans) are computed lazily and cached, and
+none is dense in K except the reachability closure, which only tests and
+`perfbench`'s tracer use.  A level plan is the one walk over the strong
+components, in topological order, that the failure thresholds, Katz
+solves and `dag_beta` share.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import CyclicGraphError, SizeError, ValidationError, check_int
 
-MAX_NODES = 10_000_000  # products per network: construction builds lists of K entries
+MAX_NODES = 10_000_000  # products per network: construction allocates CSR offsets of K + 1 entries
 
 
 class Cycle(NamedTuple):
@@ -64,7 +68,8 @@ class ProductionNetwork:
     Parameters
     ----------
     node_count : number of products K; ids are the dense integers 1..K.
-    edges : iterable of (j, i) pairs, j an input of i.
+    edges : (j, i) pairs, j an input of i: an iterable of pairs or an
+        (E, 2) integer array.
     supplier_count : number of independent suppliers per product (n).
     tiers : optional mapping product id -> tier index.
     acyclic : optional claim; verified when given, computed otherwise.
@@ -72,19 +77,21 @@ class ProductionNetwork:
 
     __slots__ = (
         "node_count",
-        "edges",
         "supplier_count",
         "tiers",
         "acyclic",
-        "_succ",
-        "_pred",
+        "_src",
+        "_dst",
+        "_out_starts",
+        "_in_starts",
+        "_in_src",
         "_cache",
     )
 
     def __init__(
         self,
         node_count: int,
-        edges: Iterable[tuple[int, int]],
+        edges: Iterable[tuple[int, int]] | np.ndarray,
         supplier_count: int = 1,
         tiers: Optional[Mapping[int, int]] = None,
         acyclic: Optional[bool] = None,
@@ -93,25 +100,13 @@ class ProductionNetwork:
         if k > MAX_NODES:
             raise SizeError(f"node_count {k} exceeds the limit of {MAX_NODES} products")
         n = check_int(supplier_count, "supplier_count")
-        edge_list = []
-        seen = set()
-        for e in edges:
-            j, i = int(e[0]), int(e[1])
-            if not (1 <= j <= k and 1 <= i <= k):
-                raise ValidationError(f"edge ({j}, {i}) references a node outside 1..{k}")
-            if j == i:
-                raise ValidationError(f"self-loop on node {j} is not allowed")
-            if (j, i) in seen:
-                raise ValidationError(f"duplicate edge ({j}, {i})")
-            seen.add((j, i))
-            edge_list.append((j, i))
-        edge_list.sort()
-
-        succ = [[] for _ in range(k + 1)]
-        pred = [[] for _ in range(k + 1)]
-        for j, i in edge_list:
-            succ[j].append(i)
-            pred[i].append(j)
+        src, dst = _canonical_edges(k, edges)
+        # inputs by consumer: a stable sort keeps each consumer's sources ascending
+        by_consumer = np.argsort(dst, kind="stable")
+        # CSR, 0-based: product v's successors are dst[out_starts[v]:out_starts[v + 1]]
+        # and its inputs src[by_consumer][in_starts[v]:in_starts[v + 1]]
+        ids = np.arange(k + 1)
+        out_starts, in_starts = np.searchsorted(src, ids), np.searchsorted(dst[by_consumer], ids)
 
         tier_map = None
         if tiers is not None:
@@ -121,11 +116,13 @@ class ProductionNetwork:
                 raise ValidationError(f"tier labels missing for nodes {missing[:5]}")
 
         object.__setattr__(self, "node_count", k)
-        object.__setattr__(self, "edges", tuple(edge_list))
         object.__setattr__(self, "supplier_count", n)
         object.__setattr__(self, "tiers", tier_map)
-        object.__setattr__(self, "_succ", tuple(tuple(s) for s in succ))
-        object.__setattr__(self, "_pred", tuple(tuple(p) for p in pred))
+        object.__setattr__(self, "_src", _frozen(src))
+        object.__setattr__(self, "_dst", _frozen(dst))
+        object.__setattr__(self, "_out_starts", _frozen(out_starts))
+        object.__setattr__(self, "_in_starts", _frozen(in_starts))
+        object.__setattr__(self, "_in_src", _frozen(src[by_consumer]))
         object.__setattr__(self, "_cache", {})
 
         is_dag = self._check_acyclic()
@@ -138,42 +135,54 @@ class ProductionNetwork:
 
     # -- basic accessors -------------------------------------------------
 
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge (j, i), sorted; built on first use, `edge_arrays()` is the array form."""
+        if "edges" not in self._cache:
+            self._cache["edges"] = tuple(zip((self._src + 1).tolist(), (self._dst + 1).tolist()))
+        return self._cache["edges"]
+
     def successors(self, i: int) -> Sequence[int]:
         """Products that consume product i directly."""
-        return self._succ[i]
+        return tuple((self._dst[self._out_starts[i - 1] : self._out_starts[i]] + 1).tolist())
 
     def predecessors(self, i: int) -> Sequence[int]:
         """Inputs of product i."""
-        return self._pred[i]
+        return tuple((self._in_src[self._in_starts[i - 1] : self._in_starts[i]] + 1).tolist())
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self._src)
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(src, dst) index arrays, 0-based, in canonical sorted edge order (read-only)."""
+        return self._src, self._dst
 
     def in_degree(self, i: int) -> int:
-        return len(self._pred[i])
+        return len(self.predecessors(i))
 
     def out_degree(self, i: int) -> int:
-        return len(self._succ[i])
+        return len(self.successors(i))
 
     @property
     def max_out_degree(self) -> int:
-        return max((len(s) for s in self._succ[1:]), default=0)
+        return int(np.diff(self._out_starts).max())
 
     @property
     def max_in_degree(self) -> int:
-        return max((len(p) for p in self._pred[1:]), default=0)
+        return int(np.diff(self._in_starts).max())
 
     def sources(self) -> list[int]:
         """Raw materials: products with no inputs."""
-        return [i for i in range(1, self.node_count + 1) if not self._pred[i]]
+        return (np.flatnonzero(np.diff(self._in_starts) == 0) + 1).tolist()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProductionNetwork):
             return NotImplemented
         return (
             self.node_count == other.node_count
-            and self.edges == other.edges
+            and np.array_equal(self._src, other._src)
+            and np.array_equal(self._dst, other._dst)
             and self.supplier_count == other.supplier_count
             and self.tiers == other.tiers
         )
@@ -188,18 +197,6 @@ class ProductionNetwork:
         )
 
     # -- derived structures (lazy, cached) --------------------------------
-
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(src, dst) index arrays, 0-based, in canonical sorted edge order."""
-        if "edge_arrays" not in self._cache:
-            if self.edges:
-                src = np.array([j - 1 for j, _ in self.edges], dtype=np.int64)
-                dst = np.array([i - 1 for _, i in self.edges], dtype=np.int64)
-            else:
-                src = np.zeros(0, dtype=np.int64)
-                dst = np.zeros(0, dtype=np.int64)
-            self._cache["edge_arrays"] = (src, dst)
-        return self._cache["edge_arrays"]
 
     def level_plan(self, reverse: bool = False) -> tuple[Level, ...]:
         """Products by the longest-path depth of their strong component, 0-based.
@@ -220,16 +217,17 @@ class ProductionNetwork:
         """
         if "reachability" not in self._cache:
             k = self.node_count
+            starts, succ = self._out_starts.tolist(), self._dst.tolist()
             reach = np.zeros((k, k), dtype=bool)
-            for start in range(1, k + 1):
-                row = reach[start - 1]
-                row[start - 1] = True
+            for start in range(k):
+                row = reach[start]
+                row[start] = True
                 stack = [start]
                 while stack:
                     u = stack.pop()
-                    for v in self._succ[u]:
-                        if not row[v - 1]:
-                            row[v - 1] = True
+                    for v in succ[starts[u] : starts[u + 1]]:
+                        if not row[v]:
+                            row[v] = True
                             stack.append(v)
             self._cache["reachability"] = reach
         return self._cache["reachability"]
@@ -237,35 +235,46 @@ class ProductionNetwork:
     def strong_components(self) -> tuple[tuple[int, ...], ...]:
         """Strongly connected components in topological order, 0-based ids.
 
-        Iterative Tarjan.  Every edge joining two components runs from the
-        earlier one to the later one; members are listed in ascending order.
+        Iterative Tarjan over the successor lists.  Every edge joining two
+        components runs from the earlier one to the later one; members are
+        listed in ascending order.
         """
         if "strong_components" not in self._cache:
-            index, low, stack, comps = {}, {}, [], []
-            for root in range(1, self.node_count + 1):
-                work = [] if root in index else [(root, None)]
+            k = self.node_count
+            starts, succ = self._out_starts.tolist(), self._dst.tolist()
+            index, low = [-1] * k, [0] * k  # index k marks a finished component
+            stack, comps, count = [], [], 0
+            for root in range(k):
+                if index[root] >= 0:
+                    continue
+                index[root] = low[root] = count
+                count += 1
+                stack.append(root)
+                work = [(root, starts[root])]  # (product, its next successor's position)
                 while work:
-                    u, it = work.pop()
-                    if it is None:  # first visit
-                        index[u] = low[u] = len(index)
-                        stack.append(u)
-                        it = iter(self._succ[u])
-                    for w in it:
-                        if w not in index:
-                            work += [(u, it), (w, None)]
+                    u, at = work[-1]
+                    for at in range(at, starts[u + 1]):
+                        w = succ[at]
+                        if index[w] < 0:  # descend; resume u after w
+                            work[-1] = (u, at + 1)
+                            index[w] = low[w] = count
+                            count += 1
+                            stack.append(w)
+                            work.append((w, starts[w]))
                             break
-                        low[u] = min(low[u], index[w])  # inf once w's component is out
+                        if index[w] < low[u]:
+                            low[u] = index[w]
                     else:
-                        if work:
-                            parent = work[-1][0]
-                            low[parent] = min(low[parent], low[u])
+                        work.pop()
+                        if work and low[u] < low[work[-1][0]]:
+                            low[work[-1][0]] = low[u]
                         if low[u] == index[u]:
                             comp = [stack.pop()]
                             while comp[-1] != u:
                                 comp.append(stack.pop())
                             for w in comp:
-                                index[w] = math.inf
-                            comps.append(tuple(sorted(w - 1 for w in comp)))
+                                index[w] = k
+                            comps.append(tuple(sorted(comp)))
             comps.reverse()  # Tarjan emits sinks first
             self._cache["strong_components"] = tuple(comps)
         return self._cache["strong_components"]
@@ -274,24 +283,24 @@ class ProductionNetwork:
 
     def _build_level_plan(self, reverse: bool) -> tuple[Level, ...]:
         source, consumer = self.edge_arrays()
-        comps, inputs = self.strong_components(), self._pred
+        comps = self.strong_components()
         if reverse:
-            source, consumer, comps, inputs = consumer, source, comps[::-1], self._succ
-        # comps run in topological order along inputs, so the depths of a
-        # component's inputs are known when it is reached
-        comp, depth = [0] * self.node_count, []
-        for c, members in enumerate(comps):
-            d = 0
-            for v in members:
-                comp[v] = c
-            for v in members:
-                for j in inputs[v + 1]:
-                    if comp[j - 1] != c and depth[comp[j - 1]] >= d:
-                        d = depth[comp[j - 1]] + 1
-            depth.append(d)
-        comp, levels = np.array(comp), max(depth) + 1
-        level = np.array(depth)[comp]
+            source, consumer, comps = consumer, source, comps[::-1]
+        members = np.fromiter(itertools.chain.from_iterable(comps), dtype=np.int64, count=self.node_count)
+        comp = np.empty(self.node_count, dtype=np.int64)
+        comp[members] = np.repeat(np.arange(len(comps)), np.fromiter(map(len, comps), dtype=np.int64))
         internal = comp[source] == comp[consumer]
+        # comps run in topological order along inputs, so with the edges between
+        # components taken by their consumer's component, an input's depth is
+        # final when it is read
+        cross = np.flatnonzero(~internal)
+        cross = cross[np.argsort(comp[consumer[cross]])]
+        depth = [0] * len(comps)
+        for c_in, c in zip(comp[source[cross]].tolist(), comp[consumer[cross]].tolist()):
+            if depth[c_in] >= depth[c]:
+                depth[c] = depth[c_in] + 1
+        levels = max(depth) + 1
+        level = np.array(depth)[comp]
         # rank each consumer's inputs by source, the order canonical edge order keeps
         by_consumer = np.lexsort((consumer, internal))
         first = np.flatnonzero(np.diff(consumer[by_consumer], prepend=-1))
@@ -336,17 +345,62 @@ class ProductionNetwork:
         return tuple(plan)
 
     def _check_acyclic(self) -> bool:
-        indeg = [len(self._pred[i]) for i in range(self.node_count + 1)]
-        ready = [i for i in range(1, self.node_count + 1) if indeg[i] == 0]
+        if np.all(self._src < self._dst):  # ids ascend along every edge
+            return True
+        indeg = np.diff(self._in_starts).tolist()
+        starts, succ = self._out_starts.tolist(), self._dst.tolist()
+        ready = np.flatnonzero(np.diff(self._in_starts) == 0).tolist()
         done = 0
         while ready:
             u = ready.pop()
             done += 1
-            for v in self._succ[u]:
+            for v in succ[starts[u] : starts[u + 1]]:
                 indeg[v] -= 1
                 if indeg[v] == 0:
                     ready.append(v)
         return done == self.node_count
+
+
+def _canonical_edges(k: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    """(src, dst) of (j, i) pairs, 0-based and sorted by (j, i).
+
+    The first pair in input order that leaves 1..k, is a self-loop or
+    repeats an earlier pair raises ValidationError naming that pair.
+    """
+    shown = None  # the pairs error messages quote, when they differ from `pairs`
+    try:
+        given = edges if isinstance(edges, np.ndarray) else list(edges)
+        try:
+            pairs = np.asarray(given, dtype=np.int64)
+        except OverflowError:  # an id beyond int64 lies outside 1..k, as 0 does
+            shown = given
+            pairs = np.array([[v if abs(v) <= k else 0 for v in map(int, e)] for e in given], dtype=np.int64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"edges must be (j, i) pairs of integers: {exc}") from exc
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValidationError(f"edges must be (j, i) pairs, got an array of shape {pairs.shape}")
+    j, i = pairs.T
+    keys = j * (k + 1) + i
+    order = np.argsort(keys, kind="stable")  # equal keys stay in input order
+    keys = keys[order]
+    bad = (pairs < 1).any(axis=1) | (pairs > k).any(axis=1) | (j == i)
+    bad[order[1:][keys[1:] == keys[:-1]]] = True  # repeats of an earlier pair
+    if bad.any():
+        e = int(np.argmax(bad))
+        a, b = (int(v) for v in (pairs if shown is None else shown)[e])
+        if not (1 <= a <= k and 1 <= b <= k):
+            raise ValidationError(f"edge ({a}, {b}) references a node outside 1..{k}")
+        if a == b:
+            raise ValidationError(f"self-loop on node {a} is not allowed")
+        raise ValidationError(f"duplicate edge ({a}, {b})")
+    return keys // (k + 1) - 1, keys % (k + 1) - 1
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def topological_order(net: ProductionNetwork) -> list[int]:
@@ -367,9 +421,10 @@ def topological_order(net: ProductionNetwork) -> list[int]:
 
 def reverse_graph(net: ProductionNetwork) -> ProductionNetwork:
     """The source-relations view: same nodes, every edge (j, i) flipped."""
+    src, dst = net.edge_arrays()
     return ProductionNetwork(
         net.node_count,
-        [(i, j) for j, i in net.edges],
+        np.column_stack((dst, src)) + 1,
         supplier_count=net.supplier_count,
         tiers=dict(net.tiers) if net.tiers is not None else None,
     )

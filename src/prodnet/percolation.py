@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_int, check_real
+from .errors import ParameterError, SizeError, check_int, check_real
 from .network import Cycle, ProductionNetwork
 
 
@@ -101,6 +101,8 @@ _MASK32 = 0xFFFFFFFF
 # PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
+MAX_TRIALS = 2**32  # a batch hashes each trial index as one 32-bit word
+_MAX_UNIFORMS = np.iinfo(np.intp).max // 8  # doubles in numpy's largest array
 
 
 def _seed_words(value, name: str = "seed") -> list[int]:
@@ -168,6 +170,8 @@ def derive_subseed(seed: int, index: int) -> int:
 
 def _subseeds(seed: int, count: int) -> np.ndarray:
     """`derive_subseed(seed, t)` for t in range(count), as one uint64 array."""
+    if count > MAX_TRIALS:
+        raise SizeError(f"{count} trials exceed the limit of {MAX_TRIALS} per batch")
     lo, hi = _hash_words(_seed_words(seed) + [np.arange(count, dtype=np.uint32)], 2)
     return lo.astype(np.uint64) | hi.astype(np.uint64) << 32
 
@@ -220,6 +224,10 @@ def _draws(net: ProductionNetwork, n: int, y: float, states) -> tuple[np.ndarray
     trial's state, fills its (K, n) row of the supplier block and then,
     when y < 1, its edge uniforms.
     """
+    if len(states) * net.node_count * n > _MAX_UNIFORMS:
+        raise SizeError(
+            f"{len(states)} trials of {net.node_count} x {n} supplier uniforms exceed numpy's array size"
+        )
     uniforms = np.empty((len(states), net.node_count, n))
     op_mask = None if y >= 1.0 else np.empty((len(states), net.edge_count), dtype=bool)
     edge_uniforms = np.empty(net.edge_count)

@@ -4,16 +4,21 @@ Everything here recomputes expected values by a different route than the
 library: exhaustive enumeration, chain-rule dynamic programming, dense
 grid scans, probability-generating-function iteration, and a standalone
 cascade simulator.  Nothing imports the modules under test except for the
-ProductionNetwork container itself.
+ProductionNetwork container itself and the exception types.  The input
+layer's references at the end are the per-row, per-pair and per-edge
+implementations that the streaming and array versions replaced.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from prodnet.errors import FormatError, ValidationError
 
 
 @dataclass
@@ -347,3 +352,73 @@ def all_subsets(items, max_size=None):
     top = len(items) if max_size is None else max_size
     for r in range(top + 1):
         yield from itertools.combinations(items, r)
+
+
+# -- the input layer, one row, pair or edge at a time ------------------------
+
+
+def canonical_edges(k: int, edges) -> tuple:
+    """Sorted (j, i) edges after the per-edge checks in input order.
+
+    The first pair outside 1..k, self-loop or repeat of an earlier pair
+    raises ValidationError.
+    """
+    edge_list, seen = [], set()
+    for e in edges:
+        j, i = int(e[0]), int(e[1])
+        if not (1 <= j <= k and 1 <= i <= k):
+            raise ValidationError(f"edge ({j}, {i}) references a node outside 1..{k}")
+        if j == i:
+            raise ValidationError(f"self-loop on node {j} is not allowed")
+        if (j, i) in seen:
+            raise ValidationError(f"duplicate edge ({j}, {i})")
+        seen.add((j, i))
+        edge_list.append((j, i))
+    return tuple(sorted(edge_list))
+
+
+def rdag_edges(K: int, p: float, seed: int) -> tuple:
+    """Edges of the random DAG from one draw over all K(K-1)/2 pairs of `np.triu_indices`."""
+    rng = np.random.default_rng(seed)
+    if K < 2:
+        return ()
+    lo, hi = np.triu_indices(K, k=1)
+    keep = rng.random(lo.shape[0]) < p
+    return tuple(zip((lo[keep] + 1).tolist(), (hi[keep] + 1).tolist()))
+
+
+def io_table_edges(path, threshold: float = 0.0) -> tuple[int, tuple]:
+    """(K, sorted edges) of an input-output table read whole and converted row by row.
+
+    Raises FormatError as the parser does: a missing matrix, then a
+    non-square one, then the first ragged row or non-numeric
+    off-diagonal cell in row order.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
+    if len(rows) < 2:
+        raise FormatError(f"{path}: expected a labeled square matrix")
+    k = len(rows[0]) - 1
+    if len(rows) - 1 != k:
+        raise FormatError(f"{path}: matrix is not square ({len(rows) - 1} rows, {k} columns)")
+    edges = []
+    for r, row in enumerate(rows[1:]):
+        cells = row[1:]
+        if len(cells) != k:
+            raise FormatError(f"{path}: row {r + 1} has {len(cells)} cells, expected {k}")
+        cells[r] = "0"
+        try:
+            values = np.array(cells, dtype=np.float64)
+        except ValueError:
+            c = next(c for c, cell in enumerate(cells) if not _parses_as_float(cell))
+            raise FormatError(f"{path}: non-numeric cell at row {r + 1}, col {c + 1}") from None
+        edges += [(r + 1, c + 1) for c in np.flatnonzero(values > threshold).tolist() if c != r]
+    return k, tuple(edges)
+
+
+def _parses_as_float(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True

@@ -233,6 +233,17 @@ def test_oversized_network_json_exit_code(tmp_path, capsys):
     assert "exceeds the limit" in stderr
 
 
+def test_trials_beyond_int64_exit_code(tmp_path, capsys):
+    net_path = tmp_path / "net.csv"
+    net_path.write_text("source,target\n1,2\n", encoding="utf-8")
+    code, _, stderr = run_cli(
+        capsys, "simulate", "--net", str(net_path), "--x", "0.2", "--trials", str(2**70),
+        "--out", str(tmp_path / "h.csv"),
+    )
+    assert code == 2
+    assert "exceed the limit" in stderr
+
+
 def test_negative_seed_exit_code(tmp_path, capsys):
     net_path = tmp_path / "net.csv"
     net_path.write_text("source,target\n1,2\n", encoding="utf-8")

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -19,6 +21,8 @@ from prodnet import (
     save_network_json,
 )
 from prodnet.fileio import write_csv
+
+from oracles import io_table_edges
 
 
 def test_edge_csv_basic(tmp_path):
@@ -233,3 +237,109 @@ def test_json_malformed_field_is_format_error(tmp_path, field):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(FormatError):
         load_network_json(path)
+
+
+# cells the streaming parser must read exactly as the row-wise one did:
+# literal zeros, zeros it must convert and numbers, then junk and blanks
+_IO_CELLS = ["0"] * 8 + [" 0", "0.0", "-0", "0 ", "1", "0.5", "2e-3", "-1", "-0.25", "inf", "nan"]
+_IO_JUNK = ["abc", "", "  ", "1,5", '"0"']
+
+
+@st.composite
+def io_table_texts(draw):
+    """CSV text of a labeled table, square or not, with ragged, blank and quoted rows."""
+    k = draw(st.integers(0, 6))
+    labels = st.text(st.sampled_from('ab ,"\n'), min_size=1, max_size=4)
+
+    def cell():
+        pick = draw(st.integers(0, 19))
+        if pick == 0:
+            return draw(st.sampled_from(_IO_JUNK))
+        return repr(draw(st.floats(-2, 2))) if pick < 5 else draw(st.sampled_from(_IO_CELLS))
+
+    lines = [[draw(labels) for _ in range(k + 1)]]
+    for _ in range(k + draw(st.sampled_from([0] * 6 + [-1, 1]))):
+        width = max(k + draw(st.sampled_from([0] * 8 + [-1, 1])), 0)
+        lines.append([draw(labels)] + [cell() for _ in range(width)])
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    rows = []
+    for line in lines:
+        buffer = io.StringIO()
+        csv.writer(buffer, quoting=quoting).writerow(line)
+        rows.append(buffer.getvalue())
+    for _ in range(draw(st.integers(0, 3))):  # blank and whitespace-only rows
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(["\r\n", "   \r\n", " , ,\r\n"])))
+    return "".join(rows)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=io_table_texts(), threshold=st.sampled_from([0.0, -0.0, 0.5, -0.5, -1.0, 1e-9, -1e-300]))
+def test_io_table_matches_row_wise_parser(text, threshold):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "io.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+
+        def parsed():
+            net = parse_io_table(path, threshold=threshold)
+            return net.node_count, net.edges
+
+        assert _outcome(parsed) == _outcome(lambda: io_table_edges(path, threshold))
+
+
+def test_io_table_quoted_zero_and_spaced_zero(tmp_path):
+    # '"0"' unquotes to the literal 0; ' 0' and '-0' convert to zero
+    f = tmp_path / "io.csv"
+    f.write_text(',"A, Inc",B,C\n"A, Inc","0", 0,-0\nB,0,0,0.0\nC,1,0,0\n', encoding="utf-8")
+    assert parse_io_table(f).edges == ((3, 1),)
+    assert parse_io_table(f, threshold=-0.5).edges == ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    edges=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), max_size=12),
+    dup=st.integers(0, 11),
+)
+def test_edge_csv_dedupes_like_a_set(edges, dup):
+    rows = [(f"n{j}", f"n{i}") for j, i in edges if j != i]
+    if not rows:
+        return
+    rows.append(rows[dup % len(rows)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.csv"
+        path.write_text("source,target\n" + "".join(f"{a},{b}\n" for a, b in rows), encoding="utf-8")
+        with pytest.warns(DuplicateEdgeWarning, match=f"dropped {len(rows) - len(set(rows))} "):
+            net = parse_edge_csv(path)
+    ids = {}
+    for name in (n for row in rows for n in row):
+        ids.setdefault(name, len(ids) + 1)
+    assert net.node_count == len(ids)
+    assert net.edges == tuple(sorted({(ids[a], ids[b]) for a, b in rows}))
+
+
+def test_json_edges_refused_as_before(tmp_path):
+    # the array fast path takes only int pairs; the rest is checked pair by pair
+    path = tmp_path / "net.json"
+    for edges, ok in (
+        ([[1, 2]], True),
+        ([[1.0, 2]], True),
+        ([[True, 2]], False),
+        ([[1, 2], [2]], False),
+        ([[1, 2, 3]], False),
+        ([[]], False),
+        ([[1, "2"]], True),
+        ([[1, 2**70]], False),
+        ([], True),
+    ):
+        path.write_text(json.dumps({"schema": 1, "k": 2, "n": 1, "edges": edges}), encoding="utf-8")
+        if ok:
+            assert load_network_json(path).edge_count == len(edges)
+        else:
+            with pytest.raises((FormatError, ValidationError)):
+                load_network_json(path)

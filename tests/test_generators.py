@@ -1,7 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from prodnet import generators
 
 from prodnet import (
     BranchingDistribution,
@@ -13,6 +18,8 @@ from prodnet import (
     generate_rdag,
     generate_trellis,
 )
+
+from oracles import rdag_edges
 
 
 def test_rdag_p_one_gives_all_order_edges():
@@ -206,3 +213,25 @@ def test_all_generators_acyclic():
         generate_trellis(3, 3, 0.6, seed=2),
     ]
     assert all(net.acyclic for net in nets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    K=st.integers(1, 14),
+    block=st.integers(1, 12),
+    p=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+    seed=st.integers(0, 2**32),
+)
+def test_rdag_blocks_draw_the_one_call_stream(K, block, p, seed):
+    # pair counts K(K-1)/2 fall on both sides of many block boundaries
+    with mock.patch.object(generators, "RDAG_BLOCK", block):
+        net = generate_rdag(K, p, seed)
+    assert net.edges == rdag_edges(K, p, seed)
+    assert net.acyclic
+
+
+@pytest.mark.parametrize("K, blocks", [(1448, 1), (1449, 2), (1450, 2)])
+def test_rdag_at_the_block_boundary(K, blocks):
+    # 1448 products make 1 047 628 pairs, one block; 1449 make 1 049 076
+    assert -(-K * (K - 1) // 2 // generators.RDAG_BLOCK) == blocks
+    assert generate_rdag(K, 0.01, seed=K).edges == rdag_edges(K, 0.01, K)

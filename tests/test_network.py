@@ -13,6 +13,8 @@ from prodnet import (
     topological_order,
 )
 
+from oracles import canonical_edges
+
 
 def test_basic_construction():
     net = ProductionNetwork(3, [(1, 2), (2, 3)], supplier_count=2)
@@ -165,3 +167,80 @@ def test_level_plan_orders_inputs_before_consumers(net, reverse):
             assert max((level_of[j] + 1 for j in inputs), default=0) == d
     assert sorted(level_of) == list(range(net.node_count))
     assert sorted(edges) == list(range(net.edge_count))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(1, 6),
+    edges=st.lists(
+        st.tuples(st.integers(-1, 8), st.integers(-1, 8)) | st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        max_size=14,
+    ),
+    huge=st.sampled_from([None, 2**63 - 1, 2**63, -(2**70)]),
+    form=st.sampled_from(["tuples", "lists", "array", "generator"]),
+)
+def test_constructor_matches_per_edge_checks(k, edges, huge, form):
+    # out-of-range ids, self-loops and repeats: the same first fault and
+    # message as the per-edge loop, or the same sorted edges
+    if huge is not None and edges:
+        edges[len(edges) // 2] = (edges[len(edges) // 2][0], huge)
+    if form == "array":
+        if huge is not None and abs(huge) >= 2**63:
+            return  # not an int64 array
+        given = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    elif form == "lists":
+        given = [list(e) for e in edges]
+    elif form == "generator":
+        given = (e for e in edges)
+    else:
+        given = edges
+    expected = _outcome(lambda: canonical_edges(k, edges))
+    assert _outcome(lambda: ProductionNetwork(k, given).edges) == expected
+
+
+def test_constructor_refuses_what_is_not_pairs():
+    for edges in ([(1, 2, 3)], [(1,)], [("a", "b")], [(None, 1)], np.zeros((2, 3), dtype=int), 5):
+        with pytest.raises(ValidationError, match="pairs"):
+            ProductionNetwork(3, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(net=small_networks())
+def test_csr_accessors_match_the_edges(net):
+    k = net.node_count
+    for v in range(1, k + 1):
+        assert net.successors(v) == tuple(i for j, i in net.edges if j == v)
+        assert net.predecessors(v) == tuple(j for j, i in net.edges if i == v)
+        assert net.in_degree(v) == len(net.predecessors(v))
+        assert net.out_degree(v) == len(net.successors(v))
+    assert net.sources() == [v for v in range(1, k + 1) if not net.predecessors(v)]
+    assert net.max_in_degree == max(net.in_degree(v) for v in range(1, k + 1))
+    assert net == ProductionNetwork(k, np.array(net.edges, dtype=np.int64).reshape(-1, 2))
+    assert reverse_graph(net).edges == tuple(sorted((i, j) for j, i in net.edges))
+    src, dst = net.edge_arrays()
+    with pytest.raises(ValueError):
+        src[:1] = 0  # shared and read-only
+
+
+@settings(max_examples=200, deadline=None)
+@given(net=small_networks())
+def test_strong_components_are_the_mutual_reachability_classes(net):
+    reach = net.reachability()
+    comps = net.strong_components()
+    assert sorted(v for c in comps for v in c) == list(range(net.node_count))
+    position = {v: n for n, c in enumerate(comps) for v in c}
+    for c in comps:
+        assert list(c) == sorted(c)
+        assert all(reach[a, b] and reach[b, a] for a in c for b in c)
+    for j, i in net.edges:
+        assert position[j - 1] <= position[i - 1]
+        if position[j - 1] < position[i - 1]:
+            assert not reach[i - 1, j - 1]
+    assert net.acyclic == all(len(c) == 1 for c in comps)

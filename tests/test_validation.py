@@ -124,6 +124,18 @@ CASES = {
     "supplier_allocation-caps-beyond-int64": lambda tmp: supplier_allocation(
         CHAIN, 0.2, 1, [1, 2**70, 1], 2
     ),
+    # trials and n beyond int64, or beyond what a batch can seed or size
+    "estimate_survival_prob-trials-beyond-int64": lambda tmp: estimate_survival_prob(
+        CHAIN, 0.1, 1, 0.5, 2**70
+    ),
+    "estimate_survival_prob-n-beyond-int64": lambda tmp: estimate_survival_prob(CHAIN, 0.1, 2**70, 0.5, 10),
+    "run_batch-trials-beyond-int64": lambda tmp: run_batch(CHAIN, PercolationConfig(x=0.1), 2**70),
+    "run_batch-trials-beyond-32-bits": lambda tmp: run_batch(CHAIN, PercolationConfig(x=0.1), 2**32 + 1),
+    "run_batch-n-beyond-int64": lambda tmp: run_batch(CHAIN, PercolationConfig(x=0.1, n=2**70), 10),
+    "run_coupled_pair-n-too-large": lambda tmp: run_coupled_pair(
+        CHAIN, PercolationConfig(x=0.1, n=2**62), 0.1, 0.2
+    ),
+    "resilience_curve-trials-beyond-int64": lambda tmp: resilience_curve(CHAIN, trials=2**70),
     # out of range
     "estimate_resilience_ensemble-empty": lambda tmp: estimate_resilience_ensemble([], 0.3),
     "poisson-inf": lambda tmp: BranchingDistribution.poisson(float("inf")),
