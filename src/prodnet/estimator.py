@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ParameterError, check_int, check_real
 from .network import ProductionNetwork
-from .percolation import _draws, _failure_thresholds, _pcg64_states, _subseeds
+from .percolation import _batch_draws, _failure_thresholds, derive_subseed
 
 DEFAULT_EPSILON_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
 _CEIL_GUARD = 1e-9  # absorbs float fuzz in (1-eps)*K before the ceiling
@@ -34,7 +34,7 @@ def _s_min(epsilon: float, k: int) -> int:
 
 def _survival_levels(net: ProductionNetwork, n: int, trials: int, seed: int, s_mins) -> list:
     """Per s_min, the ascending levels u_t with S_t(x) >= s_min iff x <= u_t."""
-    maxima, _ = _draws(net, n, 1.0, _pcg64_states(_subseeds(seed, trials)))
+    maxima, _ = _batch_draws(net, n, 1.0, seed, trials)
     ranked = np.sort(_failure_thresholds(net, maxima), axis=1)
     return [np.sort(ranked[:, -s]) if s > 0 else np.full(trials, np.inf) for s in s_mins]
 
@@ -172,7 +172,7 @@ def estimate_resilience_ensemble(
     networks = list(networks)
     if not networks:
         raise ParameterError("the ensemble must hold at least one network")
-    seeds = _subseeds(seed, len(networks)).tolist()
+    seeds = [derive_subseed(seed, i) for i in range(len(networks))]
     values = np.array(
         [estimate_resilience(g, epsilon, n, trials, x_step, s) for g, s in zip(networks, seeds)]
     )

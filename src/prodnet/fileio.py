@@ -142,11 +142,19 @@ def save_network_json(net: ProductionNetwork, path) -> None:
         "schema": NETWORK_JSON_SCHEMA,
         "k": net.node_count,
         "n": net.supplier_count,
-        "edges": (np.column_stack(net.edge_arrays()) + 1).tolist(),
+        "edges": [],
         "tiers": {str(v): t for v, t in net.tiers.items()} if net.tiers is not None else None,
         "acyclic": net.acyclic,
     }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    # json's indented encoder runs in Python; the edge list, most of the
+    # file, is written in its exact layout directly ("acyclic" sorts first,
+    # and its value is never a list, so the first empty list is "edges")
+    src, dst = (a + 1 for a in net.edge_arrays())
+    pairs = ",\n".join(f"  [\n   {j},\n   {i}\n  ]" for j, i in zip(src.tolist(), dst.tolist()))
+    text = json.dumps(doc, indent=1, sort_keys=True)
+    if pairs:
+        text = text.replace('"edges": []', f'"edges": [\n{pairs}\n ]', 1)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def load_network_json(path) -> ProductionNetwork:

@@ -22,11 +22,19 @@ theta for all its trials in one pass, and compares it with its levels.
 Seeding contract, fixed because every seeded output depends on it: a
 single trial draws from `default_rng(seed)`, and trial t of a batch from
 `default_rng(derive_subseed(seed, t))`, so batches are reproducible and
-partitionable across workers by trial index.  No generator is seeded per
-trial, though.  `_subseeds` and `_pcg64_states` recompute numpy's
-SeedSequence hash and PCG64 seeding bit for bit, for a whole batch at
-once in uint32 array arithmetic, and `_draws` loads each trial's PCG64
-state into one reused generator, so the draws themselves are numpy's.
+partitionable across workers by trial index.  A single trial does just
+that; a batch seeds no generator per trial.  `_subseeds` and
+`_pcg64_states` recompute numpy's SeedSequence hash and PCG64 seeding
+bit for bit, for a whole batch at once in array arithmetic, and
+`_batch_draws` then takes numpy's doubles one of two ways.  Stepping
+runs one round per uniform, advancing every trial's 128-bit LCG state
+together in uint64 words and taking PCG64's XSL-RR output, so a round
+costs a fixed ~30 array operations however few trials there are.  The
+generator route loads each trial's state into one reused numpy
+generator, which costs a few microseconds per trial and then fills the
+trial's uniforms in C; it stays because it wins once a trial needs many
+uniforms (hundreds at a thousand trials).  `_stepping_is_cheaper` picks
+the cheaper route from measured per-call and per-uniform costs.
 """
 
 from __future__ import annotations
@@ -98,11 +106,16 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
-# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128) as uint64
+# words, the low word also as 32-bit limbs.
+_MULT_HI, _MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_MULT_LO1, _MULT_LO0 = _MULT_LO >> np.uint64(32), _MULT_LO & np.uint64(_MASK32)
 MAX_TRIALS = 2**32  # a batch hashes each trial index as one 32-bit word
 _MAX_UNIFORMS = np.iinfo(np.intp).max // 8  # doubles in numpy's largest array
+# Draw-route costs in seconds: stepping pays per round and per trial-round,
+# the generator per trial and per uniform (see `_stepping_is_cheaper`).
+_STEP_ROUND_S, _STEP_DRAW_S = 30e-6, 17e-9
+_LOAD_TRIAL_S, _FILL_DRAW_S = 4.2e-6, 7e-9
 
 
 def _seed_words(value, name: str = "seed") -> list[int]:
@@ -176,26 +189,49 @@ def _subseeds(seed: int, count: int) -> np.ndarray:
     return lo.astype(np.uint64) | hi.astype(np.uint64) << 32
 
 
-def _pcg64_states(seeds) -> list[tuple[int, int]]:
-    """(state, inc) of `PCG64(s)` for each seed: one int, or a uint64 array of them.
+def _pcg64_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 step, state * MULT + inc mod 2**128, on uint64 high and low words.
+
+    The low words' 128-bit product is assembled from 32-bit limbs, whose
+    products fit in uint64; every other product is wanted mod 2**64.
+    """
+    lo0, lo1 = lo & _MASK32, lo >> 32
+    cross = lo0 * _MULT_LO1 + (lo0 * _MULT_LO0 >> 32)
+    carry = lo1 * _MULT_LO0 + (cross & _MASK32)
+    new_lo = lo * _MULT_LO + inc_lo
+    new_hi = lo1 * _MULT_LO1 + (cross >> 32) + (carry >> 32)
+    new_hi += hi * _MULT_LO + lo * _MULT_HI + inc_hi
+    new_hi += new_lo < inc_lo
+    return new_hi, new_lo
+
+
+def _pcg64_double(hi, lo, out):
+    """numpy's `next_double` of PCG64 states: XSL-RR output, top 53 bits, into out."""
+    bits = hi ^ lo
+    rot = hi >> 58
+    bits = bits >> rot | bits << (-rot & 63)
+    return np.multiply(bits >> 11, 2.0**-53, out=out)
+
+
+def _pcg64_states(seeds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """State and inc of `PCG64(s)` per uint64 seed, as (state_hi, state_lo, inc_hi, inc_lo).
 
     `generate_state(4, np.uint64)` gives initstate and initseq (high word
     first); PCG64's srandom sets inc = initseq << 1 | 1 and state = 0,
     steps, adds initstate and steps again.
     """
-    if isinstance(seeds, np.ndarray):
-        # a 64-bit seed's entropy is [lo, hi]; [w] hashes as [w, 0]
-        entropy = [(seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32)]
-        words = [w.astype(np.uint64) for w in _hash_words(entropy, 8)]
-        halves = [(words[i] | words[i + 1] << 32).tolist() for i in range(0, 8, 2)]
-    else:
-        words = _hash_words(_seed_words(seeds), 8)
-        halves = [[words[i] | words[i + 1] << 32] for i in range(0, 8, 2)]
-    states = []
-    for state_hi, state_lo, seq_hi, seq_lo in zip(*halves):
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        states.append((((state_hi << 64 | state_lo) + inc) * _PCG64_MULT + inc & _MASK128, inc))
-    return states
+    # a 64-bit seed's entropy is [lo, hi]; [w] hashes as [w, 0]
+    entropy = [(seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32)]
+    w = _hash_words(entropy, 8)
+    init_hi, init_lo, seq_hi, seq_lo = (
+        w[i].astype(np.uint64) | w[i + 1].astype(np.uint64) << 32 for i in range(0, 8, 2)
+    )
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    zero = np.zeros_like(seeds)
+    hi, lo = _pcg64_step(zero, zero, inc_hi, inc_lo)
+    lo = lo + init_lo
+    hi = hi + init_hi + (lo < init_lo)
+    return (*_pcg64_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
 
 
 def supplier_maxima(rng: np.random.Generator, node_count: int, n: int) -> np.ndarray:
@@ -217,31 +253,83 @@ def _zero_seed():
     return ZeroSeed()
 
 
-def _draws(net: ProductionNetwork, n: int, y: float, states) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per PCG64 (state, inc), a row of supplier maxima and, when y < 1, of the operational mask.
+def _stepping_is_cheaper(trials: int, rounds: int) -> bool:
+    """Whether stepping `trials` states through `rounds` uniforms beats a generator per trial."""
+    stepping = rounds * (_STEP_ROUND_S + _STEP_DRAW_S * trials)
+    generator = trials * (_LOAD_TRIAL_S + _FILL_DRAW_S * rounds)
+    return stepping < generator
 
-    Each trial's draws are numpy's own: one reused generator takes the
-    trial's state, fills its (K, n) row of the supplier block and then,
-    when y < 1, its edge uniforms.
+
+def _check_uniforms(trials: int, k: int, n: int):
+    if trials * k * n > _MAX_UNIFORMS:
+        raise SizeError(f"{trials} trials of {k} x {n} supplier uniforms exceed numpy's array size")
+
+
+def _trial_draws(
+    net: ProductionNetwork, n: int, y: float, seed: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One trial's draws from `default_rng(seed)`, as a batch of one."""
+    _check_uniforms(1, net.node_count, n)
+    rng = np.random.default_rng(seed)
+    maxima = supplier_maxima(rng, net.node_count, n)[None]
+    return maxima, None if y >= 1.0 else (rng.random(net.edge_count) < y)[None]
+
+
+def _batch_draws(
+    net: ProductionNetwork, n: int, y: float, seed: int, trials: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Supplier maxima (trials, K) and, when y < 1, the operational mask (trials, E).
+
+    Row t holds what `default_rng(derive_subseed(seed, t))` draws; the
+    route that `_stepping_is_cheaper` picks takes numpy's doubles from
+    the trials' PCG64 states.
     """
-    if len(states) * net.node_count * n > _MAX_UNIFORMS:
-        raise SizeError(
-            f"{len(states)} trials of {net.node_count} x {n} supplier uniforms exceed numpy's array size"
-        )
-    uniforms = np.empty((len(states), net.node_count, n))
-    op_mask = None if y >= 1.0 else np.empty((len(states), net.edge_count), dtype=bool)
-    edge_uniforms = np.empty(net.edge_count)
+    k, e = net.node_count, net.edge_count
+    seeds = _subseeds(seed, trials)
+    _check_uniforms(trials, k, n)
+    states = _pcg64_states(seeds)
+    edge_rounds = 0 if y >= 1.0 else e
+    draws = _stepped_draws if _stepping_is_cheaper(trials, k * n + edge_rounds) else _generator_draws
+    maxima, op_mask = draws(k, n, edge_rounds, y, *states)
+    return maxima, op_mask if y < 1.0 else None
+
+
+def _stepped_draws(k: int, n: int, edge_rounds: int, y: float, hi, lo, inc_hi, inc_lo):
+    # round r advances every trial to its (r+1)-th uniform; supplier rounds
+    # fold into the product's maxima, edge rounds fill one mask column
+    maxima = np.empty((k, len(hi)))
+    op_mask = np.empty((edge_rounds, len(hi)), dtype=bool)
+    u = np.empty(len(hi))
+    for r in range(k * n):
+        hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+        if r % n:
+            np.maximum(maxima[r // n], _pcg64_double(hi, lo, u), out=maxima[r // n])
+        else:
+            _pcg64_double(hi, lo, maxima[r // n])
+    for r in range(edge_rounds):
+        hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+        np.less(_pcg64_double(hi, lo, u), y, out=op_mask[r])
+    return maxima.T, op_mask.T
+
+
+def _generator_draws(k: int, n: int, edge_rounds: int, y: float, hi, lo, inc_hi, inc_lo):
+    # one reused generator takes each trial's state and fills the trial's
+    # (K, n) supplier block, then its edge uniforms
+    uniforms = np.empty((len(hi), k, n))
+    op_mask = np.empty((len(hi), edge_rounds), dtype=bool)
+    edge_uniforms = np.empty(edge_rounds)
     bits = np.random.PCG64(_zero_seed())  # every trial overwrites this state
     rng = np.random.Generator(bits)
-    for t, (state, inc) in enumerate(states):
+    states = zip(hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist())
+    for t, (s_hi, s_lo, i_hi, i_lo) in enumerate(states):
         bits.state = {
             "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
+            "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
             "has_uint32": 0,
             "uinteger": 0,
         }
         rng.random(out=uniforms[t])
-        if op_mask is not None:
+        if edge_rounds:
             rng.random(out=edge_uniforms)
             np.less(edge_uniforms, y, out=op_mask[t])
     return uniforms.max(axis=2), op_mask
@@ -315,7 +403,7 @@ def _outcome_from_failed(failed: np.ndarray, spont: np.ndarray) -> CascadeOutcom
 
 def run_trial(net: ProductionNetwork, cfg: PercolationConfig) -> CascadeOutcome:
     """Execute one percolation trial, deterministic given cfg.seed."""
-    maxima, op_mask = _draws(net, cfg.n, cfg.y, _pcg64_states(cfg.seed))
+    maxima, op_mask = _trial_draws(net, cfg.n, cfg.y, cfg.seed)
     theta = _failure_thresholds(net, maxima, op_mask, stop=cfg.x)
     return _outcome_from_failed(theta[0] < cfg.x, maxima[0] < cfg.x)
 
@@ -332,7 +420,7 @@ def run_batch(
     """
     trials = check_int(trials, "trials")
     k = net.node_count
-    maxima, op_mask = _draws(net, cfg.n, cfg.y, _pcg64_states(_subseeds(cfg.seed, trials)))
+    maxima, op_mask = _batch_draws(net, cfg.n, cfg.y, cfg.seed, trials)
     failed = _failure_thresholds(net, maxima, op_mask, stop=cfg.x) < cfg.x
     f_counts = failed.sum(axis=1).astype(np.int64)
     s_counts = k - f_counts
@@ -354,6 +442,6 @@ def run_coupled_pair(
     check_real(x2, "x2")
     if x1 > x2:
         raise ParameterError(f"coupled pair requires x1 <= x2, got {x1} > {x2}")
-    maxima, op_mask = _draws(net, cfg.n, cfg.y, _pcg64_states(cfg.seed))
+    maxima, op_mask = _trial_draws(net, cfg.n, cfg.y, cfg.seed)
     theta = _failure_thresholds(net, maxima, op_mask, stop=x2)
     return tuple(_outcome_from_failed(theta[0] < x, maxima[0] < x) for x in (x1, x2))

@@ -3,9 +3,11 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prodnet import (
@@ -20,7 +22,7 @@ from prodnet import (
     save_edge_csv,
     save_network_json,
 )
-from prodnet.fileio import write_csv
+from prodnet.fileio import NETWORK_JSON_SCHEMA, write_csv
 
 from oracles import io_table_edges
 
@@ -181,6 +183,39 @@ def test_json_round_trip_property(net):
     assert loaded == net
     assert loaded.tiers == net.tiers
     assert loaded.acyclic == net.acyclic
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(1, 10**6),
+    n=st.integers(1, 10**6),
+    edges=st.lists(st.tuples(st.integers(1, 10**6), st.integers(1, 10**6)), max_size=30),
+    tiers=st.none() | st.dictionaries(st.integers(1, 40), st.integers(0, 12), max_size=40),
+    acyclic=st.sampled_from([True, False, None]),
+)
+@example(k=1, n=1, edges=[], tiers=None, acyclic=True)
+@example(k=12, n=3, edges=[], tiers={v: v % 4 for v in range(1, 13)}, acyclic=None)
+@example(k=12, n=2, edges=[(1, 2), (10, 11), (12, 3)], tiers={v: v // 5 for v in range(1, 13)}, acyclic=False)
+@example(k=2, n=1, edges=[(1, 2)], tiers={}, acyclic=None)
+def test_json_writer_matches_the_indented_encoder(k, n, edges, tiers, acyclic):
+    # save_network_json reads only these fields, so a stand-in can carry
+    # what no valid network has (acyclic null, arbitrary ids)
+    src, dst = (np.array([e[side] - 1 for e in edges], dtype=np.int64) for side in (0, 1))
+    net = SimpleNamespace(
+        node_count=k, supplier_count=n, tiers=tiers, acyclic=acyclic, edge_arrays=lambda: (src, dst)
+    )
+    doc = {
+        "schema": NETWORK_JSON_SCHEMA,
+        "k": k,
+        "n": n,
+        "edges": [list(e) for e in edges],
+        "tiers": None if tiers is None else {str(v): t for v, t in tiers.items()},
+        "acyclic": acyclic,
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.json"
+        save_network_json(net, path)
+        assert path.read_bytes() == (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode("utf-8")
 
 
 def test_json_schema_checked(tmp_path):

@@ -1,13 +1,17 @@
 """Bulk trial seeding against numpy itself.
 
 `percolation` recomputes numpy's SeedSequence hash and PCG64 seeding for
-a whole batch at once.  These properties hold it to numpy bit for bit:
-the batch subseeds equal `SeedSequence((seed, t))`, the drawn uniforms
-equal `default_rng(...)`'s, and single trials seeded with integers of
-any size draw what `default_rng(cfg.seed)` draws.  Seeds of 2**96 and
-more give entropy pools of more than four words, which take the hash's
-tail-mixing loop.
+a whole batch at once, and draws a batch's uniforms by one of two
+routes: stepping every trial's PCG64 state together in uint64 arrays, or
+loading each state into one reused generator.  These properties hold
+both routes to numpy bit for bit: the batch subseeds equal
+`SeedSequence((seed, t))`, the drawn uniforms equal `default_rng(...)`'s,
+and single trials seeded with integers of any size draw what
+`default_rng(cfg.seed)` draws.  Seeds of 2**96 and more give entropy
+pools of more than four words, which take the hash's tail-mixing loop.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -19,14 +23,27 @@ from prodnet import (
     PercolationConfig,
     ProductionNetwork,
     derive_subseed,
+    run_batch,
     run_coupled_pair,
     run_trial,
 )
-from prodnet.percolation import _draws, _failure_thresholds, _pcg64_states, _subseeds
+from prodnet import percolation
+from prodnet.percolation import _batch_draws, _failure_thresholds, _stepping_is_cheaper, _subseeds
 
 EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 7, 2**130 + 5)
 seeds = st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**140))
 shocks = dict(y=st.sampled_from([1.0, 0.5]), n=st.sampled_from([1, 2]))
+ROUTES = ("stepping", "generator")
+
+
+@contextmanager
+def forced(route):
+    """Zeroes one route's cost constants, so every batch takes that route."""
+    names = ("_STEP_ROUND_S", "_STEP_DRAW_S") if route == "stepping" else ("_LOAD_TRIAL_S", "_FILL_DRAW_S")
+    with pytest.MonkeyPatch.context() as patch:
+        for name in names:
+            patch.setattr(percolation, name, 0.0)
+        yield
 
 
 @st.composite
@@ -86,14 +103,47 @@ def test_subseed_of_large_index_matches_seed_sequence(seed):
 @settings(max_examples=200, deadline=None)
 @given(net=networks(), seed=seeds, trials=st.integers(1, 50), **shocks)
 @pin_edge_seeds(net=ProductionNetwork(3, [(1, 2), (2, 3), (3, 1)]), trials=50, n=2, y=0.5)
+@pin_edge_seeds(net=ProductionNetwork(1, []), trials=1, n=2, y=0.5)
 def test_batch_draws_match_default_rng(net, seed, trials, n, y):
-    maxima, op_mask = _draws(net, n, y, _pcg64_states(_subseeds(seed, trials)))
     expected = [numpy_draws(net, numpy_subseed(seed, t), n, y) for t in range(trials)]
-    assert np.array_equal(maxima, np.array([m for m, _ in expected]))
-    if y < 1.0:
-        assert np.array_equal(op_mask, np.array([live for _, live in expected]))
-    else:
-        assert op_mask is None
+    for route in ROUTES:
+        with forced(route):
+            maxima, op_mask = _batch_draws(net, n, y, seed, trials)
+        assert np.array_equal(maxima, np.array([m for m, _ in expected])), route
+        if y < 1.0:
+            assert np.array_equal(op_mask, np.array([live for _, live in expected])), route
+        else:
+            assert op_mask is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(net=networks(), seed=seeds, trials=st.integers(1, 20), x=st.floats(0.0, 1.0), **shocks)
+@pin_edge_seeds(net=ProductionNetwork(4, [(1, 2), (2, 3), (3, 1), (3, 4)]), trials=20, x=0.6, n=2, y=0.5)
+@pin_edge_seeds(net=ProductionNetwork(1, []), trials=1, x=0.5, n=2, y=0.5)
+def test_run_batch_matches_run_trial_per_subseed(net, seed, trials, x, n, y):
+    singles = [
+        run_trial(net, PercolationConfig(x=x, y=y, n=n, seed=derive_subseed(seed, t))) for t in range(trials)
+    ]
+    for route in ROUTES:
+        with forced(route):
+            batch = run_batch(net, PercolationConfig(x=x, y=y, n=n, seed=seed), trials, keep_failures=True)
+        assert batch.F.tolist() == [single.F for single in singles], route
+        assert np.array_equal(batch.failures, np.array([single.Z == 0 for single in singles])), route
+
+
+def test_route_choice_on_the_benchmark_shapes():
+    # the small networks, (K, E), step at 2000 trials and at criterion 1's 10**5
+    for k, e in ((6, 5), (7, 6), (6, 6), (8, 9), (10, 12), (15, 14)):
+        for n in (1, 2):
+            for trials in (2000, 10**5):
+                assert _stepping_is_cheaper(trials, k * n)
+                assert _stepping_is_cheaper(trials, k * n + e)
+    # 200 trials of a thousand or more uniforms each, or a batch of one,
+    # load a generator per trial
+    for rounds in (1000, 1500, 1600, 2000 + 19_869, 10_000):
+        assert not _stepping_is_cheaper(200, rounds)
+    for rounds in (1, 10, 100, 10_000):
+        assert not _stepping_is_cheaper(1, rounds)
 
 
 @settings(max_examples=200, deadline=None)
