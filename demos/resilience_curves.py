@@ -19,21 +19,19 @@ def main():
     eps_grid = [round(0.1 * i, 1) for i in range(1, 10)]
     print("eps grid:", eps_grid, "\n")
     for name, net in nets.items():
-        curve = pn.resilience_curve(net, epsilon_grid=eps_grid, n=1, trials=800,
-                                    x_step=0.01, seed=5)
+        curve = pn.resilience_curve(net, epsilon_grid=eps_grid, n=1, trials=800, seed=5)
         row = " ".join(f"{v:.3f}" for v in curve.r_hat)
         print(f"{name:<28} AUC {curve.auc:.3f}   r(eps): {row}")
 
     print("\nmore suppliers per product push every estimate up (n sweep on the chain):")
     chain = pn.generate_backward_tree(1, 8)
     for n in (1, 2, 3):
-        r = pn.estimate_resilience(chain, 0.25, n=n, trials=2000, x_step=0.01, seed=6)
+        r = pn.estimate_resilience(chain, 0.25, n=n, trials=2000, seed=6)
         print(f"  n={n}: resilience(0.25) ~ {r:.4f}")
 
     print("\nensemble mode over random-DAG realizations:")
     nets = [pn.generate_rdag(20, 0.1, seed=s) for s in range(8)]
-    mean, se, values = pn.estimate_resilience_ensemble(nets, 0.3, n=1, trials=800,
-                                                       x_step=0.01, seed=7)
+    mean, se, values = pn.estimate_resilience_ensemble(nets, 0.3, n=1, trials=800, seed=7)
     print(f"  resilience(0.3) = {mean:.4f} +/- {se:.4f} over {len(values)} realizations")
 
 

@@ -2,8 +2,9 @@
 
 Subcommands: generate, simulate, resilience, bounds, beta, intervene.
 Every run is pinned by its flags plus --seed; CSV outputs are
-byte-reproducible, and a JSON result envelope (code version, resolved
-arguments, output paths, wall time) is printed to stdout.
+byte-reproducible.  `main` builds the one JSON result envelope (code
+version, resolved arguments, output paths, wall time, plus the fields
+the subcommand returns) and prints it to stdout.
 
 Exit codes: 0 success, 1 usage, 2 validation, 3 numeric precondition,
 4 non-convergence.
@@ -12,16 +13,15 @@ Exit codes: 0 success, 1 usage, 2 validation, 3 numeric precondition,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from . import bounds as bnd
-from .contagion import dag_beta, fixed_point_beta, katz_beta, vulnerability_ranking
+from .contagion import _ranking, dag_beta, fixed_point_beta, katz_beta, vulnerability_ranking
 from .errors import ConvergenceError, ParameterError, PreconditionError, ProdnetError, check_int
 from .estimator import DEFAULT_EPSILON_GRID, resilience_curve
 from .fileio import (
@@ -44,7 +44,6 @@ from .generators import (
     generate_trellis,
 )
 from .interventions import _protection_planner, post_intervention_resilience_lb
-from .network import ProductionNetwork
 from .percolation import PercolationConfig, run_batch
 
 EXIT_USAGE = 1
@@ -75,16 +74,19 @@ def _parse_dist(spec: str) -> BranchingDistribution:
     raise ParameterError(f"unknown distribution kind {kind!r} (point/binomial/poisson)")
 
 
-def _load_network(args) -> ProductionNetwork:
+def _load_network(args):
+    """The --net network and the supplier count n (default: the network's own)."""
     path = Path(args.net)
     fmt = args.net_format
     if fmt == "auto":
         fmt = "json" if path.suffix.lower() == ".json" else "edge-csv"
     if fmt == "json":
-        return load_network_json(path)
-    if fmt == "edge-csv":
-        return parse_edge_csv(path)
-    return parse_io_table(path, threshold=args.io_threshold)
+        net = load_network_json(path)
+    elif fmt == "edge-csv":
+        net = parse_edge_csv(path)
+    else:
+        net = parse_io_table(path, threshold=args.io_threshold)
+    return net, net.supplier_count if args.n is None else args.n
 
 
 def _add_net_args(p: argparse.ArgumentParser):
@@ -96,6 +98,7 @@ def _add_net_args(p: argparse.ArgumentParser):
         help="input format (auto: .json as JSON, otherwise edge CSV)",
     )
     p.add_argument("--io-threshold", type=float, default=0.0, help="io-table edge threshold")
+    p.add_argument("--n", type=int, help="suppliers per product (default: the network's n)")
 
 
 def _eps_grid(spec: str | None):
@@ -107,157 +110,109 @@ def _eps_grid(spec: str | None):
         raise ParameterError(f"bad --eps-grid value {spec!r}: {exc}") from exc
 
 
-def _generate(args) -> ProductionNetwork:
-    arch = args.arch
-    if arch == "rdag":
-        return generate_rdag(args.K, args.p, args.seed)
-    if arch == "parallel":
-        return generate_parallel(args.K, args.m, args.d, args.seed)
-    if arch == "backward-tree":
-        return generate_backward_tree(args.m, args.D)
-    if arch == "gw-tree":
-        return generate_gw_tree(_parse_dist(args.dist), args.max_depth, args.seed).network
-    return generate_trellis(args.w, args.D, args.p, args.seed)
+# --arch -> (flags it requires, builder).  The builders are lambdas so that
+# every call looks its target up in the module namespace when it runs.
+_GENERATORS = {
+    "rdag": (("K", "p", "seed"), lambda a: generate_rdag(a.K, a.p, a.seed)),
+    "parallel": (("K", "m", "d", "seed"), lambda a: generate_parallel(a.K, a.m, a.d, a.seed)),
+    "backward-tree": (("m", "D"), lambda a: generate_backward_tree(a.m, a.D)),
+    "gw-tree": (
+        ("dist", "max_depth", "seed"),
+        lambda a: generate_gw_tree(_parse_dist(a.dist), a.max_depth, a.seed).network,
+    ),
+    "trellis": (("w", "D", "p", "seed"), lambda a: generate_trellis(a.w, a.D, a.p, a.seed)),
+}
 
 
-def _require(args, names):
-    missing = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is None]
+def _regime_row(r) -> tuple:
+    return (r.regime, r.lower, r.upper)
+
+
+# --arch -> (flags it requires, builder of the (regime, lower, upper) rows)
+_BOUNDS = {
+    "rdag": (
+        ("K", "p"),
+        lambda a: [("tail-majorant", bnd.rdag_lb_x(a.K, a.p, a.epsilon, a.n), "")],
+    ),
+    "parallel": (
+        ("K", "m", "d"),
+        lambda a: [
+            _regime_row(bnd.parallel_bounds(a.K, a.m, a.d, a.epsilon, a.n, scope))
+            for scope in ("complex-only", "all-products")
+        ],
+    ),
+    "backward-tree": (
+        ("m", "D"),
+        lambda a: [_regime_row(bnd.tree_bounds(a.m, a.D, a.epsilon, a.n))],
+    ),
+    "gw": (  # gw_bounds returns (upper, lower)
+        ("mu", "tau"),
+        lambda a: [("per-extinction-depth", *bnd.gw_bounds(a.mu, a.tau, a.epsilon, a.n)[::-1])],
+    ),
+    "trellis": (
+        ("w", "D", "p"),
+        lambda a: [_regime_row(bnd.trellis_bounds(a.w, a.D, a.p, a.epsilon, a.n))],
+    ),
+}
+
+
+def _by_arch(table, args):
+    """Check that every flag --arch requires was given, then build."""
+    required, build = table[args.arch]
+    missing = [f"--{n.replace('_', '-')}" for n in required if getattr(args, n) is None]
     if missing:
         raise ParameterError(f"--arch {args.arch} requires {', '.join(missing)}")
+    return build(args)
 
 
-def _envelope(command: str, args, outputs: list[str], started: float, extra=None) -> dict:
-    spec = {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
-    doc = {
-        "command": command,
-        "version": __version__,
-        "spec": spec,
-        "outputs": outputs,
-        "wall_time_s": round(time.monotonic() - started, 6),
-    }
-    if extra:
-        doc.update(extra)
-    return doc
+def _add_arch_args(p: argparse.ArgumentParser, table):
+    p.add_argument("--arch", required=True, choices=list(table))
+    for flag, kind in (("K", int), ("p", float), ("m", int), ("d", int), ("D", int), ("w", int)):
+        p.add_argument(f"--{flag}", type=kind)
 
 
 def _cmd_generate(args):
-    started = time.monotonic()
-    if args.arch in ("rdag", "parallel", "trellis", "gw-tree") and args.seed is None:
-        raise ParameterError(f"--arch {args.arch} requires --seed")
-    if args.arch == "rdag":
-        _require(args, ["K", "p"])
-    elif args.arch == "parallel":
-        _require(args, ["K", "m", "d"])
-    elif args.arch == "backward-tree":
-        _require(args, ["m", "D"])
-    elif args.arch == "gw-tree":
-        _require(args, ["dist", "max_depth"])
-    else:
-        _require(args, ["w", "D", "p"])
-    net = _generate(args)
+    net = _by_arch(_GENERATORS, args)
     save_network_json(net, args.out)
-    doc = _envelope("generate", args, [args.out], started, {"k": net.node_count, "edges": net.edge_count})
-    print(json.dumps(doc, sort_keys=True))
-    return 0
+    return {"k": net.node_count, "edges": net.edge_count}
 
 
 def _cmd_simulate(args):
-    started = time.monotonic()
-    net = _load_network(args)
-    n = args.n if args.n is not None else net.supplier_count
+    net, n = _load_network(args)
     cfg = PercolationConfig(x=args.x, y=args.y, n=n, seed=args.seed)
     batch = run_batch(net, cfg, args.trials)
     write_histogram_csv(batch.pmf, args.trials, args.out)
-    doc = _envelope(
-        "simulate",
-        args,
-        [args.out],
-        started,
-        {"mean_failures": float(batch.F.mean()), "k": net.node_count},
-    )
-    print(json.dumps(doc, sort_keys=True))
-    return 0
+    return {"mean_failures": float(batch.F.mean()), "k": net.node_count}
 
 
 def _cmd_resilience(args):
-    started = time.monotonic()
-    net = _load_network(args)
-    n = args.n if args.n is not None else net.supplier_count
+    net, n = _load_network(args)
     curve = resilience_curve(
-        net,
-        epsilon_grid=_eps_grid(args.eps_grid),
-        n=n,
-        trials=args.trials,
-        x_step=args.x_step,
-        seed=args.seed,
+        net, epsilon_grid=_eps_grid(args.eps_grid), n=n, trials=args.trials, seed=args.seed
     )
     write_resilience_csv(curve, args.out)
-    doc = _envelope("resilience", args, [args.out], started, {"auc": curve.auc, "k": net.node_count})
-    print(json.dumps(doc, sort_keys=True))
-    return 0
+    return {"auc": curve.auc, "k": net.node_count}
 
 
 def _cmd_bounds(args):
-    started = time.monotonic()
-    rows = []
-    if args.arch == "rdag":
-        _require(args, ["K", "p"])
-        value = bnd.rdag_lb_x(args.K, args.p, args.epsilon, args.n)
-        rows.append(("rdag", "tail-majorant", value, ""))
-    elif args.arch == "parallel":
-        _require(args, ["K", "m", "d"])
-        for scope in ("complex-only", "all-products"):
-            r = bnd.parallel_bounds(args.K, args.m, args.d, args.epsilon, args.n, scope)
-            rows.append(("parallel", r.regime, r.lower, r.upper))
-    elif args.arch == "backward-tree":
-        _require(args, ["m", "D"])
-        r = bnd.tree_bounds(args.m, args.D, args.epsilon, args.n)
-        rows.append(("backward-tree", r.regime, r.lower, r.upper))
-    elif args.arch == "gw":
-        _require(args, ["mu", "tau"])
-        upper, lower = bnd.gw_bounds(args.mu, args.tau, args.epsilon, args.n)
-        rows.append(("gw", "per-extinction-depth", lower, upper))
-    else:
-        _require(args, ["w", "D", "p"])
-        r = bnd.trellis_bounds(args.w, args.D, args.p, args.epsilon, args.n)
-        rows.append(("trellis", r.regime, r.lower, r.upper))
+    rows = [(args.arch, *row) for row in _by_arch(_BOUNDS, args)]
     write_csv(args.out, ["architecture", "regime", "lower", "upper"], rows)
-    doc = _envelope("bounds", args, [args.out], started)
-    print(json.dumps(doc, sort_keys=True))
-    return 0
+    return {}
 
 
 def _cmd_beta(args):
-    started = time.monotonic()
-    net = _load_network(args)
-    n = args.n if args.n is not None else net.supplier_count
+    net, n = _load_network(args)
     if args.method == "auto":
         ranking = vulnerability_ranking(net, args.x, args.y, n)
     else:
-        if args.method == "dag":
-            bv = dag_beta(net, args.x, args.y, n)
-        elif args.method == "fixed-point":
-            bv = fixed_point_beta(net, args.x, args.y, n)
-        else:
-            bv = katz_beta(net, args.x, args.y, n)
-        order = sorted(range(1, net.node_count + 1), key=lambda i: (-bv.beta[i - 1], i))
-        ranking = [(i, float(bv.beta[i - 1])) for i in order]
+        solve = {"dag": dag_beta, "fixed-point": fixed_point_beta, "katz": katz_beta}[args.method]
+        ranking = _ranking(solve(net, args.x, args.y, n))
     write_beta_csv(ranking, args.out)
-    doc = _envelope(
-        "beta",
-        args,
-        [args.out],
-        started,
-        {"total_beta": float(sum(b for _, b in ranking)), "k": net.node_count},
-    )
-    print(json.dumps(doc, sort_keys=True))
-    return 0
+    return {"total_beta": float(sum(b for _, b in ranking)), "k": net.node_count}
 
 
 def _cmd_intervene(args):
-    started = time.monotonic()
-    net = _load_network(args)
-    n = args.n if args.n is not None else net.supplier_count
+    net, n = _load_network(args)
     y = args.y
     if y is None:
         # the spectral default: safely below 1/max(Delta, Delta_R)
@@ -272,28 +227,18 @@ def _cmd_intervene(args):
         lb = post_intervention_resilience_lb(net, plan, args.epsilon, n)
         rows.append((budget, budget / net.node_count, plan.objective(args.x, n), lb))
     write_intervention_csv(rows, args.out)
-    doc = _envelope("intervene", args, [args.out], started, {"y": y, "k": net.node_count})
-    print(json.dumps(doc, sort_keys=True))
-    return 0
+    return {"y": y, "k": net.node_count}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process."""
     parser = _Parser(prog="prodnet", description=__doc__)
     parser.add_argument("--version", action="version", version=f"prodnet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     gen = sub.add_parser("generate", help="emit a network file from a generator")
-    gen.add_argument(
-        "--arch",
-        required=True,
-        choices=["rdag", "parallel", "backward-tree", "gw-tree", "trellis"],
-    )
-    gen.add_argument("--K", type=int)
-    gen.add_argument("--p", type=float)
-    gen.add_argument("--m", type=int)
-    gen.add_argument("--d", type=int)
-    gen.add_argument("--D", type=int)
-    gen.add_argument("--w", type=int)
+    _add_arch_args(gen, _GENERATORS)
     gen.add_argument("--dist", help="branching distribution, e.g. poisson:0.8 or binomial:4,0.2")
     gen.add_argument("--max-depth", type=int, default=1000)
     gen.add_argument("--seed", type=int)
@@ -304,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_net_args(sim)
     sim.add_argument("--x", type=float, required=True)
     sim.add_argument("--y", type=float, default=1.0)
-    sim.add_argument("--n", type=int)
     sim.add_argument("--trials", type=int, default=1000)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", required=True)
@@ -313,25 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
     res = sub.add_parser("resilience", help="estimate the resilience curve and AUC")
     _add_net_args(res)
     res.add_argument("--eps-grid", help="comma-separated eps values (default 0.05..0.95)")
-    res.add_argument("--n", type=int)
     res.add_argument("--trials", type=int, default=1000)
-    res.add_argument(
-        "--x-step", type=float, default=0.01, help="no effect: r_hat is the exact supremum"
-    )
     res.add_argument("--seed", type=int, default=0)
     res.add_argument("--out", required=True)
     res.set_defaults(func=_cmd_resilience)
 
     bds = sub.add_parser("bounds", help="closed-form bound table for an architecture")
-    bds.add_argument(
-        "--arch", required=True, choices=["rdag", "parallel", "backward-tree", "gw", "trellis"]
-    )
-    bds.add_argument("--K", type=int)
-    bds.add_argument("--p", type=float)
-    bds.add_argument("--m", type=int)
-    bds.add_argument("--d", type=int)
-    bds.add_argument("--D", type=int)
-    bds.add_argument("--w", type=int)
+    _add_arch_args(bds, _BOUNDS)
     bds.add_argument("--mu", type=float)
     bds.add_argument("--tau", type=int)
     bds.add_argument("--epsilon", type=float, required=True)
@@ -343,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_net_args(bet)
     bet.add_argument("--x", type=float, required=True)
     bet.add_argument("--y", type=float, default=1.0)
-    bet.add_argument("--n", type=int)
     bet.add_argument("--method", choices=["auto", "dag", "fixed-point", "katz"], default="auto")
     bet.add_argument("--out", required=True)
     bet.set_defaults(func=_cmd_beta)
@@ -352,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_net_args(itv)
     itv.add_argument("--y", type=float, help="edge survival (default: 1/(1e-5 + max degree))")
     itv.add_argument("--x", type=float, default=0.1)
-    itv.add_argument("--n", type=int)
     itv.add_argument("--epsilon", type=float, default=0.2)
     itv.add_argument("--t-max", type=int)
     itv.add_argument("--out", required=True)
@@ -362,10 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        extra = args.func(args)
     except PreconditionError as exc:
         print(f"prodnet: precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -375,6 +305,16 @@ def main(argv=None) -> int:
     except (ProdnetError, OSError) as exc:  # bad arguments or input, unreadable or unwritable files
         print(f"prodnet: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    doc = {
+        "command": args.command,
+        "version": __version__,
+        "spec": {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None},
+        "outputs": [args.out],
+        "wall_time_s": round(time.monotonic() - started, 6),
+        **extra,
+    }
+    print(json.dumps(doc, sort_keys=True))
+    return 0
 
 
 if __name__ == "__main__":

@@ -286,5 +286,10 @@ def vulnerability_ranking(
         bv = dag_beta(net, x, y, n)
     else:
         bv = fixed_point_beta(net, x, y, n)
-    order = sorted(range(1, net.node_count + 1), key=lambda i: (-bv.beta[i - 1], i))
+    return _ranking(bv)
+
+
+def _ranking(bv: BetaVector) -> list[tuple[int, float]]:
+    """(product id, beta) pairs, largest beta first, ties by ascending id."""
+    order = sorted(range(1, len(bv.beta) + 1), key=lambda i: (-bv.beta[i - 1], i))
     return [(i, float(bv.beta[i - 1])) for i in order]

@@ -9,8 +9,7 @@ theta.  The survival estimate at x is the share of trials with u_t >= x,
 so one sort of theta serves every level and the whole eps grid, and the
 curve is exactly nonincreasing in x and nondecreasing in eps.  The
 estimate is the exact supremum of the qualifying levels, read off one
-order statistic of u; the x_step arguments are accepted and recorded but
-have no effect.
+order statistic of u, so no grid of x levels is searched.
 """
 
 from __future__ import annotations
@@ -87,13 +86,11 @@ def estimate_resilience(
     epsilon: float,
     n: int = 1,
     trials: int = 1000,
-    x_step: float = 0.01,
     seed: int = 0,
 ) -> float:
     """Estimated resilience at a single tolerance eps."""
     check_real(epsilon, "epsilon", "(0, 1)")
     n, trials = check_int(n, "n"), check_int(trials, "trials")
-    check_real(x_step, "x_step", "(0, 0.1]")
     return _curve_points(net, [epsilon], n, trials, seed)[0][0]
 
 
@@ -106,7 +103,6 @@ class ResilienceCurve:
     stderr: np.ndarray  # binomial SE of the survival estimate at r_hat
     auc: float
     trials: int
-    x_step: float  # accepted and recorded; r_hat is exact, so it has no effect
     seed: int
     n: int
 
@@ -123,7 +119,6 @@ def resilience_curve(
     epsilon_grid=DEFAULT_EPSILON_GRID,
     n: int = 1,
     trials: int = 1000,
-    x_step: float = 0.01,
     seed: int = 0,
 ) -> ResilienceCurve:
     """Estimate resilience across an eps grid with shared trial draws.
@@ -138,7 +133,6 @@ def resilience_curve(
     if np.any(np.diff(eps) <= 0.0):
         raise ParameterError("epsilon_grid must be strictly increasing")
     n, trials = check_int(n, "n"), check_int(trials, "trials")
-    check_real(x_step, "x_step", "(0, 0.1]")
     results = _curve_points(net, eps.tolist(), n, trials, seed)
     r_hat = np.array([r for r, _ in results])
     p_at = np.array([p for _, p in results])
@@ -149,7 +143,6 @@ def resilience_curve(
         stderr=stderr,
         auc=_auc_flat_extension(eps, r_hat),
         trials=int(trials),
-        x_step=float(x_step),
         seed=int(seed),
         n=int(n),
     )
@@ -160,7 +153,6 @@ def estimate_resilience_ensemble(
     epsilon: float,
     n: int = 1,
     trials: int = 1000,
-    x_step: float = 0.01,
     seed: int = 0,
 ) -> tuple[float, float, np.ndarray]:
     """Mean resilience over realized networks, with its standard error.
@@ -174,7 +166,7 @@ def estimate_resilience_ensemble(
         raise ParameterError("the ensemble must hold at least one network")
     seeds = [derive_subseed(seed, i) for i in range(len(networks))]
     values = np.array(
-        [estimate_resilience(g, epsilon, n, trials, x_step, s) for g, s in zip(networks, seeds)]
+        [estimate_resilience(g, epsilon, n, trials, s) for g, s in zip(networks, seeds)]
     )
     stderr = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
     return float(values.mean()), stderr, values

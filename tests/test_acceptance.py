@@ -321,7 +321,7 @@ def test_criterion_9_coupling_monotonicity():
             low, high = pn.run_coupled_pair(net, sub, 0.2, 0.7)
             assert low.S >= high.S, (name, t)
     for net in (_chain(8), pn.generate_rdag(10, 0.3, seed=3)):
-        curve = pn.resilience_curve(net, n=1, trials=1000, x_step=0.02, seed=77)
+        curve = pn.resilience_curve(net, n=1, trials=1000, seed=77)
         assert np.all(np.diff(curve.r_hat) >= 0)
     _report("9", "PASS", "S(x1) >= S(x2) in every coupled trial; curves monotone in eps")
 
@@ -350,13 +350,13 @@ def test_criterion_10_dataset_auc_reproduction():
         pytest.skip(f"dataset files absent under {root}")
     for fname, target in willems.items():
         net = pn.parse_edge_csv(root / fname)
-        curve = pn.resilience_curve(net, n=1, trials=1000, x_step=0.01, seed=1)
+        curve = pn.resilience_curve(net, n=1, trials=1000, seed=1)
         assert abs(curve.auc - target) <= 0.03, (fname, curve.auc, target)
     if all((root / f).exists() for f in world):
         auc = {}
         for fname in world:
             net = pn.parse_io_table(root / fname)
-            auc[fname] = pn.resilience_curve(net, n=1, trials=1000, x_step=0.01, seed=1).auc
+            auc[fname] = pn.resilience_curve(net, n=1, trials=1000, seed=1).auc
         assert auc["india.csv"] > auc["china.csv"] - 0.005
         assert abs(auc["china.csv"] - auc["indonesia.csv"]) <= 0.01
         assert auc["china.csv"] > auc["japan.csv"] - 0.005

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from prodnet.cli import main
+import prodnet as pn
+from prodnet.cli import build_parser, main
 from prodnet import load_network_json
 
 
@@ -25,6 +30,31 @@ def test_generate_writes_network(tmp_path, capsys):
     assert doc["command"] == "generate"
     assert doc["version"]
     assert doc["spec"]["K"] == 10
+
+
+def test_generate_matches_the_api(tmp_path, capsys):
+    # every --arch writes the bytes save_network_json writes for the API's network
+    cases = [
+        (["--arch", "rdag", "--K", "12", "--p", "0.3", "--seed", "5"],
+         lambda: pn.generate_rdag(12, 0.3, 5)),
+        (["--arch", "parallel", "--K", "6", "--m", "3", "--d", "2", "--seed", "5"],
+         lambda: pn.generate_parallel(6, 3, 2, 5)),
+        (["--arch", "backward-tree", "--m", "2", "--D", "3"],
+         lambda: pn.generate_backward_tree(2, 3)),
+        (["--arch", "gw-tree", "--dist", "binomial:3,0.5", "--max-depth", "4", "--seed", "5"],
+         lambda: pn.generate_gw_tree(pn.BranchingDistribution.binomial(3, 0.5), 4, 5).network),
+        (["--arch", "trellis", "--w", "3", "--D", "4", "--p", "0.4", "--seed", "5"],
+         lambda: pn.generate_trellis(3, 4, 0.4, 5)),
+    ]
+    for args, build in cases:
+        out, expected = tmp_path / "cli.json", tmp_path / "api.json"
+        code, stdout, _ = run_cli(capsys, "generate", *args, "--out", str(out))
+        assert code == 0, args
+        net = build()
+        pn.save_network_json(net, expected)
+        assert out.read_bytes() == expected.read_bytes(), args
+        doc = json.loads(stdout)
+        assert (doc["k"], doc["edges"]) == (net.node_count, net.edge_count)
 
 
 def test_generate_chain_via_backward_tree(tmp_path, capsys):
@@ -68,19 +98,38 @@ def test_resilience_deterministic_bytes(tmp_path, capsys):
     assert out1.read_text().splitlines()[0] == "epsilon,r_hat,stderr"
 
 
+def _cells(row):
+    return [repr(float(v)) if isinstance(v, float) else str(v) for v in row]
+
+
 def test_bounds_subcommands(tmp_path, capsys):
+    # every --arch writes one row per bound the API returns, with its values
+    eps, n = 0.3, 2
+    upper, lower = pn.gw_bounds(0.6, 4, eps, n)
     cases = [
-        ["--arch", "rdag", "--K", "100", "--p", "0.1", "--epsilon", "0.3"],
-        ["--arch", "parallel", "--K", "50", "--m", "2", "--d", "3", "--epsilon", "0.3"],
-        ["--arch", "backward-tree", "--m", "2", "--D", "4", "--epsilon", "0.3"],
-        ["--arch", "gw", "--mu", "0.6", "--tau", "4", "--epsilon", "0.3"],
-        ["--arch", "trellis", "--w", "3", "--D", "4", "--p", "0.2", "--epsilon", "0.3"],
+        (["--arch", "rdag", "--K", "100", "--p", "0.1"],
+         [("rdag", "tail-majorant", pn.rdag_lb_x(100, 0.1, eps, n), "")]),
+        (["--arch", "parallel", "--K", "50", "--m", "2", "--d", "3"],
+         [("parallel", r.regime, r.lower, r.upper)
+          for r in (pn.parallel_bounds(50, 2, 3, eps, n, scope)
+                    for scope in ("complex-only", "all-products"))]),
+        (["--arch", "backward-tree", "--m", "2", "--D", "4"],
+         [("backward-tree", r.regime, r.lower, r.upper) for r in [pn.tree_bounds(2, 4, eps, n)]]),
+        (["--arch", "gw", "--mu", "0.6", "--tau", "4"],
+         [("gw", "per-extinction-depth", lower, upper)]),
+        (["--arch", "trellis", "--w", "3", "--D", "4", "--p", "0.2"],
+         [("trellis", r.regime, r.lower, r.upper)
+          for r in [pn.trellis_bounds(3, 4, 0.2, eps, n)]]),
     ]
-    for args in cases:
+    for args, rows in cases:
         out = tmp_path / "b.csv"
-        code, _, _ = run_cli(capsys, "bounds", *args, "--out", str(out))
+        code, _, _ = run_cli(
+            capsys, "bounds", *args, "--epsilon", str(eps), "--n", str(n), "--out", str(out)
+        )
         assert code == 0
-        assert out.read_text().splitlines()[0] == "architecture,regime,lower,upper"
+        lines = out.read_text().splitlines()
+        assert lines[0] == "architecture,regime,lower,upper"
+        assert [line.split(",") for line in lines[1:]] == [_cells(row) for row in rows], args
 
 
 def test_beta_ranking_csv(tmp_path, capsys):
@@ -195,6 +244,44 @@ def test_missing_arch_params_exit_code(tmp_path, capsys):
     )
     assert code == 2
     assert "--K" in stderr or "-K" in stderr
+    # every missing flag is named at once, the seed among them
+    code, _, stderr = run_cli(
+        capsys, "generate", "--arch", "rdag", "--K", "5", "--out", str(tmp_path / "n.json")
+    )
+    assert code == 2
+    assert "--p" in stderr and "--seed" in stderr
+
+
+def test_parser_is_built_once(tmp_path, capsys):
+    build_parser.cache_clear()
+    for _ in range(3):
+        code, _, _ = run_cli(
+            capsys, "bounds", "--arch", "gw", "--mu", "0.6", "--tau", "4", "--epsilon", "0.3",
+            "--out", str(tmp_path / "b.csv"),
+        )
+        assert code == 0
+    assert build_parser.cache_info().misses == 1
+
+
+def test_flags_do_not_leak_between_calls(tmp_path, capsys):
+    # the reused parser gives each call only its own flags and their defaults
+    net_path = tmp_path / "net.csv"
+    net_path.write_text("source,target\n1,2\n2,3\n1,3\n", encoding="utf-8")
+    first, second, fresh = (tmp_path / f"{name}.csv" for name in ("first", "second", "fresh"))
+    argv = ["simulate", "--net", str(net_path), "--x", "0.4", "--trials", "300", "--seed", "2"]
+    code, stdout, _ = run_cli(capsys, *argv, "--n", "2", "--out", str(first))
+    assert code == 0 and json.loads(stdout)["spec"]["n"] == 2
+    code, stdout, _ = run_cli(capsys, *argv, "--out", str(second))
+    assert code == 0 and "n" not in json.loads(stdout)["spec"]
+    src = str(Path(pn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    subprocess.run(
+        [sys.executable, "-m", "prodnet.cli", *argv, "--out", str(fresh)],
+        check=True, env=env, capture_output=True,
+    )
+    assert second.read_bytes() == fresh.read_bytes()
+    assert second.read_bytes() != first.read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -47,41 +47,41 @@ def test_survival_prob_nonincreasing_in_x_coupled():
 
 def test_single_node_resilience_near_one():
     net = ProductionNetwork(1, [])
-    r = estimate_resilience(net, 0.5, n=1, trials=200, x_step=0.05, seed=4)
+    r = estimate_resilience(net, 0.5, n=1, trials=200, seed=4)
     assert r == 1.0  # threshold 1 - 1/K = 0 qualifies the whole grid
 
 
 def test_resilience_matches_exact_on_chain():
     net = chain(8)
     exact = exact_resilience(net, 0.25, n=1)
-    est = estimate_resilience(net, 0.25, n=1, trials=100_000, x_step=0.01, seed=5)
+    est = estimate_resilience(net, 0.25, n=1, trials=100_000, seed=5)
     # r_hat is exact on the draws, so only seeded Monte Carlo boundary noise remains
     assert abs(est - exact) <= 0.01 / 8
 
 
 def test_resilience_nondecreasing_in_n():
     net = chain(5)
-    r1 = estimate_resilience(net, 0.4, n=1, trials=4000, x_step=0.02, seed=6)
-    r2 = estimate_resilience(net, 0.4, n=2, trials=4000, x_step=0.02, seed=6)
+    r1 = estimate_resilience(net, 0.4, n=1, trials=4000, seed=6)
+    r2 = estimate_resilience(net, 0.4, n=2, trials=4000, seed=6)
     assert r2 >= r1
     assert exact_resilience(net, 0.4, n=2) >= exact_resilience(net, 0.4, n=1)
 
 
 def test_curve_monotone_in_eps_exact():
     net = generate_rdag(10, 0.25, seed=7)
-    curve = resilience_curve(net, n=1, trials=1500, x_step=0.02, seed=7)
+    curve = resilience_curve(net, n=1, trials=1500, seed=7)
     assert np.all(np.diff(curve.r_hat) >= 0)
 
 
 def test_curve_single_point_auc():
     net = chain(4)
-    curve = resilience_curve(net, epsilon_grid=[0.3], n=1, trials=1000, x_step=0.02, seed=8)
+    curve = resilience_curve(net, epsilon_grid=[0.3], n=1, trials=1000, seed=8)
     assert curve.auc == pytest.approx(curve.r_hat[0])
 
 
 def test_curve_single_node_auc_near_one():
     net = ProductionNetwork(1, [])
-    curve = resilience_curve(net, n=1, trials=300, x_step=0.05, seed=9)
+    curve = resilience_curve(net, n=1, trials=300, seed=9)
     assert np.all(curve.r_hat == 1.0)
     assert curve.auc == pytest.approx(1.0)
 
@@ -89,7 +89,7 @@ def test_curve_single_node_auc_near_one():
 def test_auc_matches_exhaustive_small_network():
     net = chain(6)
     eps_grid = [0.1, 0.25, 0.4, 0.55, 0.7, 0.85]
-    curve = resilience_curve(net, epsilon_grid=eps_grid, n=1, trials=6000, x_step=0.01, seed=10)
+    curve = resilience_curve(net, epsilon_grid=eps_grid, n=1, trials=6000, seed=10)
     exact_vals = np.array([exact_resilience(net, e, n=1) for e in eps_grid])
     xs = np.concatenate(([0.0], eps_grid, [1.0]))
     ys = np.concatenate(([exact_vals[0]], exact_vals, [exact_vals[-1]]))
@@ -103,8 +103,6 @@ def test_grid_validation():
         resilience_curve(net, epsilon_grid=[0.5, 0.4], trials=10)
     with pytest.raises(ParameterError):
         resilience_curve(net, epsilon_grid=[], trials=10)
-    with pytest.raises(ParameterError):
-        estimate_resilience(net, 0.5, trials=10, x_step=0.5)
     with pytest.raises(ParameterError):
         estimate_resilience(net, 1.5, trials=10)
 
@@ -125,8 +123,8 @@ def test_estimators_reject_bad_seeds(seed):
 
 def test_curve_provenance_fields():
     net = chain(3)
-    curve = resilience_curve(net, epsilon_grid=[0.2, 0.5], n=2, trials=50, x_step=0.05, seed=17)
-    assert curve.trials == 50 and curve.x_step == 0.05 and curve.seed == 17 and curve.n == 2
+    curve = resilience_curve(net, epsilon_grid=[0.2, 0.5], n=2, trials=50, seed=17)
+    assert curve.trials == 50 and curve.seed == 17 and curve.n == 2
     assert len(curve.stderr) == 2 and np.all(curve.stderr >= 0)
 
 
@@ -144,9 +142,9 @@ def test_estimator_consistent_with_run_batch():
 def test_curve_entries_match_single_estimates():
     net = generate_rdag(8, 0.3, seed=14)
     eps_grid = [0.2, 0.5, 0.8]
-    curve = resilience_curve(net, epsilon_grid=eps_grid, n=1, trials=600, x_step=0.02, seed=3)
+    curve = resilience_curve(net, epsilon_grid=eps_grid, n=1, trials=600, seed=3)
     for e, r in zip(eps_grid, curve.r_hat):
-        assert estimate_resilience(net, e, n=1, trials=600, x_step=0.02, seed=3) == pytest.approx(
+        assert estimate_resilience(net, e, n=1, trials=600, seed=3) == pytest.approx(
             r, abs=1e-15
         )
 
@@ -157,7 +155,7 @@ def test_curve_on_cyclic_network():
     edges = [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5)]
     net = ProductionNetwork(5, edges)
     assert not net.acyclic
-    curve = resilience_curve(net, epsilon_grid=[0.2, 0.5, 0.8], n=1, trials=500, x_step=0.02, seed=4)
+    curve = resilience_curve(net, epsilon_grid=[0.2, 0.5, 0.8], n=1, trials=500, seed=4)
     assert np.all(np.diff(curve.r_hat) >= 0)
     assert 0.0 <= curve.auc <= 1.0
 
@@ -165,7 +163,7 @@ def test_curve_on_cyclic_network():
 def test_ensemble_mode():
     nets = [generate_rdag(8, 0.2, seed=s) for s in range(5)]
     mean, se, values = estimate_resilience_ensemble(
-        nets, 0.3, n=1, trials=800, x_step=0.02, seed=12
+        nets, 0.3, n=1, trials=800, seed=12
     )
     assert len(values) == 5
     assert mean == pytest.approx(values.mean())

@@ -124,16 +124,13 @@ def test_coupled_pair_nested_on_cyclic_graphs(net, x1, x2, y, n, seed):
     net=networks(),
     n=st.sampled_from([1, 2]),
     seed=seeds,
-    x_step=st.sampled_from([0.01, 0.03, 0.05, 0.1]),
 )
-def test_r_hat_is_the_exact_supremum(net, n, seed, x_step):
+def test_r_hat_is_the_exact_supremum(net, n, seed):
     # r_hat qualifies (share of trials with S >= s_min at least 1 - 1/K)
-    # on the same trials, the next float up does not, and x_step has no effect
+    # on the same trials, and the next float up does not
     trials, eps_grid = 30, [0.2, 0.5, 0.8]
     k = net.node_count
-    curve = resilience_curve(net, eps_grid, n=n, trials=trials, x_step=x_step, seed=seed)
-    default = resilience_curve(net, eps_grid, n=n, trials=trials, seed=seed)
-    assert np.array_equal(curve.r_hat, default.r_hat)
+    curve = resilience_curve(net, eps_grid, n=n, trials=trials, seed=seed)
 
     def qualifies(x, s_min):
         batch = run_batch(net, PercolationConfig(x=x, n=n, seed=seed), trials)

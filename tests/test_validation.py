@@ -109,7 +109,6 @@ CASES = {
     # non-numbers
     "PercolationConfig-x-str": lambda tmp: PercolationConfig(x="a"),
     "dag_beta-y-none": lambda tmp: dag_beta(CHAIN, 0.1, None),
-    "estimate_resilience-x_step-str": lambda tmp: estimate_resilience(CHAIN, 0.5, x_step="a"),
     "resilience_curve-eps-str": lambda tmp: resilience_curve(CHAIN, ["0.5"], trials=10),
     "run_coupled_pair-x1-str": lambda tmp: run_coupled_pair(
         CHAIN, PercolationConfig(x=0.1), "a", 0.5
