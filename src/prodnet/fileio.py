@@ -7,6 +7,13 @@ normalized to dense ids 1..K; JSON round-trips preserve the logical
 content exactly.  All CSV output is plain ASCII with '.' decimal points.
 Every input file is read as UTF-8; bytes that do not decode raise
 FormatError, like any other malformed content.
+
+Input-output tables are scanned as bytes: `parse_io_table` reads
+IO_TABLE_BLOCK bytes at a time, cuts each block at its last line end and
+scans it with numpy, converting only the cells that are not "0", so its
+memory is O(block + K + E).  A table with a quote or NUL byte, or a
+cell longer than csv's field limit, is decoded by csv.reader instead;
+both routes feed the same reducer.
 """
 
 from __future__ import annotations
@@ -76,6 +83,9 @@ def _csv_rows(path: Path):
             raise FormatError(f"{path}: unreadable CSV: {exc}") from exc
 
 
+IO_TABLE_BLOCK = 1 << 16  # bytes that parse_io_table reads and scans at a time
+
+
 def parse_io_table(path, threshold: float = 0.0) -> ProductionNetwork:
     """Read a square input-output table; cells above threshold become edges.
 
@@ -83,57 +93,184 @@ def parse_io_table(path, threshold: float = 0.0) -> ProductionNetwork:
     diagonal is ignored and the result may be cyclic (flagged on the
     network).  Non-square tables, ragged rows and non-numeric off-diagonal
     cells raise FormatError: a non-square table first, else the first bad
-    row.  Rows stream from the CSV reader and only cells other than the
-    literal "0" are converted (all of them when the threshold is negative,
-    which makes "0" cells edges), so no K x K structure is held and memory
-    is O(K + E) on a sparse table.
+    row.  Rows whose cells all strip to nothing are skipped.
+
+    The file is read in binary blocks of IO_TABLE_BLOCK bytes, each cut
+    after its last line end ('\\n' or '\\r') and checked as UTF-8.  numpy
+    scans a block's bytes with commas and line ends as separators, and a
+    cell is a zero exactly when it is the single byte "0".  Only the other
+    cells are located, decoded and converted (all of them when the
+    threshold is negative, which makes "0" cells edges), so no K x K
+    structure is held and memory is O(block + K + E).  A file the scan
+    cannot split as csv.reader would (one with a quote or NUL byte, or a
+    cell longer than csv's field limit) is decoded by csv.reader instead.
+    Both sources feed one reducer, which takes each row's cell count and
+    its located cells' columns and texts, and applies the diagonal, the
+    threshold, the error order and the build.
     """
     path = Path(path)
     threshold = check_real(threshold, "threshold", "[-inf, inf]")
     zero_is_edge = 0.0 > threshold
-    rows = (r for r in _csv_rows(path) if r and any(c.strip() for c in r))
-    header = next(rows, None)
-    k = 0 if header is None else len(header) - 1
-    # the cells other than "0", row by row: their columns and texts, and how many each row has
-    count, error, cols, texts, sizes = 0, None, [], [], []
-    for r, row in enumerate(rows):
-        count = r + 1
-        if error is not None or r >= k:
+    try:
+        return _reduce_io_table(path, threshold, _scanned_chunks(path, zero_is_edge))
+    except _NeedsCsv:
+        return _reduce_io_table(path, threshold, _csv_chunks(path, zero_is_edge))
+
+
+class _NeedsCsv(Exception):
+    """The byte scan met a file that it cannot split into cells exactly as csv.reader does."""
+
+
+def _reduce_io_table(path: Path, threshold: float, chunks) -> ProductionNetwork:
+    """The network of a table given as chunks of its non-blank rows, in file order.
+
+    A chunk is (widths, rows, cols, texts): each row's cell count, and for
+    each located cell its row in the chunk, its column (0 is the label)
+    and its text.  The cells not located are "0".
+    """
+    k, seen, error, src, dst = 0, 0, None, [], []
+    for widths, rows, cols, texts in chunks:
+        if seen == 0 and len(widths):
+            k = int(widths[0]) - 1  # the header
+        first = seen - 1  # the data row index of the chunk's first row
+        seen += len(widths)
+        if error is not None:
             continue  # the row count decides whether the error is raised
-        if len(row) != k + 1:
-            error = FormatError(f"{path}: row {r + 1} has {len(row) - 1} cells, expected {k}")
+        data = np.arange(first, seen - 1)
+        ragged = np.flatnonzero((data >= 0) & (data < k) & (widths != k + 1))
+        end = int(data[ragged[0]]) if len(ragged) else k  # rows before it are converted
+        r = rows + first
+        at = np.flatnonzero((r >= 0) & (r < end) & (cols > 0) & (cols != r + 1))
+        given = [texts[t] for t in at.tolist()]
+        r, c = r[at], cols[at]
+        try:
+            values = np.array(given, dtype=np.float64)
+        except ValueError:
+            for t, text in enumerate(given):
+                try:
+                    float(text)
+                except ValueError:
+                    break
+            error = FormatError(f"{path}: non-numeric cell at row {r[t] + 1}, col {c[t]}")
             continue
-        row[0] = row[r + 1] = "0"  # the label and the diagonal are ignored, numeric or not
-        if zero_is_edge:  # "0" cells are edges too: convert every cell off the diagonal
-            given = [c for c in range(1, k + 1) if c != r + 1]
-        else:
-            given = [c for c, cell in enumerate(row) if cell != "0"]
-        cols += given
-        texts += map(row.__getitem__, given)
-        sizes.append(len(given))
+        if len(ragged):
+            row = ragged[0]
+            error = FormatError(f"{path}: row {data[row] + 1} has {widths[row] - 1} cells, expected {k}")
+        keep = values > threshold
+        src.append(r[keep] + 1)
+        dst.append(c[keep])
+    count = max(seen - 1, 0)
     if count == 0:
         raise FormatError(f"{path}: expected a labeled square matrix")
     if count != k:
         raise FormatError(f"{path}: matrix is not square ({count} rows, {k} columns)")
-    try:  # every row before the first ragged one
-        values = np.array(texts, dtype=np.float64)
-    except ValueError as exc:
-        at = next(t for t, text in enumerate(texts) if not _is_float(text))
-        r = int(np.searchsorted(np.cumsum(sizes), at, side="right"))
-        raise FormatError(f"{path}: non-numeric cell at row {r + 1}, col {cols[at]}") from exc
     if error is not None:
         raise error
-    keep = values > threshold
-    suppliers = np.repeat(np.arange(1, k + 1), sizes)
-    return ProductionNetwork(k, np.column_stack((suppliers[keep], np.array(cols, dtype=np.int64)[keep])))
+    return ProductionNetwork(k, np.column_stack((np.concatenate(src), np.concatenate(dst))))
 
 
-def _is_float(cell: str) -> bool:
+def _has_text(cells) -> bool:
+    """Whether a row is kept: some cell is more than whitespace."""
+    return any(c.strip() for c in cells)
+
+
+def _csv_chunks(path: Path, zero_is_edge: bool):
+    """The reducer's chunks from csv.reader's rows, 256 rows to a chunk."""
+    widths, rows, cols, texts = [], [], [], []
+    for row in _csv_rows(path):
+        if not _has_text(row):
+            continue
+        given = range(len(row)) if zero_is_edge else [c for c, cell in enumerate(row) if cell != "0"]
+        rows += [len(widths)] * len(given)
+        widths.append(len(row))
+        cols += given
+        texts += map(row.__getitem__, given)
+        if len(widths) == 256:
+            yield np.array(widths, np.intp), np.array(rows, np.intp), np.array(cols, np.intp), texts
+            widths, rows, cols, texts = [], [], [], []
+    yield np.array(widths, np.intp), np.array(rows, np.intp), np.array(cols, np.intp), texts
+
+
+def _scanned_chunks(path: Path, zero_is_edge: bool):
+    """The reducer's chunks from a numpy scan of the file's bytes, one per block."""
+    for block in _line_blocks(path):
+        if b'"' in block or b"\0" in block:
+            raise _NeedsCsv  # quoted cells; and csv.reader's NUL rule differs between Pythons
+        b = np.frombuffer(block, np.uint8)
+        sep = b == ord(",")
+        skip = b == ord("0")  # "0" cells that follow a comma, so not at a line start
+        skip[1:] &= sep[:-1]
+        skip[0] = False  # a block starts with a line
+        sep |= b == ord("\n")
+        sep |= b == ord("\r")
+        skip[:-1] &= sep[1:]  # b[-1] is a line end, so skip[-1] is already False
+        if zero_is_edge:
+            skip[:] = False  # "0" cells are edges: locate every cell
+        cells = np.empty_like(sep)  # where each cell starts
+        cells[0], cells[1:] = True, sep[:-1]
+        # unmark where each skipped cell starts and the separator that ends it
+        cells ^= skip
+        sep[1:] ^= skip[:-1]
+        starts, ends = np.flatnonzero(cells), np.flatnonzero(sep)
+        del sep, skip, cells  # or they live on while the next block is read and scanned
+        if (ends - starts).max() > csv.field_size_limit():
+            raise _NeedsCsv
+        # a located cell after a line end starts a line (b[-1] is one, for starts[0] = 0);
+        # the bytes between a located cell's end and the next start are "0," pairs
+        heads = (b[starts - 1] == ord("\n")) | (b[starts - 1] == ord("\r"))
+        firsts = np.flatnonzero(heads)
+        steps = np.diff(starts, append=len(block)) - (ends - starts) - 1
+        before = np.concatenate(([0], np.cumsum(steps // 2 + 1)))  # cells in the block before
+        line_of = np.cumsum(heads) - 1
+        cols = before[:-1] - before[firsts][line_of]
+        widths = np.diff(before[firsts], append=before[-1])
+        located = np.diff(firsts, append=len(starts))
+        texts = [block[s:e].decode() for s, e in zip(starts.tolist(), ends.tolist())]
+        # a line with a "0" cell has text; any other line is judged on its cells
+        maybe = np.flatnonzero(widths == located).tolist()
+        blank = [j for j in maybe if not _has_text(texts[firsts[j] : firsts[j] + located[j]])]
+        if blank:
+            kept = np.ones(len(widths), bool)
+            kept[blank] = False
+            on = kept[line_of]
+            texts = [t for t, o in zip(texts, on.tolist()) if o]
+            widths, cols = widths[kept], cols[on]
+            line_of = (np.cumsum(kept) - 1)[line_of[on]]
+        yield widths, line_of, cols, texts
+
+
+def _line_blocks(path: Path):
+    """The file's bytes, checked as UTF-8, in blocks that end at a line end.
+
+    A last line without a line end gains one.
+    """
+    tail, offset = b"", 0
+    with path.open("rb") as fh:
+        while data := fh.read(IO_TABLE_BLOCK):
+            cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
+            if cut:
+                block, tail = b"".join((tail, memoryview(data)[:cut])), data[cut:]
+                del data  # hold one copy of the block while it is scanned
+                _check_utf8(block, offset, path)
+                offset += len(block)
+                yield block
+            else:
+                tail += data
+    if tail:
+        _check_utf8(tail, offset, path)
+        yield tail + b"\n"
+
+
+def _check_utf8(block: bytes, offset: int, path: Path) -> None:
+    """Raise FormatError, naming positions in the file, if a block is not UTF-8."""
+    if block.isascii():
+        return
     try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
+        block.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        start, end = offset + exc.start, offset + exc.end - 1
+        where = f"byte 0x{block[exc.start]:02x} in position {start}" if start == end else f"bytes in position {start}-{end}"
+        raise FormatError(f"{path}: unreadable CSV: 'utf-8' codec can't decode {where}: {exc.reason}") from exc
 
 
 def save_network_json(net: ProductionNetwork, path) -> None:

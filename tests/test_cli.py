@@ -205,6 +205,36 @@ def test_io_table_ingestion(tmp_path, capsys):
     assert json.loads(stdout)["k"] == 3
 
 
+def test_io_table_bom_and_crlf_give_the_lf_run(tmp_path, capsys):
+    lf = ",A,B,C\nA,0,3,1\nB,0,0,2\nC,5,0,0\n"
+    table, out = tmp_path / "econ.csv", tmp_path / "hist.csv"
+    runs = []
+    for text in (lf, "\ufeff" + lf.replace("\n", "\r\n")):
+        table.write_bytes(text.encode())
+        code, stdout, _ = run_cli(
+            capsys, "simulate", "--net", str(table), "--net-format", "io-table",
+            "--x", "0.2", "--trials", "100", "--seed", "0", "--out", str(out),
+        )
+        assert code == 0
+        envelope = json.loads(stdout)
+        del envelope["wall_time_s"]
+        runs.append((envelope, out.read_bytes()))
+    assert runs[0] == runs[1]
+
+
+def test_io_table_not_utf8_past_first_block_exit_code(tmp_path, capsys):
+    k = 200
+    net_path = tmp_path / "wide.csv"
+    net_path.write_bytes("\n".join([",".join(["s"] + ["0"] * k)] * (k + 1)).encode()[:-1] + b"\xff\n")
+    assert net_path.stat().st_size > pn.fileio.IO_TABLE_BLOCK
+    code, _, stderr = run_cli(
+        capsys, "simulate", "--net", str(net_path), "--net-format", "io-table", "--x", "0.2",
+        "--out", str(tmp_path / "h.csv"),
+    )
+    assert code == 2
+    assert stderr.startswith("prodnet: ") and "unreadable CSV" in stderr
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

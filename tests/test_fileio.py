@@ -22,7 +22,8 @@ from prodnet import (
     save_edge_csv,
     save_network_json,
 )
-from prodnet.fileio import NETWORK_JSON_SCHEMA, write_csv
+from prodnet import fileio
+from prodnet.fileio import IO_TABLE_BLOCK, NETWORK_JSON_SCHEMA, write_csv
 
 from oracles import io_table_edges
 
@@ -274,37 +275,54 @@ def test_json_malformed_field_is_format_error(tmp_path, field):
         load_network_json(path)
 
 
-# cells the streaming parser must read exactly as the row-wise one did:
-# literal zeros, zeros it must convert and numbers, then junk and blanks
-_IO_CELLS = ["0"] * 8 + [" 0", "0.0", "-0", "0 ", "1", "0.5", "2e-3", "-1", "-0.25", "inf", "nan"]
+# cells the byte scan must read exactly as csv.reader does: literal zeros,
+# zeros and numbers it must convert, then junk and blanks
+_IO_CELLS = ["0"] * 8 + [
+    " 0", "0.0", "-0", "0 ", " 0 ", "00", "+1", "1_0", "1", "0.5", "2e-3", "-1", "-0.25", "inf", "nan",
+]
 _IO_JUNK = ["abc", "", "  ", "1,5", '"0"']
+# rows that str.strip blanks, some only through Unicode whitespace
+_IO_BLANKS = ["", "   ", " , ,", "\xa0", "\xa0, ", "\x1c", " ,\x1c, "]
 
 
 @st.composite
 def io_table_texts(draw):
-    """CSV text of a labeled table, square or not, with ragged, blank and quoted rows."""
+    """CSV text of a labeled table, square or not, with ragged, blank and quoted rows.
+
+    Line ends are LF, CR or CRLF, mixed within a file; the text may start
+    with a UTF-8 BOM and lack a final line end.  A plain table has no cell
+    that needs quoting, so unless every cell is quoted it reaches the byte
+    scan; its labels may be non-ASCII.
+    """
     k = draw(st.integers(0, 6))
-    labels = st.text(st.sampled_from('ab ,"\n'), min_size=1, max_size=4)
+    plain = draw(st.booleans())
+    labels = st.text(st.sampled_from("ab0 é€\xa0" if plain else 'ab ,"\n'), min_size=1, max_size=4)
+    junk = _IO_JUNK[:3] if plain else _IO_JUNK
 
     def cell():
         pick = draw(st.integers(0, 19))
         if pick == 0:
-            return draw(st.sampled_from(_IO_JUNK))
+            return draw(st.sampled_from(junk))
         return repr(draw(st.floats(-2, 2))) if pick < 5 else draw(st.sampled_from(_IO_CELLS))
 
     lines = [[draw(labels) for _ in range(k + 1)]]
     for _ in range(k + draw(st.sampled_from([0] * 6 + [-1, 1]))):
         width = max(k + draw(st.sampled_from([0] * 8 + [-1, 1])), 0)
         lines.append([draw(labels)] + [cell() for _ in range(width)])
-    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL] * 3 + [csv.QUOTE_ALL]))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r", "\r\n"]), min_size=1, max_size=3, unique=True))
     rows = []
     for line in lines:
         buffer = io.StringIO()
-        csv.writer(buffer, quoting=quoting).writerow(line)
+        csv.writer(buffer, quoting=quoting, lineterminator=draw(st.sampled_from(ends))).writerow(line)
         rows.append(buffer.getvalue())
     for _ in range(draw(st.integers(0, 3))):  # blank and whitespace-only rows
-        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(["\r\n", "   \r\n", " , ,\r\n"])))
-    return "".join(rows)
+        blank = draw(st.sampled_from(_IO_BLANKS)) + draw(st.sampled_from(ends))
+        rows.insert(draw(st.integers(0, len(rows))), blank)
+    text = "".join(rows)
+    if draw(st.integers(0, 3)) == 0:
+        text = text.rstrip("\r\n")  # no final line end
+    return ("\ufeff" if draw(st.integers(0, 3)) == 0 else "") + text
 
 
 def _outcome(call):
@@ -314,18 +332,76 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
-@settings(max_examples=400, deadline=None)
+def _parsed(path, threshold=0.0):
+    net = parse_io_table(path, threshold=threshold)
+    return net.node_count, net.edges
+
+
+@settings(max_examples=500, deadline=None)
 @given(text=io_table_texts(), threshold=st.sampled_from([0.0, -0.0, 0.5, -0.5, -1.0, 1e-9, -1e-300]))
 def test_io_table_matches_row_wise_parser(text, threshold):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "io.csv"
         path.write_text(text, encoding="utf-8", newline="")
+        assert _outcome(lambda: _parsed(path, threshold)) == _outcome(lambda: io_table_edges(path, threshold))
 
-        def parsed():
-            net = parse_io_table(path, threshold=threshold)
-            return net.node_count, net.edges
 
-        assert _outcome(parsed) == _outcome(lambda: io_table_edges(path, threshold))
+def _block_tables() -> dict:
+    """3 x 3 tables whose rows, line ends and characters straddle reads of 1, 5 and 64 bytes.
+
+    Row A's label is padded so that the text after it starts at byte 320 =
+    5 * 64, where a read of each of those sizes ends.
+    """
+    head, rows = ",A,B,é\n", "B,2.5,0,0\né,0,0.25,0\n"
+
+    def padded(label_end: str, rest: str, line_end: str = "\n", tail: str = rows) -> str:
+        pad = 320 - len(head.encode()) - len(label_end.encode())
+        return head + "x" * pad + label_end + rest + line_end + tail.replace("\n", line_end)
+
+    return {
+        "row-longer-than-block": head + "x" * 300 + ",0,1.5,0\n" + rows,
+        "cell-across-cut": padded(",0,1", ".5,0"),
+        "zero-across-cut": padded(",0,1.5,", "0"),
+        "crlf-across-cut": padded(",0,1.5,0\r", "", "\n"),
+        "cr-only": padded(",0,1.5,0", "", "\r"),
+        "utf8-label-across-cut": padded("€", ",0,1.5,0"),  # € is bytes 318-320
+        "utf8-label-after-cut": padded(",0,1.5,0\n", "é,0,0,0", tail="é,0,0.25,0\n"),
+        "zero-label-after-cut": padded(",0,1.5,0\n", "0,2.5,0,0", tail="0,0,0.25,0\n"),
+        "non-numeric-across-cut": padded(",0,a", "bc,0"),
+        "ragged-after-cut": padded(",0,1.5", ""),
+    }
+
+
+@pytest.mark.parametrize("block", [1, 5, 64, IO_TABLE_BLOCK])
+def test_io_table_blocks_cut_at_line_ends(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(fileio, "IO_TABLE_BLOCK", block)
+    for name, text in _block_tables().items():
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.encode())
+        for threshold in (0.0, -1.0):
+            expected = _outcome(lambda: io_table_edges(path, threshold))
+            assert _outcome(lambda: _parsed(path, threshold)) == expected, name
+    # past the first real block, a byte that is not UTF-8 in the last row is
+    # named by its position in the file, as decoding the whole file names it
+    k = 180
+    lines = ["," + ",".join(f"s{c}" for c in range(k))]
+    lines += [f"s{r}," + ",".join("0.5" if (r + c) % 7 == 0 else "0" for c in range(k)) for r in range(k)]
+    path = tmp_path / "wide.csv"
+    path.write_bytes("\n".join(lines)[:-1].encode() + b"\xff\n")  # in place of the last "0"
+    assert path.stat().st_size > IO_TABLE_BLOCK
+    with pytest.raises(UnicodeDecodeError) as whole:
+        path.read_bytes().decode("utf-8")
+    with pytest.raises(FormatError) as err:
+        parse_io_table(path)
+    assert str(err.value) == f"{path}: unreadable CSV: {whole.value}"
+
+
+def test_io_table_cell_over_the_csv_field_limit(tmp_path):
+    # csv.reader refuses a cell longer than its field limit; the byte scan hands such a file to it
+    f = tmp_path / "io.csv"
+    f.write_text(f",A,B\nA,0,{'1' * csv.field_size_limit()}1\nB,0,0\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="unreadable CSV: field larger than field limit"):
+        parse_io_table(f)
 
 
 def test_io_table_quoted_zero_and_spaced_zero(tmp_path):
