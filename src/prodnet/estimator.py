@@ -10,6 +10,11 @@ so one sort of theta serves every level and the whole eps grid, and the
 curve is exactly nonincreasing in x and nondecreasing in eps.  The
 estimate is the exact supremum of the qualifying levels, read off one
 order statistic of u, so no grid of x levels is searched.
+
+The trials are drawn and ranked in the blocks of `percolation`'s
+batches, and each block is reduced to its u_t per s_min before the next
+is drawn.  A curve therefore holds O(B K + E) memory for B trials to a
+block, plus O(trials |eps|) for the u_t, and never a (trials, K) array.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 
 from .errors import ParameterError, check_int, check_real
 from .network import ProductionNetwork
-from .percolation import _batch_draws, _failure_thresholds, derive_subseed
+from .percolation import _batch_draws, _failure_thresholds, _trial_blocks, derive_subseed
 
 DEFAULT_EPSILON_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
 _CEIL_GUARD = 1e-9  # absorbs float fuzz in (1-eps)*K before the ceiling
@@ -32,10 +37,23 @@ def _s_min(epsilon: float, k: int) -> int:
 
 
 def _survival_levels(net: ProductionNetwork, n: int, trials: int, seed: int, s_mins) -> list:
-    """Per s_min, the ascending levels u_t with S_t(x) >= s_min iff x <= u_t."""
-    maxima, _ = _batch_draws(net, n, 1.0, seed, trials)
-    ranked = np.sort(_failure_thresholds(net, maxima), axis=1)
-    return [np.sort(ranked[:, -s]) if s > 0 else np.full(trials, np.inf) for s in s_mins]
+    """Per s_min, the ascending levels u_t with S_t(x) >= s_min iff x <= u_t.
+
+    Each block of trials is drawn and ranked, and only its u_t are kept.
+    """
+    blocks = _trial_blocks(net, n, 1.0, seed, trials)
+    levels = np.full((len(s_mins), trials), np.inf)
+    for start, count in blocks:
+        maxima, _ = _batch_draws(net, n, 1.0, seed, count, start)
+        ranked = _failure_thresholds(net, maxima)
+        del maxima
+        ranked.sort(axis=1)
+        for row, s in zip(levels, s_mins):
+            if s > 0:
+                row[start : start + count] = ranked[:, -s]
+        del ranked  # before the next block is drawn
+    levels.sort(axis=1)
+    return list(levels)
 
 
 def _survival_estimate(levels: np.ndarray, x: float) -> float:

@@ -75,11 +75,19 @@ def parse_edge_csv(path) -> ProductionNetwork:
 
 
 def _csv_rows(path: Path):
-    """The rows of a UTF-8 CSV file; undecodable bytes and csv errors raise FormatError."""
+    """The rows of a UTF-8 CSV file; undecodable bytes and csv errors raise FormatError.
+
+    An undecodable byte is named by its position in the file.
+    """
     with path.open(newline="", encoding="utf-8") as fh:
         try:
             yield from csv.reader(fh)
-        except (UnicodeDecodeError, csv.Error) as exc:
+        except UnicodeDecodeError as exc:
+            # the decoder counts from its chunk's start; the block check names the file position
+            for _ in _line_blocks(path):
+                pass
+            raise FormatError(f"{path}: unreadable CSV: {exc}") from exc
+        except csv.Error as exc:
             raise FormatError(f"{path}: unreadable CSV: {exc}") from exc
 
 
@@ -355,23 +363,18 @@ def save_edge_csv(net: ProductionNetwork, path) -> None:
         writer.writerows((np.column_stack(net.edge_arrays()) + 1).tolist())
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
 def write_csv(path, header: list[str], rows) -> None:
     """Write rows of mixed numeric/text cells with a header row.
 
-    Floats are rendered with repr (shortest round-trip form, '.' decimal
-    point, no separators) so output bytes are stable across locales.
+    csv writes each cell as str(cell), and str of a Python float is its
+    repr (shortest round-trip form, '.' decimal point, no separators), so
+    output bytes are stable across locales.  Rows hold Python scalars, as
+    `.tolist()` gives them: str of a numpy float32 is its own, shorter form.
     """
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def write_resilience_csv(curve, path) -> None:
@@ -394,7 +397,7 @@ def write_beta_csv(ranking, path) -> None:
     write_csv(
         path,
         ["product", "beta", "rank"],
-        [(pid, beta, rank) for rank, (pid, beta) in enumerate(ranking, start=1)],
+        [(pid, float(beta), rank) for rank, (pid, beta) in enumerate(ranking, start=1)],
     )
 
 

@@ -17,24 +17,29 @@ x1 <= x2 on the same draws therefore yields nested failure sets.
 Under that layout product i fails at level x iff theta[i] < x, where
 theta[i] is the least supplier maximum over i and every product that
 reaches i along operational edges.  Every entry point draws, computes
-theta for all its trials in one pass, and compares it with its levels.
+theta in one pass over a block of trials, and compares it with its
+levels.  A batch walks its trials in blocks of B, sized so that a block's
+draws and theta take about TRIAL_BLOCK_BYTES, and keeps only each
+trial's reduction; so it holds O(B K + E) memory, not O(trials K), and
+only keep_failures=True keeps a (trials, K) matrix.
 
 Seeding contract, fixed because every seeded output depends on it: a
 single trial draws from `default_rng(seed)`, and trial t of a batch from
 `default_rng(derive_subseed(seed, t))`, so batches are reproducible and
-partitionable across workers by trial index.  A single trial does just
-that; a batch seeds no generator per trial.  `_subseeds` and
-`_pcg64_states` recompute numpy's SeedSequence hash and PCG64 seeding
-bit for bit, for a whole batch at once in array arithmetic, and
-`_batch_draws` then takes numpy's doubles one of two ways.  Stepping
-runs one round per uniform, advancing every trial's 128-bit LCG state
-together in uint64 words and taking PCG64's XSL-RR output, so a round
-costs a fixed ~30 array operations however few trials there are.  The
-generator route loads each trial's state into one reused numpy
-generator, which costs a few microseconds per trial and then fills the
-trial's uniforms in C; it stays because it wins once a trial needs many
-uniforms (hundreds at a thousand trials).  `_stepping_is_cheaper` picks
-the cheaper route from measured per-call and per-uniform costs.
+partitionable by trial index; a batch's blocks are such a partition.
+A single trial does just that; a batch seeds no generator per trial.
+`_subseeds` and `_pcg64_states` recompute numpy's SeedSequence hash and
+PCG64 seeding bit for bit, for a whole block at once in array
+arithmetic, and `_batch_draws` then takes numpy's doubles one of two
+ways.  Stepping runs one round per uniform, advancing every trial's
+128-bit LCG state together in uint64 words and taking PCG64's XSL-RR
+output, so a round costs a fixed ~30 array operations however few
+trials there are.  The generator route loads each trial's state into
+one reused numpy generator, which costs a few microseconds per trial
+and then fills the trial's uniforms in C; it stays because it wins once
+a trial needs many uniforms (hundreds at a thousand trials).
+`_stepping_is_cheaper` picks the cheaper route for each block from
+measured per-call and per-uniform costs; both give the same bits.
 """
 
 from __future__ import annotations
@@ -116,6 +121,7 @@ _MAX_UNIFORMS = np.iinfo(np.intp).max // 8  # doubles in numpy's largest array
 # the generator per trial and per uniform (see `_stepping_is_cheaper`).
 _STEP_ROUND_S, _STEP_DRAW_S = 30e-6, 17e-9
 _LOAD_TRIAL_S, _FILL_DRAW_S = 4.2e-6, 7e-9
+TRIAL_BLOCK_BYTES = 8 << 20  # draws and theta that a batch holds per block of trials
 
 
 def _seed_words(value, name: str = "seed") -> list[int]:
@@ -181,11 +187,15 @@ def derive_subseed(seed: int, index: int) -> int:
     return lo | hi << 32
 
 
-def _subseeds(seed: int, count: int) -> np.ndarray:
-    """`derive_subseed(seed, t)` for t in range(count), as one uint64 array."""
-    if count > MAX_TRIALS:
-        raise SizeError(f"{count} trials exceed the limit of {MAX_TRIALS} per batch")
-    lo, hi = _hash_words(_seed_words(seed) + [np.arange(count, dtype=np.uint32)], 2)
+def _check_trials(trials: int):
+    if trials > MAX_TRIALS:
+        raise SizeError(f"{trials} trials exceed the limit of {MAX_TRIALS} per batch")
+
+
+def _subseeds(seed: int, count: int, start: int = 0) -> np.ndarray:
+    """`derive_subseed(seed, t)` for t in range(start, start + count), as one uint64 array."""
+    _check_trials(start + count)
+    lo, hi = _hash_words(_seed_words(seed) + [np.arange(start, start + count, dtype=np.uint32)], 2)
     return lo.astype(np.uint64) | hi.astype(np.uint64) << 32
 
 
@@ -275,17 +285,39 @@ def _trial_draws(
     return maxima, None if y >= 1.0 else (rng.random(net.edge_count) < y)[None]
 
 
+def _trial_bytes(net: ProductionNetwork, n: int, y: float) -> int:
+    """Bytes that a batch holds per trial of a block.
+
+    They are the trial's (K, n) supplier uniforms, two (K,) copies of its
+    maxima or theta and, when y < 1, its operational mask and the mask's
+    transpose.
+    """
+    return 8 * net.node_count * (n + 2) + (2 * net.edge_count if y < 1.0 else 0)
+
+
+def _trial_blocks(net: ProductionNetwork, n: int, y: float, seed: int, trials: int):
+    """A batch's trials as (start, count) blocks of about TRIAL_BLOCK_BYTES.
+
+    The batch's limits are checked at once; the blocks are formed lazily.
+    """
+    _check_trials(trials)
+    _seed_words(seed)
+    _check_uniforms(trials, net.node_count, n)
+    size = max(1, TRIAL_BLOCK_BYTES // _trial_bytes(net, n, y))
+    return ((start, min(size, trials - start)) for start in range(0, trials, size))
+
+
 def _batch_draws(
-    net: ProductionNetwork, n: int, y: float, seed: int, trials: int
+    net: ProductionNetwork, n: int, y: float, seed: int, trials: int, start: int = 0
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Supplier maxima (trials, K) and, when y < 1, the operational mask (trials, E).
 
-    Row t holds what `default_rng(derive_subseed(seed, t))` draws; the
-    route that `_stepping_is_cheaper` picks takes numpy's doubles from
+    Row t holds what `default_rng(derive_subseed(seed, start + t))` draws;
+    the route that `_stepping_is_cheaper` picks takes numpy's doubles from
     the trials' PCG64 states.
     """
     k, e = net.node_count, net.edge_count
-    seeds = _subseeds(seed, trials)
+    seeds = _subseeds(seed, trials, start)
     _check_uniforms(trials, k, n)
     states = _pcg64_states(seeds)
     edge_rounds = 0 if y >= 1.0 else e
@@ -353,8 +385,8 @@ def _failure_thresholds(
     for level in net.level_plan():
         for lo, hi in zip(level.rounds, level.rounds[1:]):
             inputs = theta[level.sources[lo:hi]]
-            if dead is not None:
-                np.putmask(inputs, dead[level.edges[lo:hi]], np.inf)
+            if dead is not None:  # theta < 1, so a dead input, raised by 1, never wins
+                np.add(inputs, dead[level.edges[lo:hi]], out=inputs)
             consumers = level.consumers[lo:hi]
             theta[consumers] = np.minimum(theta[consumers], inputs, out=inputs)
         for cycle in level.cycles:
@@ -414,20 +446,26 @@ def run_batch(
     """Run independent trials with per-trial derived seeds.
 
     Trial t is exactly `run_trial` with seed `derive_subseed(cfg.seed, t)`,
-    so batches can be split and recombined by trial index.  With
-    keep_failures=True the (trials, K) failure-indicator matrix is kept in
-    the result for per-product statistics.
+    so batches can be split and recombined by trial index.  The trials
+    are drawn and reduced to their failure counts in blocks of about
+    TRIAL_BLOCK_BYTES, so memory is O(B K + E) for B trials to a block.
+    With keep_failures=True the (trials, K) failure-indicator matrix is
+    kept in the result for per-product statistics.
     """
     trials = check_int(trials, "trials")
     k = net.node_count
-    maxima, op_mask = _batch_draws(net, cfg.n, cfg.y, cfg.seed, trials)
-    failed = _failure_thresholds(net, maxima, op_mask, stop=cfg.x) < cfg.x
-    f_counts = failed.sum(axis=1).astype(np.int64)
-    s_counts = k - f_counts
+    blocks = _trial_blocks(net, cfg.n, cfg.y, cfg.seed, trials)
+    f_counts = np.empty(trials, dtype=np.int64)
+    failures = np.empty((trials, k), dtype=bool) if keep_failures else None
+    for start, count in blocks:
+        maxima, op_mask = _batch_draws(net, cfg.n, cfg.y, cfg.seed, count, start)
+        failed = _failure_thresholds(net, maxima, op_mask, stop=cfg.x) < cfg.x
+        f_counts[start : start + count] = failed.sum(axis=1)
+        if keep_failures:
+            failures[start : start + count] = failed
+        del maxima, op_mask, failed  # before the next block is drawn
     pmf = np.bincount(f_counts, minlength=k + 1).astype(np.float64) / trials
-    return BatchResult(
-        F=f_counts, S=s_counts, pmf=pmf, failures=failed if keep_failures else None
-    )
+    return BatchResult(F=f_counts, S=k - f_counts, pmf=pmf, failures=failures)
 
 
 def run_coupled_pair(

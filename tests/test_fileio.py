@@ -23,7 +23,14 @@ from prodnet import (
     save_network_json,
 )
 from prodnet import fileio
-from prodnet.fileio import IO_TABLE_BLOCK, NETWORK_JSON_SCHEMA, write_csv
+from prodnet.fileio import (
+    IO_TABLE_BLOCK,
+    NETWORK_JSON_SCHEMA,
+    write_beta_csv,
+    write_csv,
+    write_histogram_csv,
+    write_resilience_csv,
+)
 
 from oracles import io_table_edges
 
@@ -82,6 +89,25 @@ def test_edge_csv_large_node_count(tmp_path):
     net = parse_edge_csv(f)
     assert net.node_count == 626
     assert net.edge_count == 625
+
+
+def test_csv_reader_names_an_undecodable_byte_by_its_file_position(tmp_path):
+    rows = b"source,target\n" + b"".join(b"a%d,b%d\n" % (i, i) for i in range(4000))
+    head = rows[: rows.rfind(b"\n", 0, 33794) + 1]
+    edges = tmp_path / "edges.csv"
+    edges.write_bytes(head + b"x" * (33794 - len(head)) + b"\xff,y\n")
+    # the text decoder, 8 KB at a time, called this position 1026
+    with pytest.raises(FormatError, match=r"byte 0xff in position 33794: invalid start byte$"):
+        parse_edge_csv(edges)
+    # the quote sends this table to csv.reader
+    table = tmp_path / "quoted.csv"
+    table.write_bytes(b',"s1",s2\ns1,0,1\n' + b"\n" * 40_000 + b"s2,1,\xff\xfe\n")
+    for path, parse in ((edges, parse_edge_csv), (table, parse_io_table)):
+        with pytest.raises(UnicodeDecodeError) as whole:
+            path.read_bytes().decode("utf-8")
+        with pytest.raises(FormatError) as err:
+            parse(path)
+        assert str(err.value) == f"{path}: unreadable CSV: {whole.value}"
 
 
 def test_io_table_single_edge(tmp_path):
@@ -250,6 +276,63 @@ def test_write_csv_deterministic_bytes(tmp_path):
     write_csv(b, ["i", "v", "s"], rows)
     assert a.read_bytes() == b.read_bytes()
     assert b"0.30000000000000004" in a.read_bytes()  # repr round-trip form
+
+
+def _per_cell_csv(path, header, rows):
+    """The former write_csv: every float cell, numpy's too, widened and written by repr."""
+
+    def fmt(v):
+        return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(v) for v in row])
+
+
+def test_csv_writers_keep_the_per_cell_bytes(tmp_path):
+    inf, nan = float("inf"), float("nan")
+    wide = [0.1 + 0.2, 1e-17, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e16,
+            9999999999999998.0, 1e-5, 1e-4, 123456.789, 0.0, -0.0, inf, nan]
+    narrow = [0.1, 1e-38, 1e-45, 3.4e38, 1e16, 1e-5, 1e-4, 123456.789, 16777217.0, 2.5, 0.0, -0.0, inf, nan]
+    columns = [
+        np.array(wide),
+        np.array(narrow, dtype=np.float32),  # float32's own str is shorter than the old repr
+        np.array([0, 1, -7, 2**62, -(2**63), 10**18, 3, 5, 8, 13, 21, 34, 55, 89], dtype=np.int64),
+        np.arange(14) % 3 == 0,
+    ]
+    fractions = [0.1 + 0.2, 1e-17, 5e-324, 1e-5, 1e-4, 0.0, 1 / 3, 0.999999, 1.0, 2.5e-7]
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+
+    def same(write, header, old_rows):
+        write(new)
+        _per_cell_csv(old, header, old_rows)
+        assert new.read_bytes() == old.read_bytes()
+
+    header = ["f64", "f32", "i64", "bool", "text"]
+    numpy_rows = list(zip(*columns, ["a", "b,c", 'q"', "", "é"] * 3))
+    python_rows = list(zip(*(c.tolist() for c in columns), ["a", "b,c", 'q"', "", "é"] * 3))
+    same(lambda p: write_csv(p, header, python_rows), header, numpy_rows)
+    for values in columns[:2]:
+        pmf = np.array(fractions, dtype=values.dtype)
+        same(
+            lambda p: write_histogram_csv(pmf, 1000, p),
+            ["f", "count", "frequency"],
+            [(f, int(round(float(v) * 1000)), v) for f, v in enumerate(pmf)],
+        )
+        curve = SimpleNamespace(epsilon_grid=values, r_hat=values[::-1], stderr=values)
+        same(
+            lambda p: write_resilience_csv(curve, p),
+            ["epsilon", "r_hat", "stderr"],
+            list(zip(values, values[::-1], values)),
+        )
+        ranking = list(zip(columns[2], values))
+        same(
+            lambda p: write_beta_csv(ranking, p),
+            ["product", "beta", "rank"],
+            [(pid, beta, rank) for rank, (pid, beta) in enumerate(ranking, start=1)],
+        )
 
 
 @pytest.mark.parametrize(

@@ -4,14 +4,26 @@ Reading a K x K input-output table and drawing a random DAG on K
 products used to hold O(K^2) objects; both now hold O(K + E) plus a
 fixed block, so their traced peaks stay a small fraction of K^2.  A
 batch of many trials on a small network steps its PCG64 states in uint64
-arrays, with no Python int per trial.
+arrays, with no Python int per trial.  Batches and resilience curves
+walk their trials in blocks of about TRIAL_BLOCK_BYTES, so a resolved
+curve (trials >= K ln 20) holds a block plus its u_t, not trials x K.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 
-from prodnet import PercolationConfig, ProductionNetwork, generate_rdag, parse_io_table, run_batch
+from prodnet import (
+    PercolationConfig,
+    ProductionNetwork,
+    generate_rdag,
+    parse_io_table,
+    resilience_curve,
+    run_batch,
+)
+from prodnet.estimator import DEFAULT_EPSILON_GRID
+from prodnet.percolation import TRIAL_BLOCK_BYTES
 
 
 def _traced_peak(call) -> tuple[object, int]:
@@ -56,3 +68,27 @@ def test_small_network_batch_steps_its_states_in_arrays():
     # per trial and the (trials, K, n) uniforms, and peaked at 40.6 MB;
     # stepping peaks at 18.4 MB
     assert peak < 30e6
+
+
+def test_resolved_resilience_curve_holds_a_block_not_the_trials():
+    k = 1500
+    net = generate_rdag(k, 0.002, seed=1000)
+    trials = math.ceil(k * math.log(20))
+    curve, peak = _traced_peak(lambda: resilience_curve(net, trials=trials, seed=3))
+    assert curve.trials == trials and 0.0 < curve.auc < 1.0
+    # (trials, K) doubles are 54 MB, and holding the maxima, theta and its
+    # sorted copy for every trial peaked at 162 MB; a block and the u_t of
+    # every eps peak at 7.5 MB
+    levels = 8 * trials * len(DEFAULT_EPSILON_GRID)
+    assert peak < 1.25 * TRIAL_BLOCK_BYTES + 2 * levels
+    assert peak < trials * k * 8 / 4
+
+
+def test_large_batch_holds_a_block_not_the_trials():
+    k, trials = 10_000, 200
+    net = generate_rdag(k, 5e-5, seed=1004)
+    for y in (1.0, 0.5):
+        batch, peak = _traced_peak(lambda: run_batch(net, PercolationConfig(x=0.05, y=y, seed=1), trials))
+        assert batch.trials == trials
+        # the (trials, K) uniforms, maxima and theta peaked at 38.6 MB; blocks at 7.4 MB
+        assert peak < 1.25 * TRIAL_BLOCK_BYTES

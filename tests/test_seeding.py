@@ -9,6 +9,8 @@ both routes to numpy bit for bit: the batch subseeds equal
 and single trials seeded with integers of any size draw what
 `default_rng(cfg.seed)` draws.  Seeds of 2**96 and more give entropy
 pools of more than four words, which take the hash's tail-mixing loop.
+Batches walk their trials in blocks; split into blocks of any size, a
+batch or a resilience curve gives the arrays of a single block.
 """
 
 from contextlib import contextmanager
@@ -22,13 +24,25 @@ from prodnet import (
     ParameterError,
     PercolationConfig,
     ProductionNetwork,
+    SizeError,
     derive_subseed,
+    estimate_survival_prob,
+    generate_rdag,
+    resilience_curve,
     run_batch,
     run_coupled_pair,
     run_trial,
 )
 from prodnet import percolation
-from prodnet.percolation import _batch_draws, _failure_thresholds, _stepping_is_cheaper, _subseeds
+from prodnet.percolation import (
+    MAX_TRIALS,
+    _batch_draws,
+    _failure_thresholds,
+    _stepping_is_cheaper,
+    _subseeds,
+    _trial_blocks,
+    _trial_bytes,
+)
 
 EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 7, 2**130 + 5)
 seeds = st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**140))
@@ -91,6 +105,20 @@ def test_batch_subseeds_match_seed_sequence(seed, trials):
     expected = [numpy_subseed(seed, t) for t in range(trials)]
     assert _subseeds(seed, trials).tolist() == expected
     assert [derive_subseed(seed, t) for t in range(trials)] == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=seeds, start=st.integers(0, 40), count=st.integers(0, 40))
+def test_subseeds_from_an_offset_are_a_slice(seed, start, count):
+    assert np.array_equal(_subseeds(seed, count, start), _subseeds(seed, start + count)[start:])
+
+
+def test_subseeds_offset_counts_toward_the_trial_limit():
+    top = _subseeds(5, 2, MAX_TRIALS - 2)
+    assert top.tolist() == [numpy_subseed(5, MAX_TRIALS - 2), numpy_subseed(5, MAX_TRIALS - 1)]
+    assert len(_subseeds(5, 0, MAX_TRIALS)) == 0
+    with pytest.raises(SizeError, match=f"^{MAX_TRIALS + 1} trials exceed the limit"):
+        _subseeds(5, 2, MAX_TRIALS - 1)
 
 
 @pytest.mark.parametrize("seed", EDGE_SEEDS)
@@ -174,3 +202,68 @@ def test_seeding_rejects_non_integer_or_negative_seeds(seed):
         _subseeds(seed, 3)
     with pytest.raises(ParameterError):
         PercolationConfig(x=0.5, seed=seed)
+
+
+@contextmanager
+def blocks_of(size, net, n, y):
+    """Sets the block budget so that a batch on net goes `size` trials to a block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(percolation, "TRIAL_BLOCK_BYTES", size * _trial_bytes(net, n, y))
+        yield
+
+
+BLOCK_NETWORKS = {
+    "rdag": generate_rdag(12, 0.3, seed=4),
+    # two cyclic components, fed and feeding: joint percolation floods them
+    "cyclic": ProductionNetwork(7, [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 6), (6, 4), (6, 7), (2, 7)]),
+}
+BLOCK_SPLITS = {1: [1] * 10, 3: [3, 3, 3, 1], 4: [4, 4, 2]}  # block size: the block counts of 10 trials
+
+
+@pytest.mark.parametrize("size", BLOCK_SPLITS)
+@pytest.mark.parametrize("name", BLOCK_NETWORKS)
+def test_batches_split_into_blocks_give_the_same_arrays(name, size):
+    net, trials = BLOCK_NETWORKS[name], 10
+    for n, y in ((1, 1.0), (2, 0.5)):
+        cfg = PercolationConfig(x=0.45, y=y, n=n, seed=2**64 + 9)
+        whole = run_batch(net, cfg, trials, keep_failures=True)
+        with blocks_of(size, net, n, y):
+            assert [c for _, c in _trial_blocks(net, n, y, cfg.seed, trials)] == BLOCK_SPLITS[size]
+            for route in ROUTES:
+                with forced(route):
+                    split = run_batch(net, cfg, trials, keep_failures=True)
+                for field in ("F", "S", "pmf", "failures"):
+                    assert np.array_equal(getattr(split, field), getattr(whole, field)), (field, route)
+                assert split.F.dtype == whole.F.dtype and split.S.dtype == whole.S.dtype
+
+
+@pytest.mark.parametrize("size", BLOCK_SPLITS)
+@pytest.mark.parametrize("name", BLOCK_NETWORKS)
+def test_estimates_split_into_blocks_give_the_same_arrays(name, size):
+    net, trials, eps = BLOCK_NETWORKS[name], 10, (0.05, 0.3, 0.6, 0.95)
+    whole = resilience_curve(net, eps, n=2, trials=trials, seed=33)
+    p_whole = estimate_survival_prob(net, 0.4, 1, 0.3, trials, seed=33)
+    with blocks_of(size, net, 2, 1.0):
+        split = resilience_curve(net, eps, n=2, trials=trials, seed=33)
+    with blocks_of(size, net, 1, 1.0):
+        assert estimate_survival_prob(net, 0.4, 1, 0.3, trials, seed=33) == p_whole
+    for field in ("r_hat", "stderr"):
+        assert np.array_equal(getattr(split, field), getattr(whole, field)), field
+    assert split.auc == whole.auc
+
+
+def test_batch_limits_are_refused_before_any_block():
+    net = ProductionNetwork(2, [(1, 2)])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(percolation, "TRIAL_BLOCK_BYTES", 1)  # one trial to a block
+        # too many trials first, then the seed, then the size of the uniforms
+        with pytest.raises(SizeError, match="trials exceed the limit"):
+            _trial_blocks(net, 1, 1.0, -1, 2**70)
+        with pytest.raises(ParameterError, match="^seed must be"):
+            _trial_blocks(net, 2**62, 1.0, -1, 2**32)
+        with pytest.raises(SizeError, match="supplier uniforms exceed"):
+            _trial_blocks(net, 2**62, 1.0, 0, 2**32)
+        with pytest.raises(SizeError, match="trials exceed the limit"):
+            run_batch(net, PercolationConfig(x=0.5), 2**70)
+        with pytest.raises(SizeError, match="trials exceed the limit"):
+            resilience_curve(net, trials=MAX_TRIALS + 1)
