@@ -334,10 +334,9 @@ def load_network_json(path) -> ProductionNetwork:
 def _json_edges(value):
     """Edge pairs: one int64 array when every id is an int, else checked pair by pair."""
     try:
-        if set(map(type, itertools.chain.from_iterable(value))) <= {int}:
-            pairs = np.array(value, dtype=np.int64)
-            if pairs.ndim == 2 and pairs.shape[1] == 2:
-                return pairs
+        ids = itertools.chain.from_iterable
+        if set(map(type, ids(value))) <= {int} and set(map(len, value)) <= {2}:
+            return np.fromiter(ids(value), np.int64, 2 * len(value)).reshape(-1, 2)
     except (TypeError, ValueError, OverflowError):
         pass  # not a list of int pairs: the check below names the fault
     return [(_json_int(j), _json_int(i)) for j, i in value]
@@ -388,8 +387,9 @@ def write_resilience_csv(curve, path) -> None:
 
 def write_histogram_csv(pmf: np.ndarray, trials: int, path) -> None:
     """Cascade-size histogram as CSV with columns f, count, frequency."""
-    rows = [(f, int(round(p * trials)), p) for f, p in enumerate(pmf.tolist())]
-    write_csv(path, ["f", "count", "frequency"], rows)
+    # in float64, as the Python floats of `tolist()`; rint rounds half to even, as round() does
+    counts = np.rint(np.asarray(pmf, dtype=np.float64) * trials).astype(np.int64)
+    write_csv(path, ["f", "count", "frequency"], zip(range(len(pmf)), counts.tolist(), pmf.tolist()))
 
 
 def write_beta_csv(ranking, path) -> None:

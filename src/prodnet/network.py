@@ -7,12 +7,17 @@ construction and safe to share across workers.  Construction takes the
 edges as pairs or as an (E, 2) array and checks, deduplicates and sorts
 them with numpy; it keeps them as sorted edge arrays plus successor and
 predecessor lists in CSR form (offsets of K + 1 entries), so a network
-holds O(K + E) memory.  Derived structures (the edge tuples, strongly
-connected components, level plans) are computed lazily and cached, and
-none is dense in K except the reachability closure, which only tests and
-`perfbench`'s tracer use.  A level plan is the one walk over the strong
-components, in topological order, that the failure thresholds, Katz
-solves and `dag_beta` share.
+holds O(K + E) memory.  Construction checks acyclicity by finding a
+topological order and keeps it.  Derived structures (the edge tuples,
+strongly connected components, level plans) are computed lazily and
+cached, and none is dense in K except the reachability closure, which
+only tests and `perfbench`'s tracer use.  A level plan is the one walk
+over the strong components, in topological order, that the failure
+thresholds, Katz solves and `dag_beta` share.  On an acyclic network its
+components are the products in the kept order, so only a cyclic network
+runs Tarjan's algorithm.  A level's inputs are laid out in rounds that
+each feed a prefix of the level's `fed` products, so a round of the
+failure thresholds is one contiguous minimum.
 """
 
 from __future__ import annotations
@@ -45,16 +50,18 @@ class Cycle(NamedTuple):
 class Level(NamedTuple):
     """One depth of a level plan: its products and their inputs from earlier levels.
 
-    Input e is edge edges[e] (an index into `edge_arrays()`) from
-    sources[e] to consumers[e], which is products[segment[e]].  Inputs are
-    sorted by (rank, consumer), rank being the input's place among its
-    consumer's by ascending source, so round r, the span
-    rounds[r]:rounds[r + 1], holds each consumer's r-th input.  cycles are
-    the level's strong components of several products.
+    fed lists the level's products that have such inputs, by (input
+    count, largest first, then id).  Input e is edge edges[e] (an index
+    into `edge_arrays()`) from sources[e] to products[segment[e]].  Inputs
+    are sorted by (rank, consumer's place in fed), rank being the input's
+    place among its consumer's by ascending source, so round r, the span
+    rounds[r]:rounds[r + 1], holds the r-th input of each of fed[:m], m
+    being the span's length.  cycles are the level's strong components of
+    several products.
     """
 
     products: np.ndarray  # 0-based, ascending, cycles' members included
-    consumers: np.ndarray
+    fed: np.ndarray
     segment: np.ndarray
     sources: np.ndarray
     edges: np.ndarray
@@ -125,10 +132,12 @@ class ProductionNetwork:
         object.__setattr__(self, "_in_src", _frozen(src[by_consumer]))
         object.__setattr__(self, "_cache", {})
 
-        is_dag = self._check_acyclic()
-        if acyclic is True and not is_dag:
+        order = self._topological_order()
+        if acyclic is True and order is None:
             raise ValidationError("network was declared acyclic but contains a cycle")
-        object.__setattr__(self, "acyclic", is_dag)
+        object.__setattr__(self, "acyclic", order is not None)
+        if order is not None:
+            self._cache["topological_order"] = order
 
     def __setattr__(self, name, value):
         raise AttributeError("ProductionNetwork is immutable")
@@ -281,84 +290,105 @@ class ProductionNetwork:
 
     # -- internal ----------------------------------------------------------
 
-    def _build_level_plan(self, reverse: bool) -> tuple[Level, ...]:
-        source, consumer = self.edge_arrays()
+    def _components(self) -> tuple[np.ndarray, np.ndarray]:
+        """Strong components as arrays: their members, one component after another, and sizes.
+
+        The components come in topological order.  An acyclic network's
+        are its products one by one, in the order `_topological_order`
+        found at construction; only a cyclic network runs Tarjan.
+        """
+        if self.acyclic:
+            return self._cache["topological_order"], np.ones(self.node_count, dtype=np.int64)
         comps = self.strong_components()
-        if reverse:
-            source, consumer, comps = consumer, source, comps[::-1]
         members = np.fromiter(itertools.chain.from_iterable(comps), dtype=np.int64, count=self.node_count)
-        comp = np.empty(self.node_count, dtype=np.int64)
-        comp[members] = np.repeat(np.arange(len(comps)), np.fromiter(map(len, comps), dtype=np.int64))
+        return members, np.fromiter(map(len, comps), dtype=np.int64, count=len(comps))
+
+    def _build_level_plan(self, reverse: bool) -> tuple[Level, ...]:
+        k = self.node_count
+        source, consumer = self.edge_arrays()
+        in_order, sizes = self._components()
+        comp = np.empty(k, dtype=np.int64)
+        comp[in_order] = np.repeat(np.arange(len(sizes)), sizes)
+        if reverse:
+            source, consumer, comp = consumer, source, len(sizes) - 1 - comp
         internal = comp[source] == comp[consumer]
+        cross, inner = np.flatnonzero(~internal), np.flatnonzero(internal)
         # comps run in topological order along inputs, so with the edges between
         # components taken by their consumer's component, an input's depth is
         # final when it is read
-        cross = np.flatnonzero(~internal)
-        cross = cross[np.argsort(comp[consumer[cross]])]
-        depth = [0] * len(comps)
-        for c_in, c in zip(comp[source[cross]].tolist(), comp[consumer[cross]].tolist()):
+        by_comp = cross[np.argsort(comp[consumer[cross]])]
+        depth = [0] * len(sizes)
+        for c_in, c in zip(comp[source[by_comp]].tolist(), comp[consumer[by_comp]].tolist()):
             if depth[c_in] >= depth[c]:
                 depth[c] = depth[c_in] + 1
         levels = max(depth) + 1
         level = np.array(depth)[comp]
-        # rank each consumer's inputs by source, the order canonical edge order keeps
-        by_consumer = np.lexsort((consumer, internal))
-        first = np.flatnonzero(np.diff(consumer[by_consumer], prepend=-1))
-        rank = np.empty_like(by_consumer)
-        runs = np.diff(first, append=len(rank))
-        rank[by_consumer] = np.arange(len(rank)) - np.repeat(first, runs)
-        # per level, its inputs from other components by (rank, consumer), then
-        # its cyclic components' internal edges by (component, tail, head)
-        order = np.lexsort((
-            consumer,
-            np.where(internal, source, rank),
-            np.where(internal, comp[consumer], -1),
-            level[consumer],
-        ))
-        internal_count = np.bincount(comp[consumer[internal]], minlength=len(comps))
-        cuts = np.searchsorted(2 * level[consumer[order]] + internal[order], range(2 * levels + 1))
-        source, consumer, rank, cuts = source[order], consumer[order], rank[order], cuts.tolist()
+        # rank each consumer's inputs from other components by ascending source
+        cross = cross[np.argsort(consumer[cross] * k + source[cross])]
+        first = np.flatnonzero(np.diff(consumer[cross], prepend=-1))
+        fed, fed_in = consumer[cross[first]], np.diff(first, append=len(cross))
+        rank = np.arange(len(cross)) - np.repeat(first, fed_in)
+        # per level, the products so fed by (input count descending, id), so the
+        # consumers of a round are a prefix of them; their inputs by (rank, place)
+        fed = fed[np.argsort(level[fed] * (k + 1) - fed_in, kind="stable")]
+        place = np.empty(k, dtype=np.int64)
+        place[fed] = np.arange(len(fed))
+        order = np.lexsort((place[consumer[cross]], level[consumer[cross]] * k + rank))
+        cross, rank = cross[order], rank[order]
+        # per level, its cyclic components' internal edges by (component, tail, head)
+        inner_comp = comp[consumer[inner]]
+        inner = inner[np.lexsort((consumer[inner], source[inner], level[consumer[inner]] * k + inner_comp))]
+        internal_count = np.bincount(inner_comp, minlength=len(sizes))
+        cuts, inner_cuts, fed_cuts = (
+            np.searchsorted(level[v], range(levels + 1)).tolist()
+            for v in (consumer[cross], consumer[inner], fed)
+        )
         products = np.argsort(level, kind="stable")
         product_cuts = np.searchsorted(level[products], range(levels + 1)).tolist()
         plan = []
         for d in range(levels):
             at_level = products[product_cuts[d] : product_cuts[d + 1]]
-            lo, mid, hi = cuts[2 * d : 2 * d + 3]
-            cycles, at = [], mid
-            while at < hi:  # one span of internal edges per cyclic component
-                c = comp[consumer[at]]
-                members, span = np.array(comps[c]), slice(at, at + internal_count[c])
-                tails = np.searchsorted(members, source[span])
+            cycles, at = [], inner_cuts[d]
+            while at < inner_cuts[d + 1]:  # one span of internal edges per cyclic component
+                span = inner[at : at + internal_count[comp[consumer[inner[at]]]]]
+                # every member has an internal edge leaving it
+                members, tails = np.unique(source[span], return_inverse=True)
                 heads = np.searchsorted(members, consumer[span])
                 starts = np.searchsorted(tails, range(len(members) + 1))
-                cycles.append(Cycle(members, tails, heads, order[span], starts))
-                at = span.stop
+                cycles.append(Cycle(members, tails, heads, span, starts))
+                at += len(span)
+            edges = cross[cuts[d] : cuts[d + 1]]
             plan.append(Level(
                 at_level,
-                consumer[lo:mid],
-                np.searchsorted(at_level, consumer[lo:mid]),
-                source[lo:mid],
-                order[lo:mid],
-                (0, *np.bincount(rank[lo:mid]).cumsum().tolist()),
+                fed[fed_cuts[d] : fed_cuts[d + 1]],
+                np.searchsorted(at_level, consumer[edges]),
+                source[edges],
+                edges,
+                (0, *np.bincount(rank[cuts[d] : cuts[d + 1]]).cumsum().tolist()),
                 tuple(cycles),
             ))
         return tuple(plan)
 
-    def _check_acyclic(self) -> bool:
+    def _topological_order(self) -> Optional[np.ndarray]:
+        """A topological order of the products, 0-based, or None if the network is cyclic.
+
+        It is the ids in order when they ascend along every edge, else
+        Kahn's order.
+        """
         if np.all(self._src < self._dst):  # ids ascend along every edge
-            return True
+            return np.arange(self.node_count)
         indeg = np.diff(self._in_starts).tolist()
         starts, succ = self._out_starts.tolist(), self._dst.tolist()
         ready = np.flatnonzero(np.diff(self._in_starts) == 0).tolist()
-        done = 0
+        order = []
         while ready:
             u = ready.pop()
-            done += 1
+            order.append(u)
             for v in succ[starts[u] : starts[u + 1]]:
                 indeg[v] -= 1
                 if indeg[v] == 0:
                     ready.append(v)
-        return done == self.node_count
+        return np.array(order, dtype=np.int64) if len(order) == self.node_count else None
 
 
 def _canonical_edges(k: int, edges) -> tuple[np.ndarray, np.ndarray]:

@@ -18,8 +18,12 @@ Under that layout product i fails at level x iff theta[i] < x, where
 theta[i] is the least supplier maximum over i and every product that
 reaches i along operational edges.  Every entry point draws, computes
 theta in one pass over a block of trials, and compares it with its
-levels.  A batch walks its trials in blocks of B, sized so that a block's
-draws and theta take about TRIAL_BLOCK_BYTES, and keeps only each
+levels.  The pass walks `net.level_plan()`: per level it gathers the
+inputs from earlier levels and the rows of the products they feed, takes
+one contiguous minimum per round of inputs, each round feeding a prefix
+of those rows, and writes the rows back.  A batch walks its trials in
+blocks of B, sized so that a block's draws, theta and its gather of the
+widest level's inputs take about TRIAL_BLOCK_BYTES, and keeps only each
 trial's reduction; so it holds O(B K + E) memory, not O(trials K), and
 only keep_failures=True keeps a (trials, K) matrix.
 
@@ -289,10 +293,11 @@ def _trial_bytes(net: ProductionNetwork, n: int, y: float) -> int:
     """Bytes that a batch holds per trial of a block.
 
     They are the trial's (K, n) supplier uniforms, two (K,) copies of its
-    maxima or theta and, when y < 1, its operational mask and the mask's
-    transpose.
+    maxima or theta, theta's gather of the widest level's inputs and, when
+    y < 1, its operational mask and the mask's transpose.
     """
-    return 8 * net.node_count * (n + 2) + (2 * net.edge_count if y < 1.0 else 0)
+    widest = max(len(level.sources) for level in net.level_plan())
+    return 8 * (net.node_count * (n + 2) + widest) + (2 * net.edge_count if y < 1.0 else 0)
 
 
 def _trial_blocks(net: ProductionNetwork, n: int, y: float, seed: int, trials: int):
@@ -364,7 +369,12 @@ def _generator_draws(k: int, n: int, edge_rounds: int, y: float, hi, lo, inc_hi,
         if edge_rounds:
             rng.random(out=edge_uniforms)
             np.less(edge_uniforms, y, out=op_mask[t])
-    return uniforms.max(axis=2), op_mask
+    # a max over the short supplier axis is slow; n - 1 strided maxima into
+    # the first supplier's uniforms, which nothing reads again, are not
+    maxima = uniforms[:, :, 0]
+    for j in range(1, n):
+        np.maximum(maxima, uniforms[:, :, j], out=maxima)
+    return maxima, op_mask
 
 
 def _failure_thresholds(
@@ -373,22 +383,24 @@ def _failure_thresholds(
     """theta (trials, K): product i fails at level x in trial t iff theta[t, i] < x.
 
     The levels of `net.level_plan()` are visited in order, vectorised over
-    trials; each product first takes the minimum of its own maximum and
-    its operational inputs from earlier levels, one in each round of its
-    level.  A cyclic component then shares its least value when every
-    edge operates; otherwise `_flood` spreads values below `stop` along
-    its operational edges.  Entries below `stop` are exact; an entry at
-    or above `stop` is only known to be so.
+    trials.  A level gathers its inputs from earlier levels and the rows
+    of the products they feed at once; each round then takes one
+    contiguous minimum of a prefix of those rows with the round's inputs,
+    and the rows are written back.  A cyclic component then shares its
+    least value when every edge operates; otherwise `_flood` spreads
+    values below `stop` along its operational edges.  Entries below
+    `stop` are exact; an entry at or above `stop` is only known to be so.
     """
     theta = np.array(maxima.T, order="C")  # a contiguous row of trials per product
     dead = None if op_mask is None else np.logical_not(op_mask.T, order="C")
     for level in net.level_plan():
+        inputs = theta[level.sources]
+        if dead is not None:  # theta < 1, so a dead input, raised by 1, never wins
+            np.add(inputs, dead[level.edges], out=inputs)
+        low = theta[level.fed]
         for lo, hi in zip(level.rounds, level.rounds[1:]):
-            inputs = theta[level.sources[lo:hi]]
-            if dead is not None:  # theta < 1, so a dead input, raised by 1, never wins
-                np.add(inputs, dead[level.edges[lo:hi]], out=inputs)
-            consumers = level.consumers[lo:hi]
-            theta[consumers] = np.minimum(theta[consumers], inputs, out=inputs)
+            np.minimum(low[: hi - lo], inputs[lo:hi], out=low[: hi - lo])
+        theta[level.fed] = low
         for cycle in level.cycles:
             if dead is None:
                 theta[cycle.members] = theta[cycle.members].min(axis=0)

@@ -6,7 +6,8 @@ fixed block, so their traced peaks stay a small fraction of K^2.  A
 batch of many trials on a small network steps its PCG64 states in uint64
 arrays, with no Python int per trial.  Batches and resilience curves
 walk their trials in blocks of about TRIAL_BLOCK_BYTES, so a resolved
-curve (trials >= K ln 20) holds a block plus its u_t, not trials x K.
+curve (trials >= K ln 20) holds a block plus its u_t, not trials x K, and
+a block counts the widest level's inputs that theta gathers at once.
 """
 
 import math
@@ -17,6 +18,7 @@ import numpy as np
 from prodnet import (
     PercolationConfig,
     ProductionNetwork,
+    generate_parallel,
     generate_rdag,
     parse_io_table,
     resilience_curve,
@@ -92,3 +94,13 @@ def test_large_batch_holds_a_block_not_the_trials():
         assert batch.trials == trials
         # the (trials, K) uniforms, maxima and theta peaked at 38.6 MB; blocks at 7.4 MB
         assert peak < 1.25 * TRIAL_BLOCK_BYTES
+
+
+def test_joint_batch_on_one_wide_level_holds_a_block():
+    # 2000 products in one level with 20 inputs each: theta gathers the
+    # level's 40,000 inputs per trial, 13 times the 3000 products' rows
+    net = generate_parallel(2000, 20, 40, seed=1)
+    assert max(len(level.sources) for level in net.level_plan()) == net.edge_count == 40_000
+    batch, peak = _traced_peak(lambda: run_batch(net, PercolationConfig(x=0.3, y=0.5, seed=1), 200))
+    assert batch.trials == 200
+    assert peak < 1.25 * TRIAL_BLOCK_BYTES

@@ -109,7 +109,7 @@ def test_reachability_closure():
 
 @st.composite
 def small_networks(draw):
-    """Random cyclic or acyclic networks with K <= 10."""
+    """Random cyclic or acyclic networks with K <= 10, acyclic ones with ids in any order."""
     acyclic = draw(st.booleans())
     k = draw(st.integers(1, 10))
     pairs = [
@@ -119,6 +119,9 @@ def small_networks(draw):
         if j != i and (j < i or not acyclic)
     ]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=25)) if pairs else []
+    if acyclic and draw(st.booleans()):  # relabelled, so ids need not ascend along the edges
+        label = draw(st.permutations(range(1, k + 1)))
+        edges = [(label[j - 1], label[i - 1]) for j, i in edges]
     return ProductionNetwork(k, edges)
 
 
@@ -140,18 +143,22 @@ def test_level_plan_orders_inputs_before_consumers(net, reverse):
         groups = [[v] for v in sorted(alone)] + members
         assert all(tuple(group) in comps for group in groups)
         # inputs from other components, earlier in the plan
-        assert np.array_equal(level.consumers, level.products[level.segment])
+        consumers = level.products[level.segment]
         assert np.array_equal(source[level.edges], level.sources)
-        assert np.array_equal(consumer[level.edges], level.consumers)
+        assert np.array_equal(consumer[level.edges], consumers)
         assert all(level_of.get(j, d) < d for j in level.sources.tolist())
         edges += level.edges.tolist()
-        # round r holds each consumer's r-th input, by ascending source
-        rounds = [level.consumers[lo:hi].tolist() for lo, hi in zip(level.rounds, level.rounds[1:])]
+        # fed holds each consumer once, by (input count descending, id)
+        fed = level.fed.tolist()
+        assert sorted(fed) == sorted(set(consumers.tolist()))
+        keys = [(-np.count_nonzero(consumers == v), v) for v in fed]
+        assert keys == sorted(keys)
+        # round r is fed[:m], and each consumer's inputs come by ascending source
         assert level.rounds[0] == 0 and level.rounds[-1] == len(level.sources)
-        assert all(r and r == sorted(set(r)) for r in rounds)
-        assert all(set(later) <= set(r) for r, later in zip(rounds, rounds[1:]))
-        for v in set(level.consumers.tolist()):
-            assert np.all(np.diff(level.sources[level.consumers == v]) > 0)
+        for lo, hi in zip(level.rounds, level.rounds[1:]):
+            assert hi > lo and consumers[lo:hi].tolist() == fed[: hi - lo]
+        for v in fed:
+            assert np.all(np.diff(level.sources[consumers == v]) > 0)
         # internal edges join members of one component, by (tail, head)
         for c in level.cycles:
             assert np.array_equal(source[c.edges], c.members[c.tails])

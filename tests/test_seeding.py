@@ -132,6 +132,7 @@ def test_subseed_of_large_index_matches_seed_sequence(seed):
 @given(net=networks(), seed=seeds, trials=st.integers(1, 50), **shocks)
 @pin_edge_seeds(net=ProductionNetwork(3, [(1, 2), (2, 3), (3, 1)]), trials=50, n=2, y=0.5)
 @pin_edge_seeds(net=ProductionNetwork(1, []), trials=1, n=2, y=0.5)
+@pin_edge_seeds(net=ProductionNetwork(4, [(1, 2), (2, 3), (4, 3)]), trials=9, n=3, y=0.5)
 def test_batch_draws_match_default_rng(net, seed, trials, n, y):
     expected = [numpy_draws(net, numpy_subseed(seed, t), n, y) for t in range(trials)]
     for route in ROUTES:
