@@ -99,5 +99,4 @@ from .percolation import (
     run_batch,
     run_coupled_pair,
     run_trial,
-    supplier_maxima,
 )

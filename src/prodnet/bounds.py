@@ -11,6 +11,7 @@ operations that return a bare float).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -22,6 +23,7 @@ from .generators import BranchingDistribution
 
 BISECTION_TOL = 1e-10
 POPULATION_CAP = 10**9  # runs above this are treated as never going extinct
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class ClampWarning(UserWarning):
@@ -46,6 +48,28 @@ def _clamp01(v: float) -> tuple[float, bool]:
     if v > 1.0:
         return 1.0, True
     return v, False
+
+
+def _bound_result(lower_raw: float, upper_raw: float, regime: str, inputs: dict) -> BoundResult:
+    """The bounds clamped into [0, 1], with a flag for each one clamped."""
+    lower, lower_clamped = _clamp01(lower_raw)
+    upper, upper_clamped = _clamp01(upper_raw)
+    return BoundResult(lower, upper, regime, inputs, lower_clamped, upper_clamped)
+
+
+def _times(count: int, value: float) -> float:
+    """count * value for an exact integer count of any size.
+
+    A count beyond float range is taken in log space, as `math.log`
+    accepts any int; a product beyond float range is +-inf.
+    """
+    try:
+        return count * value
+    except OverflowError:  # count does not convert to a float
+        if value == 0.0:
+            return 0.0
+        log_size = math.log(count) + math.log(abs(value))
+        return math.copysign(math.exp(log_size) if log_size < _LOG_FLOAT_MAX else math.inf, value)
 
 
 # ---------------------------------------------------------------------------
@@ -167,16 +191,7 @@ def parallel_bounds(
         upper_raw = (1.0 - (1.0 - epsilon) / (2.0 * (m + 1))) ** (1.0 / n)
     else:
         raise ParameterError(f"scope must be 'complex-only' or 'all-products', got {scope!r}")
-    lower, lc = _clamp01(lower_raw)
-    upper, uc = _clamp01(upper_raw)
-    return BoundResult(
-        lower,
-        upper,
-        regime=scope,
-        inputs={"K": K, "m": m, "d": d, "epsilon": epsilon, "n": n},
-        lower_clamped=lc,
-        upper_clamped=uc,
-    )
+    return _bound_result(lower_raw, upper_raw, scope, {"K": K, "m": m, "d": d, "epsilon": epsilon, "n": n})
 
 
 # ---------------------------------------------------------------------------
@@ -192,29 +207,26 @@ def tree_node_count(m: int, D: int) -> int:
 
 
 def tree_bounds(m: int, D: int, epsilon: float, n: int = 1) -> BoundResult:
-    """Resilience bounds for the backward m-ary tree of depth D."""
+    """Resilience bounds for the backward m-ary tree of depth D.
+
+    K stays an exact int at any size; it enters as log K, or as a float
+    that is inf beyond float range, so a tree that large gets bounds.
+    """
     check_real(epsilon, "epsilon", "(0, 1)")
     n = check_int(n, "n")
     K = tree_node_count(m, D)
-    lower_raw = (-math.expm1(math.log1p(-1.0 / K) / ((1.0 - epsilon) * K))) ** (1.0 / n)
+    k = _times(K, 1.0)
+    if K == 1:  # a lone product keeps its survivor at every x
+        lower_raw = 1.0
+    else:
+        lower_raw = (-math.expm1(math.log1p(-1.0 / k) / ((1.0 - epsilon) * k))) ** (1.0 / n)
     if m == 1:
         regime = "chain"
-        upper_raw = (2.0 / (K * (1.0 - epsilon))) ** (1.0 / n)
+        upper_raw = (2.0 / (k * (1.0 - epsilon))) ** (1.0 / n)
     else:
         regime = "fanout>=2"
-        upper_raw = (
-            ((1.0 - epsilon) * math.log(m) / math.log(K)) ** (1.0 / n) if K > 1 else math.inf
-        )
-    lower, lc = _clamp01(lower_raw)
-    upper, uc = _clamp01(upper_raw)
-    return BoundResult(
-        lower,
-        upper,
-        regime=regime,
-        inputs={"m": m, "D": D, "K": K, "epsilon": epsilon, "n": n},
-        lower_clamped=lc,
-        upper_clamped=uc,
-    )
+        upper_raw = ((1.0 - epsilon) * math.log(m) / math.log(K)) ** (1.0 / n) if K > 1 else math.inf
+    return _bound_result(lower_raw, upper_raw, regime, {"m": m, "D": D, "K": K, "epsilon": epsilon, "n": n})
 
 
 def tree_tier_survival(m: int, D: int, x: float, n: int = 1) -> np.ndarray:
@@ -234,7 +246,7 @@ def tree_tier_survival(m: int, D: int, x: float, n: int = 1) -> np.ndarray:
             expo = D - d + 1
         else:
             expo = (m ** (D - d + 1) - 1) // (m - 1)
-        q[d - 1] = math.exp(expo * log_z) if log_z > -math.inf else 0.0
+        q[d - 1] = math.exp(_times(expo, log_z)) if log_z > -math.inf else 0.0
     return q
 
 
@@ -251,9 +263,9 @@ def tree_catastrophe_prob(m: int, D: int, x: float, n: int = 1) -> tuple[float, 
     leaves = m ** (D - 1)
     xn = x**n
     if x >= 1.0:
-        return 1.0, -math.expm1(-float(leaves))
-    exact = -math.expm1(leaves * math.log1p(-xn))
-    envelope = -math.expm1(-xn * leaves)
+        return 1.0, -math.expm1(_times(leaves, -1.0))
+    exact = -math.expm1(_times(leaves, math.log1p(-xn)))
+    envelope = -math.expm1(_times(leaves, -xn))
     return exact, envelope
 
 
@@ -275,7 +287,10 @@ def tree_expected_survivors_envelope(m: int, D: int, x: float, n: int = 1) -> tu
     n = check_int(n, "n")
     K = tree_node_count(m, D)
     xn = x**n
-    return K * (1.0 - xn * (D - 1)), K * xn * (D - 1) / 2.0
+    lower, upper = _times(K, 1.0 - _times(D - 1, xn)), _times(D - 1, _times(K, xn)) / 2.0
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise ParameterError(f"the survivor envelopes for m={m}, D={D} exceed float range")
+    return lower, upper
 
 
 # ---------------------------------------------------------------------------
@@ -529,13 +544,6 @@ def trellis_bounds(w: int, D: int, p: float, epsilon: float, n: int = 1) -> Boun
         regime = "pw<1"
         lower_raw = (epsilon * w * w * (1.0 - pw) / (K * K)) ** (1.0 / n)
         upper_raw = ((1.0 + epsilon) * w * (1.0 - pw) / 2.0) ** (1.0 / n)
-    lower, lc = _clamp01(lower_raw)
-    upper, uc = _clamp01(upper_raw)
-    return BoundResult(
-        lower,
-        upper,
-        regime=regime,
-        inputs={"w": w, "D": D, "p": p, "K": K, "epsilon": epsilon, "n": n},
-        lower_clamped=lc,
-        upper_clamped=uc,
+    return _bound_result(
+        lower_raw, upper_raw, regime, {"w": w, "D": D, "p": p, "K": K, "epsilon": epsilon, "n": n}
     )

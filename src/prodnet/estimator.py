@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ParameterError, check_int, check_real
 from .network import ProductionNetwork
-from .percolation import _batch_draws, _failure_thresholds, _trial_blocks, derive_subseed
+from .percolation import _draws, _failure_thresholds, _trial_blocks, derive_subseed
 
 DEFAULT_EPSILON_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
 _CEIL_GUARD = 1e-9  # absorbs float fuzz in (1-eps)*K before the ceiling
@@ -44,7 +44,7 @@ def _survival_levels(net: ProductionNetwork, n: int, trials: int, seed: int, s_m
     blocks = _trial_blocks(net, n, 1.0, seed, trials)
     levels = np.full((len(s_mins), trials), np.inf)
     for start, count in blocks:
-        maxima, _ = _batch_draws(net, n, 1.0, seed, count, start)
+        maxima, _ = _draws(net, n, 1.0, seed, count, start)
         ranked = _failure_thresholds(net, maxima)
         del maxima
         ranked.sort(axis=1)

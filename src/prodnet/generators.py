@@ -28,17 +28,20 @@ class BranchingDistribution:
     def __init__(self, kind: str, **params):
         self.kind = kind
         self.params = dict(params)
-        if kind == "point":
-            self._value = check_int(params["value"], "point-mass value", minimum=0)
-            self._mean = float(self._value)
-        elif kind == "binomial":
-            self._k, self._p = check_int(params["k"], "k"), check_real(params["p"], "p")
-            self._mean = self._k * self._p
-        elif kind == "poisson":
-            self._mu = check_real(params["mu"], "poisson rate", "[0, inf)")
-            self._mean = self._mu
-        else:
-            raise ParameterError(f"unknown branching distribution kind {kind!r}")
+        try:
+            if kind == "point":
+                self._value = check_int(params["value"], "point-mass value", minimum=0)
+                self._mean = float(self._value)
+            elif kind == "binomial":
+                self._k, self._p = check_int(params["k"], "k"), check_real(params["p"], "p")
+                self._mean = self._k * self._p
+            elif kind == "poisson":
+                self._mu = check_real(params["mu"], "poisson rate", "[0, inf)")
+                self._mean = self._mu
+            else:
+                raise ParameterError(f"unknown branching distribution kind {kind!r}")
+        except KeyError as missing:
+            raise ParameterError(f"{kind} distribution needs the parameter {missing}") from None
 
     @classmethod
     def point(cls, value: int) -> "BranchingDistribution":

@@ -151,6 +151,21 @@ def toposort_propagate(net, spont: np.ndarray, op_mask=None) -> np.ndarray:
     return failed
 
 
+def supplier_maxima(rng, node_count: int, n: int) -> np.ndarray:
+    """Per-product max of the n supplier uniforms, a trial's first draw."""
+    return rng.random((node_count, n)).max(axis=1)
+
+
+def trial_rng(net, n: int, y: float, seed: int, t: int):
+    """A generator at trial t of a batch: `default_rng(seed)` past t trials' uniforms.
+
+    A trial reads K n supplier uniforms and, when y < 1, E edge uniforms.
+    """
+    bits = np.random.PCG64(seed)
+    bits.advance(t * (net.node_count * n + (net.edge_count if y < 1.0 else 0)))
+    return np.random.Generator(bits)
+
+
 def _kahn_order(net) -> list[int]:
     # a topological order computed here, independent of the library's plan
     indeg = {i: net.in_degree(i) for i in range(1, net.node_count + 1)}

@@ -208,6 +208,32 @@ def test_tree_bounds_fanout_upper():
     assert r.lower == pytest.approx((1 - (1 - 1 / k) ** (1 / (0.6 * k))) ** 1.0)
 
 
+def test_tree_beyond_float_range():
+    # K and the leaf count exceed float range; products with them are
+    # taken in log space
+    m, d, x = 10, 400, 0.1
+    assert tree_catastrophe_prob(m, d, x, 1) == (1.0, 1.0)
+    assert tree_catastrophe_prob(m, d, 1e-300, 1) == (1.0, 1.0)
+    assert tree_catastrophe_prob(m, d, 1.0, 1) == (1.0, 1.0)
+    q = tree_tier_survival(m, d, x, 1)
+    assert q[0] == 0.0 and q[-1] == pytest.approx(0.9) and q[-2] == pytest.approx(0.9**11)
+    assert np.all(np.diff(q) >= 0.0)
+    k = tree_node_count(2, 2000)
+    for n in (1, 3):
+        r = tree_bounds(2, 2000, 0.2, n)
+        assert r.upper == pytest.approx((0.8 * math.log(2) / math.log(k)) ** (1 / n))
+        assert r.lower == 0.0  # 1 / (0.8 K^2) underflows
+        assert not (r.lower_clamped or r.upper_clamped)
+    assert tree_bounds(1, 10**400, 0.2).upper == 0.0
+
+
+def test_tree_of_one_product():
+    # one product keeps its one survivor at every shock level
+    for m in (1, 2, 3):
+        r = tree_bounds(m, 1, 0.3, 2)
+        assert (r.lower, r.upper, r.upper_clamped) == (1.0, 1.0, True)
+
+
 def test_tree_expected_survivors_envelope():
     lo, hi = tree_expected_survivors_envelope(2, 4, 0.1, 1)
     k = tree_node_count(2, 4)

@@ -115,6 +115,9 @@ def test_bounds_subcommands(tmp_path, capsys):
                     for scope in ("complex-only", "all-products"))]),
         (["--arch", "backward-tree", "--m", "2", "--D", "4"],
          [("backward-tree", r.regime, r.lower, r.upper) for r in [pn.tree_bounds(2, 4, eps, n)]]),
+        # K = 2**2000 - 1 products, beyond float range
+        (["--arch", "backward-tree", "--m", "2", "--D", "2000"],
+         [("backward-tree", r.regime, r.lower, r.upper) for r in [pn.tree_bounds(2, 2000, eps, n)]]),
         (["--arch", "gw", "--mu", "0.6", "--tau", "4"],
          [("gw", "per-extinction-depth", lower, upper)]),
         (["--arch", "trellis", "--w", "3", "--D", "4", "--p", "0.2"],

@@ -7,16 +7,14 @@ from prodnet import (
     ParameterError,
     PercolationConfig,
     ProductionNetwork,
-    derive_subseed,
     generate_backward_tree,
     generate_rdag,
     run_batch,
     run_coupled_pair,
     run_trial,
-    supplier_maxima,
 )
 
-from oracles import exact_cascade_stats, toposort_propagate
+from oracles import exact_cascade_stats, supplier_maxima, toposort_propagate, trial_rng
 
 
 def chain(k):
@@ -80,11 +78,16 @@ def test_closure_reapplying_rule_is_fixed_point():
 
 
 def test_batch_trial_one_matches_run_trial():
+    # trial 0 is the single trial on the same seed; trial t reads the stream
+    # of default_rng(seed) from t trials' uniforms on
     net = generate_rdag(10, 0.3, seed=4)
     cfg = PercolationConfig(x=0.4, seed=77)
-    batch = run_batch(net, cfg, 1)
-    single = run_trial(net, PercolationConfig(x=0.4, seed=derive_subseed(77, 0)))
+    batch = run_batch(net, cfg, 3, keep_failures=True)
+    single = run_trial(net, cfg)
     assert batch.F[0] == single.F and batch.S[0] == single.S
+    for t in range(3):
+        spont = supplier_maxima(trial_rng(net, 1, 1.0, 77, t), 10, 1) < 0.4
+        assert np.array_equal(batch.failures[t], toposort_propagate(net, spont))
 
 
 def test_batch_matches_per_trial_seeds_joint():
@@ -92,9 +95,12 @@ def test_batch_matches_per_trial_seeds_joint():
     cfg = PercolationConfig(x=0.3, y=0.6, seed=5)
     batch = run_batch(net, cfg, 20, keep_failures=True)
     for t in range(20):
-        single = run_trial(net, PercolationConfig(x=0.3, y=0.6, seed=derive_subseed(5, t)))
-        assert batch.F[t] == single.F
-        assert np.array_equal(batch.failures[t], single.Z == 0)
+        rng = trial_rng(net, 1, 0.6, 5, t)
+        spont = supplier_maxima(rng, 8, 1) < 0.3
+        op_mask = rng.random(net.edge_count) < 0.6
+        expected = toposort_propagate(net, spont, op_mask)
+        assert batch.F[t] == expected.sum()
+        assert np.array_equal(batch.failures[t], expected)
 
 
 def test_batch_mean_matches_exhaustive_chain():

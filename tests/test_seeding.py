@@ -1,16 +1,15 @@
-"""Bulk trial seeding against numpy itself.
+"""Batch draws against numpy itself.
 
-`percolation` recomputes numpy's SeedSequence hash and PCG64 seeding for
-a whole batch at once, and draws a batch's uniforms by one of two
-routes: stepping every trial's PCG64 state together in uint64 arrays, or
-loading each state into one reused generator.  These properties hold
-both routes to numpy bit for bit: the batch subseeds equal
-`SeedSequence((seed, t))`, the drawn uniforms equal `default_rng(...)`'s,
-and single trials seeded with integers of any size draw what
-`default_rng(cfg.seed)` draws.  Seeds of 2**96 and more give entropy
-pools of more than four words, which take the hash's tail-mixing loop.
-Batches walk their trials in blocks; split into blocks of any size, a
-batch or a resilience curve gives the arrays of a single block.
+Every trial of a batch reads one stream, that of `default_rng(seed)`:
+trial t reads its U uniforms from t U on, where U is K n, plus E when
+y < 1.  These properties hold a batch's draws, from its first trial or
+from any later one, to slices of that stream bit for bit, and single
+trials seeded with integers of any size to what `default_rng(cfg.seed)`
+draws.  `derive_subseed` is held to `SeedSequence((seed, index))`; seeds
+of 2**96 and more give entropy pools of more than four words, which
+take the hash's tail-mixing loop.  Batches walk their trials in blocks;
+split into blocks of any size, a batch or a resilience curve gives the
+arrays of a single block.
 """
 
 from contextlib import contextmanager
@@ -34,30 +33,11 @@ from prodnet import (
     run_trial,
 )
 from prodnet import percolation
-from prodnet.percolation import (
-    MAX_TRIALS,
-    _batch_draws,
-    _failure_thresholds,
-    _stepping_is_cheaper,
-    _subseeds,
-    _trial_blocks,
-    _trial_bytes,
-)
+from prodnet.percolation import MAX_TRIALS, _draws, _failure_thresholds, _trial_blocks, _trial_bytes
 
 EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 7, 2**130 + 5)
 seeds = st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**140))
 shocks = dict(y=st.sampled_from([1.0, 0.5]), n=st.sampled_from([1, 2]))
-ROUTES = ("stepping", "generator")
-
-
-@contextmanager
-def forced(route):
-    """Zeroes one route's cost constants, so every batch takes that route."""
-    names = ("_STEP_ROUND_S", "_STEP_DRAW_S") if route == "stepping" else ("_LOAD_TRIAL_S", "_FILL_DRAW_S")
-    with pytest.MonkeyPatch.context() as patch:
-        for name in names:
-            patch.setattr(percolation, name, 0.0)
-        yield
 
 
 @st.composite
@@ -98,27 +78,25 @@ def numpy_outcome(net, seed, x, n, y):
     return theta < x, maxima < x
 
 
+def numpy_stream(net, seed, trials, n, y):
+    """Supplier maxima (trials, K) and operational masks (trials, E) of a batch.
+
+    They are cut from one `default_rng(seed)` call that draws every
+    trial's uniforms in order.
+    """
+    k, e = net.node_count, net.edge_count
+    width = k * n + (e if y < 1.0 else 0)
+    uniforms = np.random.default_rng(seed).random((trials, width))
+    maxima = uniforms[:, : k * n].reshape(trials, k, n).max(axis=2)
+    return maxima, (uniforms[:, k * n :] < y if y < 1.0 else None)
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=seeds, trials=st.integers(1, 50))
 @pin_edge_seeds(trials=50)
 def test_batch_subseeds_match_seed_sequence(seed, trials):
     expected = [numpy_subseed(seed, t) for t in range(trials)]
-    assert _subseeds(seed, trials).tolist() == expected
     assert [derive_subseed(seed, t) for t in range(trials)] == expected
-
-
-@settings(max_examples=100, deadline=None)
-@given(seed=seeds, start=st.integers(0, 40), count=st.integers(0, 40))
-def test_subseeds_from_an_offset_are_a_slice(seed, start, count):
-    assert np.array_equal(_subseeds(seed, count, start), _subseeds(seed, start + count)[start:])
-
-
-def test_subseeds_offset_counts_toward_the_trial_limit():
-    top = _subseeds(5, 2, MAX_TRIALS - 2)
-    assert top.tolist() == [numpy_subseed(5, MAX_TRIALS - 2), numpy_subseed(5, MAX_TRIALS - 1)]
-    assert len(_subseeds(5, 0, MAX_TRIALS)) == 0
-    with pytest.raises(SizeError, match=f"^{MAX_TRIALS + 1} trials exceed the limit"):
-        _subseeds(5, 2, MAX_TRIALS - 1)
 
 
 @pytest.mark.parametrize("seed", EDGE_SEEDS)
@@ -128,21 +106,39 @@ def test_subseed_of_large_index_matches_seed_sequence(seed):
     assert derive_subseed(np.uint64(2**64 - 1), np.int8(7)) == numpy_subseed(2**64 - 1, 7)
 
 
+def pin_every_shock(test):
+    """Pins every edge seed at n = 1, 2, 3 and y = 1, 0.5 on a network with edges."""
+    net = ProductionNetwork(4, [(1, 2), (2, 3), (4, 3)])
+    for n in (1, 2, 3):
+        for y in (1.0, 0.5):
+            test = pin_edge_seeds(net=net, trials=9, n=n, y=y)(test)
+    return test
+
+
 @settings(max_examples=200, deadline=None)
 @given(net=networks(), seed=seeds, trials=st.integers(1, 50), **shocks)
 @pin_edge_seeds(net=ProductionNetwork(3, [(1, 2), (2, 3), (3, 1)]), trials=50, n=2, y=0.5)
 @pin_edge_seeds(net=ProductionNetwork(1, []), trials=1, n=2, y=0.5)
-@pin_edge_seeds(net=ProductionNetwork(4, [(1, 2), (2, 3), (4, 3)]), trials=9, n=3, y=0.5)
+@pin_every_shock
 def test_batch_draws_match_default_rng(net, seed, trials, n, y):
-    expected = [numpy_draws(net, numpy_subseed(seed, t), n, y) for t in range(trials)]
-    for route in ROUTES:
-        with forced(route):
-            maxima, op_mask = _batch_draws(net, n, y, seed, trials)
-        assert np.array_equal(maxima, np.array([m for m, _ in expected])), route
-        if y < 1.0:
-            assert np.array_equal(op_mask, np.array([live for _, live in expected])), route
-        else:
-            assert op_mask is None
+    maxima, op_mask = _draws(net, n, y, seed, trials)
+    expected_maxima, expected_mask = numpy_stream(net, seed, trials, n, y)
+    assert np.array_equal(maxima, expected_maxima)
+    if y < 1.0:
+        assert np.array_equal(op_mask, expected_mask)
+    else:
+        assert op_mask is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(net=networks(), seed=seeds, start=st.integers(0, 40), count=st.integers(1, 40), **shocks)
+@example(net=ProductionNetwork(4, [(1, 2), (2, 3), (4, 3)]), seed=2**130 + 5, start=7, count=3, n=3, y=0.5)
+def test_draws_from_an_offset_are_a_slice(net, seed, start, count, n, y):
+    maxima, op_mask = _draws(net, n, y, seed, count, start)
+    whole_maxima, whole_mask = _draws(net, n, y, seed, start + count)
+    assert np.array_equal(maxima, whole_maxima[start:])
+    if y < 1.0:
+        assert np.array_equal(op_mask, whole_mask[start:])
 
 
 @settings(max_examples=100, deadline=None)
@@ -150,29 +146,17 @@ def test_batch_draws_match_default_rng(net, seed, trials, n, y):
 @pin_edge_seeds(net=ProductionNetwork(4, [(1, 2), (2, 3), (3, 1), (3, 4)]), trials=20, x=0.6, n=2, y=0.5)
 @pin_edge_seeds(net=ProductionNetwork(1, []), trials=1, x=0.5, n=2, y=0.5)
 def test_run_batch_matches_run_trial_per_subseed(net, seed, trials, x, n, y):
-    singles = [
-        run_trial(net, PercolationConfig(x=x, y=y, n=n, seed=derive_subseed(seed, t))) for t in range(trials)
-    ]
-    for route in ROUTES:
-        with forced(route):
-            batch = run_batch(net, PercolationConfig(x=x, y=y, n=n, seed=seed), trials, keep_failures=True)
-        assert batch.F.tolist() == [single.F for single in singles], route
-        assert np.array_equal(batch.failures, np.array([single.Z == 0 for single in singles])), route
-
-
-def test_route_choice_on_the_benchmark_shapes():
-    # the small networks, (K, E), step at 2000 trials and at criterion 1's 10**5
-    for k, e in ((6, 5), (7, 6), (6, 6), (8, 9), (10, 12), (15, 14)):
-        for n in (1, 2):
-            for trials in (2000, 10**5):
-                assert _stepping_is_cheaper(trials, k * n)
-                assert _stepping_is_cheaper(trials, k * n + e)
-    # 200 trials of a thousand or more uniforms each, or a batch of one,
-    # load a generator per trial
-    for rounds in (1000, 1500, 1600, 2000 + 19_869, 10_000):
-        assert not _stepping_is_cheaper(200, rounds)
-    for rounds in (1, 10, 100, 10_000):
-        assert not _stepping_is_cheaper(1, rounds)
+    # trial 0 is `run_trial` on the batch's own seed, and every trial fails
+    # as its slice of the stream says
+    cfg = PercolationConfig(x=x, y=y, n=n, seed=seed)
+    batch = run_batch(net, cfg, trials, keep_failures=True)
+    single = run_trial(net, cfg)
+    assert batch.F[0] == single.F
+    assert np.array_equal(batch.failures[0], single.Z == 0)
+    maxima, live = numpy_stream(net, seed, trials, n, y)
+    failed = _failure_thresholds(net, maxima, live) < x
+    assert np.array_equal(batch.failures, failed)
+    assert batch.F.tolist() == failed.sum(axis=1).tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -200,7 +184,7 @@ def test_seeding_rejects_non_integer_or_negative_seeds(seed):
     with pytest.raises(ParameterError):
         derive_subseed(seed, 0)
     with pytest.raises(ParameterError):
-        _subseeds(seed, 3)
+        _trial_blocks(ProductionNetwork(2, [(1, 2)]), 1, 1.0, seed, 3)
     with pytest.raises(ParameterError):
         PercolationConfig(x=0.5, seed=seed)
 
@@ -230,12 +214,10 @@ def test_batches_split_into_blocks_give_the_same_arrays(name, size):
         whole = run_batch(net, cfg, trials, keep_failures=True)
         with blocks_of(size, net, n, y):
             assert [c for _, c in _trial_blocks(net, n, y, cfg.seed, trials)] == BLOCK_SPLITS[size]
-            for route in ROUTES:
-                with forced(route):
-                    split = run_batch(net, cfg, trials, keep_failures=True)
-                for field in ("F", "S", "pmf", "failures"):
-                    assert np.array_equal(getattr(split, field), getattr(whole, field)), (field, route)
-                assert split.F.dtype == whole.F.dtype and split.S.dtype == whole.S.dtype
+            split = run_batch(net, cfg, trials, keep_failures=True)
+            for field in ("F", "S", "pmf", "failures"):
+                assert np.array_equal(getattr(split, field), getattr(whole, field)), field
+            assert split.F.dtype == whole.F.dtype and split.S.dtype == whole.S.dtype
 
 
 @pytest.mark.parametrize("size", BLOCK_SPLITS)

@@ -17,15 +17,13 @@ from hypothesis import strategies as st
 from prodnet import (
     PercolationConfig,
     ProductionNetwork,
-    derive_subseed,
     resilience_curve,
     run_batch,
     run_coupled_pair,
     run_trial,
-    supplier_maxima,
 )
 
-from oracles import _sync_propagate
+from oracles import _sync_propagate, supplier_maxima, trial_rng
 
 
 @st.composite
@@ -49,9 +47,9 @@ seeds = st.integers(0, 2**32)
 shocks = dict(y=st.sampled_from([1.0, 0.5]), n=st.sampled_from([1, 2]), seed=seeds)
 
 
-def replay(net, seed, n, y):
-    """Supplier maxima and operational edges of one trial, per the coupling contract."""
-    rng = np.random.default_rng(seed)
+def replay(net, seed, n, y, t=0):
+    """Supplier maxima and operational edges of trial t on seed, per the coupling contract."""
+    rng = trial_rng(net, n, y, seed, t)
     maxima = supplier_maxima(rng, net.node_count, n)
     if y >= 1.0:
         return maxima, set(net.edges)
@@ -86,7 +84,7 @@ def test_strong_components_partition_in_topological_order(net):
 def test_batch_failures_match_oracle(net, x, y, n, seed):
     batch = run_batch(net, PercolationConfig(x=x, y=y, n=n, seed=seed), 4, keep_failures=True)
     for t in range(4):
-        maxima, op_edges = replay(net, derive_subseed(seed, t), n, y)
+        maxima, op_edges = replay(net, seed, n, y, t)
         expected = oracle_failures(net, maxima, op_edges, x)
         assert {i + 1 for i in np.flatnonzero(batch.failures[t])} == expected
 

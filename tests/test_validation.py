@@ -52,6 +52,7 @@ from prodnet import (
     run_coupled_pair,
     simulate_extinction_depths,
     supplier_allocation,
+    tree_expected_survivors_envelope,
     trellis_bounds,
 )
 
@@ -138,6 +139,10 @@ CASES = {
     # out of range
     "estimate_resilience_ensemble-empty": lambda tmp: estimate_resilience_ensemble([], 0.3),
     "poisson-inf": lambda tmp: BranchingDistribution.poisson(float("inf")),
+    "tree_expected_survivors_envelope-beyond-float": lambda tmp: tree_expected_survivors_envelope(10, 400, 0.1),
+    # a missing parameter
+    "poisson-without-mu": lambda tmp: BranchingDistribution("poisson"),
+    "binomial-without-p": lambda tmp: BranchingDistribution("binomial", k=3),
     "katz_centrality-y-inf": lambda tmp: katz_centrality(EDGELESS, float("inf")),
 }
 
