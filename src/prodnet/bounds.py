@@ -233,20 +233,25 @@ def tree_tier_survival(m: int, D: int, x: float, n: int = 1) -> np.ndarray:
     """Per-tier production probabilities q_1..q_D at failure level x.
 
     Tier D holds the raw materials; q satisfies q_d = q_{d+1}^m (1 - x^n)
-    with q_{D+1} = 1, whose closed form is evaluated here.
+    with q_{D+1} = 1, so q_d = (1 - x^n)^e_d with e_D = 1 and
+    e_d = m e_{d+1} + 1.  The exact exponents are walked up from the raw
+    materials and stop at the first tier that underflows to 0.0: every
+    tier above it has a larger exponent, so O(D) work in all.
     """
     m = check_int(m, "m")
     D = check_int(D, "D")
     check_real(x, "x")
     n = check_int(n, "n")
     log_z = math.log1p(-(x**n)) if x < 1.0 else -math.inf
-    q = np.empty(D, dtype=np.float64)
-    for d in range(1, D + 1):
-        if m == 1:
-            expo = D - d + 1
-        else:
-            expo = (m ** (D - d + 1) - 1) // (m - 1)
-        q[d - 1] = math.exp(_times(expo, log_z)) if log_z > -math.inf else 0.0
+    if log_z == 0.0:  # x^n is 0: every tier produces
+        return np.ones(D, dtype=np.float64)
+    q = np.zeros(D, dtype=np.float64)
+    expo = 0
+    for d in range(D - 1, -1, -1):
+        expo = m * expo + 1
+        q[d] = math.exp(_times(expo, log_z))
+        if q[d] == 0.0:
+            break
     return q
 
 

@@ -1,7 +1,10 @@
 """Seeded generators for the production-network architectures under study.
 
 All generators are pure functions of their parameters and seed and emit
-acyclic networks with dense ids assigned in generation order.
+acyclic networks with dense ids assigned in generation order.  Each tier
+or generation is a range of consecutive ids, so a network is built from
+id arrays in O(K + E) memory, and the random streams are unchanged: each
+generator draws the same numbers in the same order as its per-node form.
 """
 
 from __future__ import annotations
@@ -155,11 +158,8 @@ def generate_parallel(K: int, m: int, d: int, seed: int) -> ProductionNetwork:
         )
     rng = np.random.default_rng(check_int(seed, "seed", minimum=0))
     capacity = np.full(rho, d, dtype=np.int64)
-    edges = []
-    tiers = {r: 1 for r in range(1, rho + 1)}
+    inputs = np.empty((K, m), dtype=np.int64)  # row c: complex product c's raws, 0-based
     for c in range(K):
-        product = rho + c + 1
-        tiers[product] = 2
         keys = rng.random(rho)
         # stable sort on (remaining capacity desc, random key) picks the m
         # least-loaded raws with seeded tie-breaking
@@ -167,9 +167,9 @@ def generate_parallel(K: int, m: int, d: int, seed: int) -> ProductionNetwork:
         if capacity[chosen[-1]] <= 0:
             raise AssertionError("parallel wiring ran out of raw capacity")
         capacity[chosen] -= 1
-        for r in sorted(int(r) + 1 for r in chosen):
-            edges.append((r, product))
-    return ProductionNetwork(rho + K, edges, tiers=tiers, acyclic=True)
+        inputs[c] = chosen
+    edges = np.column_stack((inputs.ravel() + 1, np.repeat(np.arange(rho + 1, rho + K + 1), m)))
+    return ProductionNetwork(rho + K, edges, tiers=_tiers([rho, K]), acyclic=True)
 
 
 def generate_backward_tree(m: int, D: int) -> ProductionNetwork:
@@ -177,28 +177,18 @@ def generate_backward_tree(m: int, D: int) -> ProductionNetwork:
 
     Tier d holds m^(d-1) products; each product at tier d < D has exactly
     m inputs at tier d+1, and edges run tier d+1 -> d so cascades flow
-    from the leaves toward the root.  Deterministic (no seed).
+    from the leaves toward the root.  Ids are in heap order: product v's
+    inputs are m(v-1)+2 .. m(v-1)+m+1.  Deterministic (no seed).
     """
     m = check_int(m, "m")
     D = check_int(D, "D")
     total = D if m == 1 else (m**D - 1) // (m - 1)
     if total > MAX_NODES:
         raise SizeError(f"tree would have {total} nodes, exceeding the limit of {MAX_NODES}")
-    edges = []
-    tiers = {}
-    tier_start = 1
-    width = 1
-    for d in range(1, D + 1):
-        for v in range(tier_start, tier_start + width):
-            tiers[v] = d
-        if d < D:
-            child_start = tier_start + width
-            for idx, parent in enumerate(range(tier_start, tier_start + width)):
-                for c in range(m):
-                    edges.append((child_start + idx * m + c, parent))
-        tier_start += width
-        width *= m
-    return ProductionNetwork(total, edges, tiers=tiers, acyclic=True)
+    m = min(m, total)  # equal unless D = 1, where a huge m would leave int64
+    inputs = np.arange(2, total + 1)
+    edges = np.column_stack((inputs, (inputs - 2) // m + 1))
+    return ProductionNetwork(total, edges, tiers=_tiers(m ** np.arange(D)), acyclic=True)
 
 
 def generate_gw_tree(dist: BranchingDistribution, max_depth: int, seed: int) -> GWTreeResult:
@@ -207,39 +197,31 @@ def generate_gw_tree(dist: BranchingDistribution, max_depth: int, seed: int) -> 
     The root sits at depth 1; each node at depth d spawns an independent
     number of children, and edges run parent -> child so cascades flow
     root -> leaves.  Growth stops when a generation comes up empty
-    (extinct) or at max_depth (truncated).
+    (extinct) or at max_depth (truncated).  Each generation is one range
+    of consecutive ids, its products' children the next range in order.
     """
     max_depth = check_int(max_depth, "max_depth")
     rng = np.random.default_rng(check_int(seed, "seed", minimum=0))
-    edges = []
-    tiers = {1: 1}
-    level = [1]
-    next_id = 2
-    depth = 1
-    truncated = False
-    while level:
-        if depth == max_depth:
-            truncated = True
-            break
-        counts = dist.sample(rng, len(level))
-        if next_id + int(counts.sum()) > MAX_NODES:
+    widths = [1]  # products per generation
+    parents = [np.zeros(0, dtype=np.int64)]  # each later product's parent, generation by generation
+    total = 1
+    while len(widths) < max_depth:
+        counts = dist.sample(rng, widths[-1])
+        born = int(counts.sum())
+        if total + born > MAX_NODES:
             raise SizeError(
                 f"branching tree exceeded the limit of {MAX_NODES} nodes; "
                 f"lower max_depth for supercritical distributions"
             )
-        nxt = []
-        for parent, c in zip(level, counts):
-            for _ in range(int(c)):
-                edges.append((parent, next_id))
-                tiers[next_id] = depth + 1
-                nxt.append(next_id)
-                next_id += 1
-        if not nxt:
+        if not born:
             break
-        level = nxt
-        depth += 1
-    net = ProductionNetwork(next_id - 1, edges, tiers=tiers, acyclic=True)
-    return GWTreeResult(net, extinction_depth=None if truncated else depth, truncated=truncated)
+        parents.append(np.repeat(np.arange(total - widths[-1] + 1, total + 1), counts))
+        widths.append(born)
+        total += born
+    edges = np.column_stack((np.concatenate(parents), np.arange(2, total + 1)))
+    net = ProductionNetwork(total, edges, tiers=_tiers(widths), acyclic=True)
+    truncated = len(widths) == max_depth
+    return GWTreeResult(net, None if truncated else len(widths), truncated)
 
 
 def generate_trellis(w: int, D: int, p: float, seed: int) -> ProductionNetwork:
@@ -248,13 +230,15 @@ def generate_trellis(w: int, D: int, p: float, seed: int) -> ProductionNetwork:
     D = check_int(D, "D")
     check_real(p, "p")
     rng = np.random.default_rng(check_int(seed, "seed", minimum=0))
-    tiers = {}
-    for d in range(1, D + 1):
-        base = (d - 1) * w
-        for v in range(base + 1, base + w + 1):
-            tiers[v] = d
     edges = [np.zeros((0, 2), dtype=np.int64)]
     for d in range(1, D):
         a, b = np.nonzero(rng.random((w, w)) < p)
         edges.append(np.column_stack((a + (d - 1) * w, b + d * w)) + 1)
+    tiers = _tiers(np.full(D, w))
     return ProductionNetwork(w * D, np.concatenate(edges), tiers=tiers, acyclic=True)
+
+
+def _tiers(widths) -> dict[int, int]:
+    """Tier labels of id ranges: ids 1..widths[0] in tier 1, the next widths[1] in tier 2, ..."""
+    labels = np.repeat(np.arange(1, len(widths) + 1), widths)
+    return dict(enumerate(labels.tolist(), 1))

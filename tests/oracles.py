@@ -5,8 +5,8 @@ library: exhaustive enumeration, chain-rule dynamic programming, dense
 grid scans, probability-generating-function iteration, and a standalone
 cascade simulator.  Nothing imports the modules under test except for the
 ProductionNetwork container itself and the exception types.  The input
-layer's references at the end are the per-row, per-pair and per-edge
-implementations that the streaming and array versions replaced.
+layer's references at the end are the per-row, per-pair, per-edge and
+per-node implementations that the streaming and array versions replaced.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from prodnet.errors import FormatError, ValidationError
+from prodnet.errors import FormatError, SizeError, ValidationError
+from prodnet.network import MAX_NODES, ProductionNetwork
 
 
 @dataclass
@@ -437,3 +438,95 @@ def _parses_as_float(cell: str) -> bool:
     except ValueError:
         return False
     return True
+
+
+def parallel_reference(K: int, m: int, d: int, seed: int) -> ProductionNetwork:
+    """`generate_parallel` with its edges appended as tuples and its tiers set one by one."""
+    rho = -(-m * K // d)  # ceil
+    rng = np.random.default_rng(seed)
+    capacity = np.full(rho, d, dtype=np.int64)
+    edges = []
+    tiers = {r: 1 for r in range(1, rho + 1)}
+    for c in range(K):
+        product = rho + c + 1
+        tiers[product] = 2
+        keys = rng.random(rho)
+        # stable sort on (remaining capacity desc, random key) picks the m
+        # least-loaded raws with seeded tie-breaking
+        chosen = np.lexsort((keys, -capacity))[:m]
+        if capacity[chosen[-1]] <= 0:
+            raise AssertionError("parallel wiring ran out of raw capacity")
+        capacity[chosen] -= 1
+        for r in sorted(int(r) + 1 for r in chosen):
+            edges.append((r, product))
+    return ProductionNetwork(rho + K, edges, tiers=tiers, acyclic=True)
+
+
+def backward_tree_reference(m: int, D: int) -> ProductionNetwork:
+    """The complete m-ary supply tree built tier by tier, one product and edge at a time."""
+    total = D if m == 1 else (m**D - 1) // (m - 1)
+    edges = []
+    tiers = {}
+    tier_start = 1
+    width = 1
+    for d in range(1, D + 1):
+        for v in range(tier_start, tier_start + width):
+            tiers[v] = d
+        if d < D:
+            child_start = tier_start + width
+            for idx, parent in enumerate(range(tier_start, tier_start + width)):
+                for c in range(m):
+                    edges.append((child_start + idx * m + c, parent))
+        tier_start += width
+        width *= m
+    return ProductionNetwork(total, edges, tiers=tiers, acyclic=True)
+
+
+def gw_tree_reference(dist, max_depth: int, seed: int):
+    """(network, extinction_depth, truncated) of a branching tree grown one child at a time.
+
+    Keeps the original size rule, which refuses a tree of exactly
+    MAX_NODES products.
+    """
+    rng = np.random.default_rng(seed)
+    edges = []
+    tiers = {1: 1}
+    level = [1]
+    next_id = 2
+    depth = 1
+    truncated = False
+    while level:
+        if depth == max_depth:
+            truncated = True
+            break
+        counts = dist.sample(rng, len(level))
+        if next_id + int(counts.sum()) > MAX_NODES:
+            raise SizeError(f"branching tree exceeded the limit of {MAX_NODES} nodes")
+        nxt = []
+        for parent, c in zip(level, counts):
+            for _ in range(int(c)):
+                edges.append((parent, next_id))
+                tiers[next_id] = depth + 1
+                nxt.append(next_id)
+                next_id += 1
+        if not nxt:
+            break
+        level = nxt
+        depth += 1
+    net = ProductionNetwork(next_id - 1, edges, tiers=tiers, acyclic=True)
+    return net, None if truncated else depth, truncated
+
+
+def trellis_reference(w: int, D: int, p: float, seed: int) -> ProductionNetwork:
+    """The random trellis with its tier labels set one product at a time."""
+    rng = np.random.default_rng(seed)
+    tiers = {}
+    for d in range(1, D + 1):
+        base = (d - 1) * w
+        for v in range(base + 1, base + w + 1):
+            tiers[v] = d
+    edges = [np.zeros((0, 2), dtype=np.int64)]
+    for d in range(1, D):
+        a, b = np.nonzero(rng.random((w, w)) < p)
+        edges.append(np.column_stack((a + (d - 1) * w, b + d * w)) + 1)
+    return ProductionNetwork(w * D, np.concatenate(edges), tiers=tiers, acyclic=True)

@@ -29,6 +29,8 @@ from prodnet import (
     trellis_bounds,
 )
 
+from prodnet.bounds import _times
+
 from oracles import (
     brute_force_stats,
     grid_gw_lower,
@@ -182,6 +184,30 @@ def test_tree_tier_survival_recurrence():
             expected = (q_next**m) * (1 - xn)
             assert q[tier - 1] == pytest.approx(expected, rel=1e-12)
             q_next = q[tier - 1]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 10])
+def test_tree_tier_survival_matches_the_exact_exponents(m):
+    # tier d survives w.p. (1 - x^n)^e with e = (m^(D-d+1) - 1)/(m - 1), the
+    # exact int taken through _times: equal, bit for bit
+    for D in (1, 2, 3, 40, 300):
+        for x in (0.0, 1e-9, 0.1, 0.5, 1.0):
+            for n in (1, 3):
+                log_z = math.log1p(-(x**n)) if x < 1.0 else -math.inf
+                expected = []
+                for d in range(1, D + 1):
+                    expo = D - d + 1 if m == 1 else (m ** (D - d + 1) - 1) // (m - 1)
+                    expected.append(math.exp(_times(expo, log_z)) if log_z > -math.inf else 0.0)
+                assert tree_tier_survival(m, D, x, n).tolist() == expected, (D, x, n)
+
+
+def test_tree_tier_survival_deep():
+    # tiers far from the raw materials underflow to 0.0; the rest depend
+    # only on the distance from the raw materials
+    q = tree_tier_survival(3, 8000, 0.1)
+    tail = tree_tier_survival(3, 60, 0.1)
+    assert q[-60:].tolist() == tail.tolist()
+    assert tail[0] == 0.0 and not q[:-60].any()
 
 
 def test_tree_catastrophe_asymptotic():

@@ -263,6 +263,22 @@ def test_precondition_exit_code(tmp_path, capsys):
     assert "precondition" in stderr
 
 
+def test_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
+    def stalls(*args, **kwargs):
+        raise pn.ConvergenceError("no fixed point within 2 iterations", residual=0.1)
+
+    monkeypatch.setattr("prodnet.cli.fixed_point_beta", stalls)
+    net_path = tmp_path / "net.csv"
+    net_path.write_text("source,target\n1,2\n2,1\n", encoding="utf-8")
+    code, stdout, stderr = run_cli(
+        capsys, "beta", "--net", str(net_path), "--x", "0.2", "--y", "0.5",
+        "--method", "fixed-point", "--out", str(tmp_path / "b.csv"),
+    )
+    assert code == 4
+    assert "prodnet: failed to converge:" in stderr
+    assert stdout == ""
+
+
 def test_gw_unsupported_regime_exit_code(tmp_path, capsys):
     code, _, stderr = run_cli(
         capsys, "bounds", "--arch", "gw", "--mu", "2.0", "--tau", "3",

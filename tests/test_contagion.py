@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from prodnet import (
+    ConvergenceError,
     CyclicGraphError,
     ParameterError,
     PreconditionError,
@@ -89,6 +90,13 @@ def test_fixed_point_two_cycle():
     net = ProductionNetwork(2, [(1, 2), (2, 1)])
     bv = fixed_point_beta(net, 0.2, 0.5, 1)
     assert np.allclose(bv.beta, 0.4, atol=1e-10)  # solves b = 0.5 b + x
+
+
+def test_fixed_point_stops_at_max_iter():
+    net = ProductionNetwork(2, [(1, 2), (2, 1)])  # halves its distance to 0.4 per step
+    with pytest.raises(ConvergenceError) as info:
+        fixed_point_beta(net, 0.2, 0.5, 1, max_iter=2)
+    assert 0.0 < info.value.residual < math.inf
 
 
 def test_fixed_point_threshold_enforced():

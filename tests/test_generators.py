@@ -19,7 +19,13 @@ from prodnet import (
     generate_trellis,
 )
 
-from oracles import rdag_edges
+from oracles import (
+    backward_tree_reference,
+    gw_tree_reference,
+    parallel_reference,
+    rdag_edges,
+    trellis_reference,
+)
 
 
 def test_rdag_p_one_gives_all_order_edges():
@@ -156,6 +162,21 @@ def test_gw_supercritical_growth_capped():
         generate_gw_tree(BranchingDistribution.point(3), 50, seed=0)
 
 
+def test_gw_tree_of_exactly_the_node_cap(monkeypatch):
+    # 1 + 3 + 9 products reach the cap of 13 exactly, as the complete tree does
+    monkeypatch.setattr(generators, "MAX_NODES", 13)
+    res = generate_gw_tree(BranchingDistribution.point(3), 3, 0)
+    assert res.network.node_count == 13 and res.truncated
+    assert generate_backward_tree(3, 3).node_count == 13
+
+
+def test_gw_tree_one_past_the_node_cap(monkeypatch):
+    monkeypatch.setattr(generators, "MAX_NODES", 13)
+    assert generate_gw_tree(BranchingDistribution.point(12), 2, 0).network.node_count == 13
+    with pytest.raises(SizeError):
+        generate_gw_tree(BranchingDistribution.point(13), 2, 0)  # 14 products
+
+
 def test_gw_subcritical_extinction_frequency():
     dist = BranchingDistribution.poisson(0.5)
     extinct = sum(
@@ -235,3 +256,67 @@ def test_rdag_at_the_block_boundary(K, blocks):
     # 1448 products make 1 047 628 pairs, one block; 1449 make 1 049 076
     assert -(-K * (K - 1) // 2 // generators.RDAG_BLOCK) == blocks
     assert generate_rdag(K, 0.01, seed=K).edges == rdag_edges(K, 0.01, K)
+
+
+def assert_same_network(net, ref):
+    assert (net.node_count, net.supplier_count, net.acyclic) == (
+        ref.node_count, ref.supplier_count, ref.acyclic
+    )
+    for got, want in zip(net.edge_arrays(), ref.edge_arrays(), strict=True):
+        np.testing.assert_array_equal(got, want)
+    assert net.tiers == ref.tiers
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+@pytest.mark.parametrize("D", [1, 2, 3, 6])
+def test_backward_tree_matches_the_reference(m, D):
+    assert_same_network(generate_backward_tree(m, D), backward_tree_reference(m, D))
+
+
+def test_backward_tree_of_one_product_for_any_m():
+    assert_same_network(generate_backward_tree(2**70, 1), backward_tree_reference(2**70, 1))
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        BranchingDistribution.point(0),
+        BranchingDistribution.point(1),
+        BranchingDistribution.point(2),
+        BranchingDistribution.binomial(4, 0.3),
+        BranchingDistribution.poisson(0.8),
+        BranchingDistribution.poisson(1.6),
+    ],
+    ids=repr,
+)
+def test_gw_tree_matches_the_reference(dist):
+    for max_depth in (1, 2, 5, 6, 12):
+        for seed in range(15):
+            res = generate_gw_tree(dist, max_depth, seed)
+            ref, extinction_depth, truncated = gw_tree_reference(dist, max_depth, seed)
+            assert_same_network(res.network, ref)
+            assert (res.extinction_depth, res.truncated) == (extinction_depth, truncated)
+
+
+def test_gw_tree_dying_out_next_to_max_depth():
+    # seed 5's last generation is its 5th: one before max_depth 6, and at max_depth 5
+    dist = BranchingDistribution.binomial(4, 0.3)
+    for max_depth, ending in [(6, (5, False)), (5, (None, True))]:
+        res = generate_gw_tree(dist, max_depth, 5)
+        ref, *ref_ending = gw_tree_reference(dist, max_depth, 5)
+        assert (res.extinction_depth, res.truncated) == ending == tuple(ref_ending)
+        assert_same_network(res.network, ref)
+
+
+@pytest.mark.parametrize("w, D, p", [(1, 5, 1.0), (3, 4, 0.5), (4, 1, 0.5), (6, 7, 0.3)])
+def test_trellis_matches_the_reference(w, D, p):
+    for seed in range(5):
+        assert_same_network(generate_trellis(w, D, p, seed), trellis_reference(w, D, p, seed))
+
+
+@pytest.mark.parametrize(
+    "K, m, d", [(1, 1, 1), (3, 2, 2), (6, 3, 3), (10, 4, 4), (7, 3, 2), (50, 3, 5)]
+)
+def test_parallel_matches_the_reference(K, m, d):
+    for seed in range(5):
+        assert_same_network(generate_parallel(K, m, d, seed), parallel_reference(K, m, d, seed))
