@@ -110,11 +110,10 @@ def fixed_point_beta(
     n = check_int(n, "n")
     check_real(tol, "tol", "[0, inf)")
     max_iter = check_int(max_iter, "max_iter")
-    delta = net.max_out_degree
-    if delta > 0 and y > 1.0 / delta:
+    if y > _y_limit(net):
         if not allow_above_threshold:
             raise PreconditionError(
-                f"fixed-point/program equivalence needs y <= 1/Delta = {1.0 / delta:g}, "
+                f"fixed-point/program equivalence needs y <= 1/Delta = {_y_limit(net):g}, "
                 f"got y = {y:g}; pass allow_above_threshold=True to compute it anyway"
             )
         warnings.warn(
@@ -135,24 +134,21 @@ def fixed_point_beta(
     )
 
 
-def _spectral_threshold(net: ProductionNetwork) -> float:
-    delta = net.max_out_degree
+def _y_limit(net: ProductionNetwork, planning: bool = False) -> float:
+    """1/Delta, Delta the max out-degree or, for planning, max(Delta, Delta_R); inf at Delta = 0.
+
+    The fixed point needs y <= this limit, and every Katz-type solve y < it.
+    """
+    delta = max(net.max_out_degree, net.max_in_degree) if planning else net.max_out_degree
     return math.inf if delta == 0 else 1.0 / delta
 
 
-def _closed_form_ok(net: ProductionNetwork, x: float, y: float, n: int) -> tuple[bool, float]:
-    """Whether x^n * Katz(net, y) solves the program, and the cap x_cap on x.
+def _x_condition(net: ProductionNetwork, x: float, y: float, n: int) -> tuple[bool, float]:
+    """For y < `_y_limit(net)`: whether x^n * Katz(net, y) solves the program, and x's cap.
 
-    The closed form needs y < 1/Delta and x < x_cap = (1 - y Delta)^(1/n),
-    Delta the forward max out-degree; x_cap = 1 (at Delta = 0 or y = 0)
-    restricts no x.  x_cap is 0 when the y-condition fails.
+    It does when x < x_cap = (1 - y Delta)^(1/n); x_cap = 1 (at Delta = 0 or y = 0) restricts no x.
     """
-    delta = net.max_out_degree
-    if delta == 0:
-        return True, 1.0
-    if y >= 1.0 / delta:
-        return False, 0.0
-    x_cap = (1.0 - y * delta) ** (1.0 / n)
+    x_cap = (1.0 - y * net.max_out_degree) ** (1.0 / n)
     return x < x_cap or x_cap >= 1.0, x_cap
 
 
@@ -203,10 +199,8 @@ def katz_centrality(net: ProductionNetwork, y: float, tol: float = 1e-12) -> np.
     """
     check_real(y, "y", "[0, inf)")
     check_real(tol, "tol", "[0, inf)")
-    if y >= _spectral_threshold(net):
-        raise PreconditionError(
-            f"Katz centrality needs y < 1/Delta = {_spectral_threshold(net):g}, got y = {y:g}"
-        )
+    if y >= _y_limit(net):
+        raise PreconditionError(f"Katz centrality needs y < 1/Delta = {_y_limit(net):g}, got y = {y:g}")
     return _katz_solve(net, y, np.ones(net.node_count), tol=tol)
 
 
@@ -219,17 +213,12 @@ def katz_beta(net: ProductionNetwork, x: float, y: float, n: int = 1) -> BetaVec
     check_real(x, "x")
     check_real(y, "y")
     n = check_int(n, "n")
-    if y >= _spectral_threshold(net):
-        raise PreconditionError(
-            f"katz_beta needs y < 1/Delta = {_spectral_threshold(net):g}, got y = {y:g}"
-        )
-    x_ok, x_cap = _closed_form_ok(net, x, y, n)
+    if y >= _y_limit(net):
+        raise PreconditionError(f"katz_beta needs y < 1/Delta = {_y_limit(net):g}, got y = {y:g}")
+    x_ok, x_cap = _x_condition(net, x, y, n)
     if not x_ok:
-        raise PreconditionError(
-            f"katz_beta needs x < (1 - y Delta)^(1/n) = {x_cap:g}, got x = {x:g}"
-        )
-    gamma = katz_centrality(net, y)
-    return BetaVector(beta=(x**n) * gamma, method="katz-closed-form")
+        raise PreconditionError(f"katz_beta needs x < (1 - y Delta)^(1/n) = {x_cap:g}, got x = {x:g}")
+    return BetaVector(beta=(x**n) * _katz_solve(net, y, np.ones(net.node_count)), method="katz-closed-form")
 
 
 @dataclass
@@ -253,7 +242,7 @@ def resilience_lb_katz(net: ProductionNetwork, y: float, epsilon: float, n: int 
     raw = (epsilon / float(gamma.sum())) ** (1.0 / n)
     value = min(1.0, max(0.0, raw))
     return KatzResilienceBound(
-        value=value, precondition_ok=_closed_form_ok(net, value, y, n)[0], clamped=value != raw
+        value=value, precondition_ok=_x_condition(net, value, y, n)[0], clamped=value != raw
     )
 
 

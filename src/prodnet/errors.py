@@ -5,7 +5,8 @@ with 2, violated numeric preconditions with 3, and failed iterative
 solves with 4.  `check_int` and `check_real` are the one place where an
 argument's domain is checked: every public entry point runs its
 arguments through them once, so NaN, bools and non-numbers end in a
-ParameterError wherever they are passed.
+ParameterError wherever they are passed.  Network ids and tiers follow
+`check_int`'s rule (`is_int`), refused with a ValidationError.
 """
 
 import numbers
@@ -62,15 +63,16 @@ class ConvergenceError(ProdnetError, RuntimeError):
 
 
 def check_int(value, name: str, minimum: int = 1) -> int:
-    """`value` as an int, refused unless it is an integer >= minimum (0 or 1).
-
-    Python and numpy integers qualify; bools, Python's or numpy's, do not,
-    although Python counts its own as integers.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+    """`value` as an int, refused unless it is an integer (`is_int`) >= minimum (0 or 1)."""
+    if not is_int(value) or value < minimum:
         kind = "nonnegative" if minimum == 0 else "positive"
         raise ParameterError(f"{name} must be a {kind} integer, got {value!r}")
     return int(value)
+
+
+def is_int(value) -> bool:
+    """Python and numpy integers qualify; bools, Python's or numpy's, do not, though Python counts its own."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def check_real(value, name: str, interval: str = "[0, 1]") -> float:

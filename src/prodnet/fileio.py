@@ -8,18 +8,18 @@ content exactly.  All CSV output is plain ASCII with '.' decimal points.
 Every input file is read as UTF-8; bytes that do not decode raise
 FormatError, like any other malformed content.
 
-Input-output tables are scanned as bytes: `parse_io_table` reads
-IO_TABLE_BLOCK bytes at a time, cuts each block at its last line end and
-scans it with numpy, converting only the cells that are not "0", so its
-memory is O(block + K + E).  A table with a quote or NUL byte, or a
-cell longer than csv's field limit, is decoded by csv.reader instead;
-both routes feed the same reducer.
+Both CSV formats are read IO_TABLE_BLOCK bytes at a time, cut at line
+ends and checked as UTF-8, which names a bad byte by its file position.
+Input-output tables are scanned as bytes with numpy, converting only the
+cells that are not "0", so their memory is O(block + K + E).  Edge CSVs,
+and tables with a quote or NUL byte or a cell longer than csv's field
+limit, are decoded by csv.reader; both table routes feed one reducer.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
+import io
 import json
 import warnings
 from pathlib import Path
@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ValidationError, check_real
-from .network import ProductionNetwork
+from .network import ProductionNetwork, _int_pairs
 
 NETWORK_JSON_SCHEMA = 1
 
@@ -41,14 +41,14 @@ def parse_edge_csv(path) -> ProductionNetwork:
 
     Node ids are assigned by first appearance (source before target, row
     by row).  Duplicate rows collapse to one edge with a warning;
-    self-loops are rejected.
+    self-loops are rejected.  A leading UTF-8 byte-order mark is dropped.
     """
     path = Path(path)
     ids: dict[str, int] = {}
     ends = []  # source and target id of each row, flat
     reader = _csv_rows(path)
     header = next(reader, None)
-    if header is None or [c.strip().lower() for c in header[:2]] != ["source", "target"]:
+    if header is None or [c.lstrip("\ufeff").strip().lower() for c in header[:2]] != ["source", "target"]:
         raise FormatError(f"{path}: expected header 'source,target', got {header!r}")
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -75,23 +75,15 @@ def parse_edge_csv(path) -> ProductionNetwork:
 
 
 def _csv_rows(path: Path):
-    """The rows of a UTF-8 CSV file; undecodable bytes and csv errors raise FormatError.
-
-    An undecodable byte is named by its position in the file.
-    """
-    with path.open(newline="", encoding="utf-8") as fh:
-        try:
-            yield from csv.reader(fh)
-        except UnicodeDecodeError as exc:
-            # the decoder counts from its chunk's start; the block check names the file position
-            for _ in _line_blocks(path):
-                pass
-            raise FormatError(f"{path}: unreadable CSV: {exc}") from exc
-        except csv.Error as exc:
-            raise FormatError(f"{path}: unreadable CSV: {exc}") from exc
+    """The rows of a CSV file, read by csv.reader through `_line_blocks`; csv errors raise FormatError."""
+    lines = (line for block in _line_blocks(path) for line in io.StringIO(block.decode(), newline=""))
+    try:
+        yield from csv.reader(lines)
+    except csv.Error as exc:
+        raise FormatError(f"{path}: unreadable CSV: {exc}") from exc
 
 
-IO_TABLE_BLOCK = 1 << 16  # bytes that parse_io_table reads and scans at a time
+IO_TABLE_BLOCK = 1 << 16  # bytes that the CSV readers read, check and scan at a time
 
 
 def parse_io_table(path, threshold: float = 0.0) -> ProductionNetwork:
@@ -204,6 +196,8 @@ def _scanned_chunks(path: Path, zero_is_edge: bool):
     for block in _line_blocks(path):
         if b'"' in block or b"\0" in block:
             raise _NeedsCsv  # quoted cells; and csv.reader's NUL rule differs between Pythons
+        if block[-1:] not in (b"\n", b"\r"):
+            block += b"\n"  # the file's last line gains a line end
         b = np.frombuffer(block, np.uint8)
         sep = b == ord(",")
         skip = b == ord("0")  # "0" cells that follow a comma, so not at a line start
@@ -248,14 +242,14 @@ def _scanned_chunks(path: Path, zero_is_edge: bool):
 
 
 def _line_blocks(path: Path):
-    """The file's bytes, checked as UTF-8, in blocks that end at a line end.
+    """The file's bytes, checked as UTF-8, in blocks that end at a line end or the file's end.
 
-    A last line without a line end gains one.
+    A read's last '\r' waits for the next read, whose '\n' may pair with it.
     """
     tail, offset = b"", 0
     with path.open("rb") as fh:
         while data := fh.read(IO_TABLE_BLOCK):
-            cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
+            cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
             if cut:
                 block, tail = b"".join((tail, memoryview(data)[:cut])), data[cut:]
                 del data  # hold one copy of the block while it is scanned
@@ -266,16 +260,14 @@ def _line_blocks(path: Path):
                 tail += data
     if tail:
         _check_utf8(tail, offset, path)
-        yield tail + b"\n"
+        yield tail
 
 
 def _check_utf8(block: bytes, offset: int, path: Path) -> None:
     """Raise FormatError, naming positions in the file, if a block is not UTF-8."""
-    if block.isascii():
-        return
     try:
         block.decode("utf-8")
-    except UnicodeDecodeError as exc:
+    except ValueError as exc:  # a decode error, which carries the bad bytes' span
         start, end = offset + exc.start, offset + exc.end - 1
         where = f"byte 0x{block[exc.start]:02x} in position {start}" if start == end else f"bytes in position {start}-{end}"
         raise FormatError(f"{path}: unreadable CSV: 'utf-8' codec can't decode {where}: {exc.reason}") from exc
@@ -303,10 +295,10 @@ def save_network_json(net: ProductionNetwork, path) -> None:
 
 
 def load_network_json(path) -> ProductionNetwork:
-    """Read a network written by save_network_json."""
+    """Read a network written by save_network_json; a leading UTF-8 byte-order mark is dropped."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8").removeprefix("\ufeff"))
     except (ValueError, RecursionError) as exc:  # bad JSON, bytes that are not UTF-8, deep nesting
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("schema") != NETWORK_JSON_SCHEMA:
@@ -334,12 +326,10 @@ def load_network_json(path) -> ProductionNetwork:
 def _json_edges(value):
     """Edge pairs: one int64 array when every id is an int, else checked pair by pair."""
     try:
-        ids = itertools.chain.from_iterable
-        if set(map(type, ids(value))) <= {int} and set(map(len, value)) <= {2}:
-            return np.fromiter(ids(value), np.int64, 2 * len(value)).reshape(-1, 2)
+        pairs = _int_pairs(value)
     except (TypeError, ValueError, OverflowError):
-        pass  # not a list of int pairs: the check below names the fault
-    return [(_json_int(j), _json_int(i)) for j, i in value]
+        pairs = None  # not a list of int pairs: the check below names the fault
+    return [(_json_int(j), _json_int(i)) for j, i in value] if pairs is None else pairs
 
 
 def _json_int(value) -> int:
@@ -356,10 +346,7 @@ def save_edge_csv(net: ProductionNetwork, path) -> None:
     supplier count, and reparsing renumbers ids by first appearance.  Use
     the JSON form when the exact network must round-trip.
     """
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["source", "target"])
-        writer.writerows((np.column_stack(net.edge_arrays()) + 1).tolist())
+    write_csv(path, ["source", "target"], (np.column_stack(net.edge_arrays()) + 1).tolist())
 
 
 def write_csv(path, header: list[str], rows) -> None:

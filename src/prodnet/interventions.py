@@ -21,22 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contagion import _closed_form_ok, _katz_solve, fixed_point_beta
+from .contagion import _katz_solve, _x_condition, _y_limit, fixed_point_beta
 from .errors import ParameterError, PreconditionError, check_int, check_real
 from .network import ProductionNetwork
 
 _INT64_MAX = int(np.iinfo(np.int64).max)  # caps are stored as int64
-
-
-def _check_spectral_y(net: ProductionNetwork, y: float):
-    # planning needs the spectral condition on the network and its reverse
-    check_real(y, "y", "[0, inf)")
-    delta = max(net.max_out_degree, net.max_in_degree)
-    if delta > 0 and y >= 1.0 / delta:
-        raise PreconditionError(
-            f"interventions need y < 1/max(Delta, Delta_R) = {1.0 / delta:g}, got y = {y:g} "
-            f"(max out-degree {net.max_out_degree}, reverse {net.max_in_degree})"
-        )
 
 
 @dataclass
@@ -65,7 +54,12 @@ class InterventionPlan:
 
 def _reverse_katz_order(net: ProductionNetwork, y: float) -> tuple[np.ndarray, np.ndarray]:
     """Reverse-graph Katz vector and the 0-based products ranked by (-score, id)."""
-    _check_spectral_y(net, y)
+    check_real(y, "y", "[0, inf)")
+    if y >= _y_limit(net, planning=True):
+        raise PreconditionError(
+            f"interventions need y < 1/max(Delta, Delta_R) = {_y_limit(net, planning=True):g}, got y = {y:g} "
+            f"(max out-degree {net.max_out_degree}, reverse {net.max_in_degree})"
+        )
     gamma_rev = _katz_solve(net, y, np.ones(net.node_count), reverse=True)
     return gamma_rev, np.argsort(-gamma_rev, kind="stable")
 
@@ -128,7 +122,7 @@ def evaluate_intervention(
     check_real(y, "y")
     n = check_int(n, "n")
     spontaneous = (x**n) * (~t).astype(np.float64)
-    if _closed_form_ok(net, x, y, n)[0]:
+    if y < _y_limit(net) and _x_condition(net, x, y, n)[0]:
         beta = _katz_solve(net, y, spontaneous)
     else:
         warnings.warn(
@@ -183,6 +177,8 @@ def supplier_allocation(
     Walks products by decreasing reverse-graph Katz centrality (ties by
     id) and assigns each its cap, or whatever budget remains.  Feasible by
     construction: totals never exceed the budget and per-product caps hold.
+    base_n is checked and otherwise unused: every product's residual
+    carries the same factor x^base_n, which moves neither the order nor the fill.
     """
     budget = check_int(budget, "budget", minimum=0)
     check_int(base_n, "base_n")

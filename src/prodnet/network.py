@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import CyclicGraphError, SizeError, ValidationError, check_int
+from .errors import CyclicGraphError, SizeError, ValidationError, check_int, is_int
 
 MAX_NODES = 10_000_000  # products per network: construction allocates CSR offsets of K + 1 entries
 
@@ -76,9 +76,10 @@ class ProductionNetwork:
     ----------
     node_count : number of products K; ids are the dense integers 1..K.
     edges : (j, i) pairs, j an input of i: an iterable of pairs or an
-        (E, 2) integer array.
+        (E, 2) integer array.  Ids and tiers are integers by `check_int`'s
+        rule, never bools, floats or strings.
     supplier_count : number of independent suppliers per product (n).
-    tiers : optional mapping product id -> tier index.
+    tiers : optional mapping product id -> nonnegative tier, keyed by exactly 1..K.
     acyclic : optional claim; verified when given, computed otherwise.
     """
 
@@ -115,16 +116,9 @@ class ProductionNetwork:
         ids = np.arange(k + 1)
         out_starts, in_starts = np.searchsorted(src, ids), np.searchsorted(dst[by_consumer], ids)
 
-        tier_map = None
-        if tiers is not None:
-            tier_map = {int(v): int(t) for v, t in tiers.items()}
-            missing = [v for v in range(1, k + 1) if v not in tier_map]
-            if missing:
-                raise ValidationError(f"tier labels missing for nodes {missing[:5]}")
-
         object.__setattr__(self, "node_count", k)
         object.__setattr__(self, "supplier_count", n)
-        object.__setattr__(self, "tiers", tier_map)
+        object.__setattr__(self, "tiers", None if tiers is None else _tier_labels(k, tiers))
         object.__setattr__(self, "_src", _frozen(src))
         object.__setattr__(self, "_dst", _frozen(dst))
         object.__setattr__(self, "_out_starts", _frozen(out_starts))
@@ -394,17 +388,25 @@ class ProductionNetwork:
 def _canonical_edges(k: int, edges) -> tuple[np.ndarray, np.ndarray]:
     """(src, dst) of (j, i) pairs, 0-based and sorted by (j, i).
 
-    The first pair in input order that leaves 1..k, is a self-loop or
-    repeats an earlier pair raises ValidationError naming that pair.
+    The first pair holding a non-integer id, then the first pair in input
+    order that leaves 1..k, is a self-loop or repeats an earlier pair,
+    raises ValidationError naming that pair.
     """
-    shown = None  # the pairs error messages quote, when they differ from `pairs`
+    given, shown = edges, None  # shown: the pairs error messages quote, when they differ from `pairs`
     try:
-        given = edges if isinstance(edges, np.ndarray) else list(edges)
         try:
-            pairs = np.asarray(given, dtype=np.int64)
+            if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu":
+                pairs = np.asarray(edges, dtype=np.int64)
+            else:
+                given = edges.tolist() if isinstance(edges, np.ndarray) else list(edges)
+                pairs = _int_pairs(given)
+                if pairs is None:  # numpy integers pass, any other id is refused
+                    if (bad := next((pair for pair in given if not all(map(is_int, pair))), None)) is not None:
+                        raise TypeError(f"got {bad!r}")
+                    pairs = np.asarray(given, dtype=np.int64)
         except OverflowError:  # an id beyond int64 lies outside 1..k, as 0 does
             shown = given
-            pairs = np.array([[v if abs(v) <= k else 0 for v in map(int, e)] for e in given], dtype=np.int64)
+            pairs = np.array([[v if abs(v) <= k else 0 for v in e] for e in given], dtype=np.int64)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"edges must be (j, i) pairs of integers: {exc}") from exc
     if pairs.size == 0:
@@ -426,6 +428,28 @@ def _canonical_edges(k: int, edges) -> tuple[np.ndarray, np.ndarray]:
             raise ValidationError(f"self-loop on node {a} is not allowed")
         raise ValidationError(f"duplicate edge ({a}, {b})")
     return keys // (k + 1) - 1, keys % (k + 1) - 1
+
+
+def _int_pairs(given: list) -> Optional[np.ndarray]:
+    """Pairs of Python ints as an (E, 2) int64 array (OverflowError past int64), else None."""
+    ids = itertools.chain.from_iterable
+    if set(map(type, ids(given))) <= {int} and set(map(len, given)) <= {2}:
+        return np.fromiter(ids(given), np.int64, 2 * len(given)).reshape(-1, 2)
+    return None
+
+
+def _tier_labels(k: int, tiers) -> dict[int, int]:
+    """tiers as a dict of ints, refused unless its keys are exactly 1..k and its tiers nonnegative."""
+    labels = dict(tiers)
+    if not (set(map(type, labels)) | set(map(type, labels.values())) <= {int} and min(labels, default=1) >= 1
+            and max(labels, default=0) <= k and min(labels.values(), default=0) >= 0):
+        for v, t in labels.items():  # numpy integers pass; name the first bad entry
+            if not (is_int(v) and 1 <= v <= k and is_int(t) and t >= 0):
+                raise ValidationError(f"tier entry {v!r}: {t!r} needs a product id in 1..{k} and a nonnegative integer tier")
+        labels = {int(v): int(t) for v, t in labels.items()}
+    if len(labels) < k:
+        raise ValidationError(f"tier labels missing for nodes {[v for v in range(1, k + 1) if v not in labels][:5]}")
+    return labels
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -456,5 +480,5 @@ def reverse_graph(net: ProductionNetwork) -> ProductionNetwork:
         net.node_count,
         np.column_stack((dst, src)) + 1,
         supplier_count=net.supplier_count,
-        tiers=dict(net.tiers) if net.tiers is not None else None,
+        tiers=net.tiers,  # the constructor copies it
     )

@@ -358,6 +358,33 @@ def test_malformed_network_json_exit_code(tmp_path, capsys, field):
     assert "malformed" in stderr
 
 
+@pytest.mark.parametrize(
+    "tiers",
+    [{"1": 0, "2": 1, "5": 3}, {"1": -1, "2": 0}],
+    ids=["tier-key-above-K", "tier-negative"],
+)
+def test_network_json_with_bad_tiers_exit_code(tmp_path, capsys, tiers):
+    doc = {"schema": 1, "k": 2, "n": 1, "edges": [[1, 2]], "tiers": tiers}
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps(doc), encoding="utf-8")
+    code, stdout, stderr = run_cli(
+        capsys, "simulate", "--net", str(net_path), "--x", "0.2", "--out", str(tmp_path / "h.csv")
+    )
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("prodnet: tier entry ")
+
+
+def test_simulate_reads_an_edge_csv_with_a_byte_order_mark(tmp_path, capsys):
+    net_path = tmp_path / "bom.csv"
+    net_path.write_bytes(b"\xef\xbb\xbfsource,target\r\n1,2\r\n2,3\r\n")
+    code, stdout, _ = run_cli(
+        capsys, "simulate", "--net", str(net_path), "--x", "0.2", "--trials", "10",
+        "--out", str(tmp_path / "h.csv"),
+    )
+    assert code == 0
+    assert json.loads(stdout)["k"] == 3
+
+
 def test_oversized_network_json_exit_code(tmp_path, capsys):
     # 48 bytes that claim 10^8 products are refused before anything is sized by K
     net_path = tmp_path / "net.json"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from prodnet import (
     generate_rdag,
     katz_beta,
     katz_centrality,
+    optimal_protection,
     resilience_lb_katz,
     vulnerability_ranking,
 )
@@ -143,6 +145,26 @@ def test_katz_requires_spectral_condition():
     net = ProductionNetwork(3, [(1, 2), (1, 3)])
     with pytest.raises(PreconditionError):
         katz_centrality(net, 0.5)
+
+
+def test_y_at_one_over_delta_exactly():
+    # the fixed point takes y <= 1/Delta; Katz solves and planning need y < their limit
+    out_star = ProductionNetwork(3, [(1, 2), (1, 3)])  # Delta = 2, Delta_R = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fixed_point_beta(out_star, 0.1, 0.5).method == "fixed-point"
+    for refused in (
+        lambda: katz_centrality(out_star, 0.5),
+        lambda: katz_beta(out_star, 0.1, 0.5),
+        lambda: resilience_lb_katz(out_star, 0.5, 0.2),
+        lambda: optimal_protection(out_star, 1, 0.5),
+    ):
+        with pytest.raises(PreconditionError, match=r"needs? y < 1/"):
+            refused()
+    in_star = ProductionNetwork(3, [(2, 1), (3, 1)])  # Delta = 1, Delta_R = 2: planning's limit is 0.5
+    assert katz_centrality(in_star, 0.6).tolist() == pytest.approx([2.2, 1.0, 1.0])
+    with pytest.raises(PreconditionError, match=r"1/max\(Delta, Delta_R\) = 0\.5, got y = 0\.6"):
+        optimal_protection(in_star, 1, 0.6)
 
 
 def test_katz_beta_agrees_with_fixed_point():

@@ -110,6 +110,56 @@ def test_csv_reader_names_an_undecodable_byte_by_its_file_position(tmp_path):
         assert str(err.value) == f"{path}: unreadable CSV: {whole.value}"
 
 
+def test_edge_csv_with_a_byte_order_mark(tmp_path):
+    # spreadsheets' "CSV UTF-8" exports start with one
+    f = tmp_path / "net.csv"
+    f.write_text("\ufeffSource,Target\r\na,b\r\nb,c\r\n", encoding="utf-8")
+    net = parse_edge_csv(f)
+    assert net.node_count == 3
+    assert net.edges == ((1, 2), (2, 3))
+
+
+def test_network_json_with_a_byte_order_mark(tmp_path):
+    net = ProductionNetwork(3, [(1, 2), (2, 3)], supplier_count=2, tiers={1: 0, 2: 1, 3: 2})
+    f = tmp_path / "net.json"
+    save_network_json(net, f)
+    f.write_bytes(b"\xef\xbb\xbf" + f.read_bytes())
+    assert load_network_json(f) == net
+
+
+# edge CSVs whose line ends, quoted names and bad rows straddle reads of 1, 5
+# and 64 bytes, and what reading the whole file with csv.reader gives
+_PAIRS = [(2 * i + 1, 2 * i + 2) for i in range(30)]
+_EDGE_CSVS = {
+    "crlf": (
+        "source,target\r\n" + "".join(f"a{i},b{i}\r\n" for i in range(30)) + "c\r\n",
+        ":32: expected two columns, got ['c']",
+    ),
+    "cr-only": ("source,target\r" + "".join(f"a{i},b{i}\r" for i in range(30)) + "a1,a1\r", ":32: self-loop on 'a1'"),
+    "quoted-line-ends": (
+        'source,target\n"x\r\ny",z\n' + "".join(f"a{i},b{i}\n" for i in range(30)) + ",q\n",
+        ":33: empty node name",
+    ),
+    "no-final-line-end": (
+        "source,target\n" + "".join(f"a{i},b{i}\n" for i in range(30)) + 'b3,"a2', tuple(sorted(_PAIRS + [(8, 5)]))
+    ),
+    "utf8-names": ("source,target\n" + "".join(f"é{i},€{i}\r\n" for i in range(30)), tuple(_PAIRS)),
+}
+
+
+@pytest.mark.parametrize("block", [1, 5, 64, IO_TABLE_BLOCK])
+def test_edge_csv_blocks_cut_at_line_ends(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(fileio, "IO_TABLE_BLOCK", block)
+    for name, (text, expected) in _EDGE_CSVS.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.encode())
+        try:
+            outcome = parse_edge_csv(path).edges
+        except (FormatError, ValidationError) as exc:  # the line it names counts csv records
+            outcome = str(exc).removeprefix(str(path))
+        assert outcome == expected, name
+
+
 def test_io_table_single_edge(tmp_path):
     f = tmp_path / "io.csv"
     f.write_text(",A,B\nA,0,5\nB,0,0\n", encoding="utf-8")

@@ -4,7 +4,9 @@ The table drives public entry points with values outside their domain:
 NaN where a real is expected, bools where an int is expected, negative
 and fractional seeds, non-numbers and out-of-range values.  Each one
 must raise ParameterError, never a bare TypeError or ValueError and
-never a result computed from the bad value.  The fuzz properties write
+never a result computed from the bad value.  A second table hands
+`ProductionNetwork` edge ids and tiers that break `check_int`'s rule,
+which must raise ValidationError.  The fuzz properties write
 arbitrary bytes, and arbitrary or nearly well-formed text in one of three
 encodings, to a file and hand it to each parser, which may warn but may
 raise nothing but a ProdnetError.
@@ -26,6 +28,7 @@ from prodnet import (
     PercolationConfig,
     ProdnetError,
     ProductionNetwork,
+    ValidationError,
     dag_beta,
     dag_resilience_lb,
     dag_sparse_bound,
@@ -153,6 +156,47 @@ def test_bad_argument_raises_parameter_error(call, tmp_path):
         warnings.simplefilter("ignore")
         with pytest.raises(ParameterError):
             call(tmp_path)
+
+
+# edge ids and tiers that break check_int's rule, and tier keys outside 1..K
+NETWORK_CASES = {
+    "edge-id-float-list": lambda: ProductionNetwork(3, [(1, 2.5)]),
+    "edge-id-float-array": lambda: ProductionNetwork(3, np.array([[1, 2.7]])),
+    "edge-id-integral-float-array": lambda: ProductionNetwork(3, np.array([[1.0, 2.0]])),
+    "edge-id-bool-list": lambda: ProductionNetwork(3, [(True, 2)]),
+    "edge-id-bool-array": lambda: ProductionNetwork(3, np.array([[True, 2]], dtype=object)),
+    "edge-id-str-list": lambda: ProductionNetwork(3, [("1", "2")]),
+    "edge-id-str-array": lambda: ProductionNetwork(3, np.array([["1", "2"]])),
+    "edge-id-float-after-numpy-ints": lambda: ProductionNetwork(3, [(np.int64(1), 2), (2, 3.5)]),
+    "tier-float": lambda: ProductionNetwork(2, [(1, 2)], tiers={1: 1.5, 2: 1}),
+    "tier-str": lambda: ProductionNetwork(2, [(1, 2)], tiers={1: "a", 2: 1}),
+    "tier-bool": lambda: ProductionNetwork(2, [(1, 2)], tiers={1: True, 2: 1}),
+    "tier-negative": lambda: ProductionNetwork(2, [(1, 2)], tiers={1: -1, 2: 0}),
+    "tier-key-above-K": lambda: ProductionNetwork(2, [(1, 2)], tiers={1: 0, 2: 1, 5: 3}),
+    "tier-key-zero": lambda: ProductionNetwork(2, [(1, 2)], tiers={0: 0, 1: 0, 2: 1}),
+    "tier-key-float": lambda: ProductionNetwork(2, [(1, 2)], tiers={1.0: 0, 2: 1}),
+}
+
+
+@pytest.mark.parametrize("call", NETWORK_CASES.values(), ids=NETWORK_CASES.keys())
+def test_bad_network_ids_and_tiers_raise_validation_error(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+def test_network_messages_name_the_first_bad_pair_or_entry():
+    with pytest.raises(ValidationError, match=r"pairs of integers: got \(2, 2\.5\)$"):
+        ProductionNetwork(3, [(1, 2), (2, 2.5), (3, "1")])
+    with pytest.raises(ValidationError, match=r"pairs of integers: got \[1\.0, 2\.7\]$"):
+        ProductionNetwork(3, np.array([[1, 2.7]]))
+    with pytest.raises(ValidationError, match=r"^tier entry 5: 3 needs a product id in 1\.\.2 "):
+        ProductionNetwork(2, [(1, 2)], tiers={1: 0, 2: 1, 5: 3})
+    with pytest.raises(ValidationError, match=r"^tier entry 1: 'a' needs "):
+        ProductionNetwork(2, [(1, 2)], tiers={1: "a", 2: 1})
+    # numpy integers are integers; the stored tiers are Python ints
+    net = ProductionNetwork(2, [(np.int64(1), np.int32(2))], tiers={np.int64(1): np.uint8(0), 2: 1})
+    assert net.edges == ((1, 2),) and net.tiers == {1: 0, 2: 1}
+    assert {type(v) for item in net.tiers.items() for v in item} == {int}
 
 
 def test_messages_name_the_argument_and_its_domain():
