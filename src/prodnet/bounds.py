@@ -72,6 +72,14 @@ def _times(count: int, value: float) -> float:
         return math.copysign(math.exp(log_size) if log_size < _LOG_FLOAT_MAX else math.inf, value)
 
 
+def _log_times(count: int, value: float) -> float:
+    """log(count * value) for an exact integer count of any size and value > 0."""
+    try:
+        return math.log(count * value)
+    except OverflowError:  # count does not convert to a float
+        return math.log(count) + math.log(value)
+
+
 # ---------------------------------------------------------------------------
 # Random DAG: cascade-size power law and tail function
 # ---------------------------------------------------------------------------
@@ -95,7 +103,7 @@ def powerlaw_pmf(f: int, K: int, p: float, x: float, n: int = 1) -> float:
     if x == 0.0:
         return 0.0
     xn = x**n
-    denom = K * (1.0 - (1.0 - xn) * (1.0 - p) ** f)
+    denom = _times(K, 1.0 - (1.0 - xn) * (1.0 - p) ** _times(f, 1.0))
     return xn / denom
 
 
@@ -109,8 +117,8 @@ def powerlaw_tail_constant(K: int, p: float, x: float, n: int = 1) -> float:
         return 0.0
     xn = x**n
     if p == 1.0:
-        return xn / K if xn == 1.0 else 0.0
-    return xn / (K * (1.0 + (1.0 - xn) * (-math.log1p(-p))))
+        return xn / _times(K, 1.0) if xn == 1.0 else 0.0
+    return xn / _times(K, 1.0 + (1.0 - xn) * (-math.log1p(-p)))
 
 
 def cascade_tail_g(x: float, K: int, p: float, epsilon: float, n: int = 1) -> float:
@@ -129,9 +137,9 @@ def cascade_tail_g(x: float, K: int, p: float, epsilon: float, n: int = 1) -> fl
     xn = x**n
     log_one_minus_p = math.log1p(-p)
     big_l = -log_one_minus_p
-    a = 1.0 - (1.0 - xn) * math.exp(K * log_one_minus_p)
-    b = 1.0 - (1.0 - xn) * math.exp(epsilon * K * log_one_minus_p)
-    return xn * (1.0 - epsilon + math.log(a / b) / (K * big_l))
+    a = 1.0 - (1.0 - xn) * math.exp(_times(K, log_one_minus_p))
+    b = 1.0 - (1.0 - xn) * math.exp(_times(K, epsilon) * log_one_minus_p)
+    return xn * (1.0 - epsilon + math.log(a / b) / _times(K, big_l))
 
 
 def cascade_tail_g_envelope(x: float, K: int, p: float, epsilon: float, n: int = 1) -> float:
@@ -141,7 +149,7 @@ def cascade_tail_g_envelope(x: float, K: int, p: float, epsilon: float, n: int =
     check_real(x, "x")
     check_real(epsilon, "epsilon", "(0, 1]")
     n = check_int(n, "n")
-    return x**n * (1.0 - epsilon) + 1.0 / (K * -math.log1p(-p))
+    return x**n * (1.0 - epsilon) + 1.0 / _times(K, -math.log1p(-p))
 
 
 def rdag_lb_x(K: int, p: float, epsilon: float, n: int = 1) -> float:
@@ -155,7 +163,7 @@ def rdag_lb_x(K: int, p: float, epsilon: float, n: int = 1) -> float:
     check_real(epsilon, "epsilon", "(0, 1)")
     n = check_int(n, "n")
     big_l = -math.log1p(-p)
-    value, clamped = _clamp01((1.0 / (K * big_l * (1.0 - epsilon))) ** (1.0 / n))
+    value, clamped = _clamp01((1.0 / (_times(K, big_l) * (1.0 - epsilon))) ** (1.0 / n))
     if clamped:
         warnings.warn("rdag_lb_x clamped to [0, 1]", ClampWarning, stacklevel=2)
     return value
@@ -181,14 +189,15 @@ def parallel_bounds(
     d = check_int(d, "d")
     check_real(epsilon, "epsilon", "(0, 1)")
     n = check_int(n, "n")
+    twice_mk = _times(K, _times(m, 2.0))
     if scope == "complex-only":
-        lower_raw = (epsilon / (d * m) + math.sqrt(math.log(K) / (2.0 * m * K))) ** (1.0 / n)
-        upper_raw = (1.0 - ((1.0 - epsilon) / 2.0) ** (1.0 / m)) ** (1.0 / n)
+        lower_raw = (epsilon / _times(d * m, 1.0) + math.sqrt(math.log(K) / twice_mk)) ** (1.0 / n)
+        upper_raw = (1.0 - ((1.0 - epsilon) / 2.0) ** (1.0 / _times(m, 1.0))) ** (1.0 / n)
     elif scope == "all-products":
         lower_raw = (
-            epsilon / (2.0 * (d + 1) * m) + math.sqrt(math.log(K / 2.0) / (2.0 * m * K))
+            epsilon / _times(m, _times(d + 1, 2.0)) + math.sqrt(_log_times(K, 0.5) / twice_mk)
         ) ** (1.0 / n)
-        upper_raw = (1.0 - (1.0 - epsilon) / (2.0 * (m + 1))) ** (1.0 / n)
+        upper_raw = (1.0 - (1.0 - epsilon) / _times(m + 1, 2.0)) ** (1.0 / n)
     else:
         raise ParameterError(f"scope must be 'complex-only' or 'all-products', got {scope!r}")
     return _bound_result(lower_raw, upper_raw, scope, {"K": K, "m": m, "d": d, "epsilon": epsilon, "n": n})

@@ -21,8 +21,8 @@ from pathlib import Path
 
 from . import __version__
 from . import bounds as bnd
-from .contagion import _ranking, dag_beta, fixed_point_beta, katz_beta, vulnerability_ranking
-from .errors import ConvergenceError, ParameterError, PreconditionError, ProdnetError, check_int
+from .contagion import _ranking, _root_bound, dag_beta, fixed_point_beta, katz_beta, vulnerability_ranking
+from .errors import ConvergenceError, ParameterError, PreconditionError, ProdnetError, check_int, check_real
 from .estimator import DEFAULT_EPSILON_GRID, resilience_curve
 from .fileio import (
     load_network_json,
@@ -43,7 +43,7 @@ from .generators import (
     generate_rdag,
     generate_trellis,
 )
-from .interventions import _protection_planner, post_intervention_resilience_lb
+from .interventions import _ranked_reverse_katz
 from .percolation import PercolationConfig, run_batch
 
 EXIT_USAGE = 1
@@ -220,12 +220,11 @@ def _cmd_intervene(args):
     t_max = net.node_count if args.t_max is None else check_int(args.t_max, "--t-max", minimum=0)
     if t_max > net.node_count:
         raise ParameterError(f"--t-max {t_max} exceeds the product count {net.node_count}")
-    plan_for = _protection_planner(net, y)  # one reverse-Katz solve for the whole sweep
-    rows = []
-    for budget in range(0, t_max + 1):
-        plan = plan_for(budget)
-        lb = post_intervention_resilience_lb(net, plan, args.epsilon, n)
-        rows.append((budget, budget / net.node_count, plan.objective(args.x, n), lb))
+    # row T holds optimal_protection(net, T, y)'s objective and bound, read off one ranked pass
+    mass = _ranked_reverse_katz(net, y)[2][: t_max + 1].tolist()
+    epsilon, n = check_real(args.epsilon, "epsilon", "(0, 1)"), check_int(n, "n")
+    xn = check_real(args.x, "x") ** n
+    rows = [(T, T / net.node_count, xn * m, _root_bound(epsilon, m, n)[0]) for T, m in enumerate(mass)]
     write_intervention_csv(rows, args.out)
     return {"y": y, "k": net.node_count}
 

@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from .bounds import _LOG_FLOAT_MAX, _clamp01, _times
 from .errors import ConvergenceError, CyclicGraphError, PreconditionError, check_int, check_real
 from .network import ProductionNetwork
 
@@ -238,29 +239,33 @@ def resilience_lb_katz(net: ProductionNetwork, y: float, epsilon: float, n: int 
     """Resilience lower bound (eps / sum of Katz centralities)^(1/n)."""
     check_real(epsilon, "epsilon", "(0, 1)")
     n = check_int(n, "n")
-    gamma = katz_centrality(net, y)
-    raw = (epsilon / float(gamma.sum())) ** (1.0 / n)
-    value = min(1.0, max(0.0, raw))
-    return KatzResilienceBound(
-        value=value, precondition_ok=_x_condition(net, value, y, n)[0], clamped=value != raw
-    )
+    value, clamped = _root_bound(epsilon, float(katz_centrality(net, y).sum()), n)
+    return KatzResilienceBound(value=value, precondition_ok=_x_condition(net, value, y, n)[0], clamped=clamped)
+
+
+def _root_bound(epsilon: float, mass: float, n: int) -> tuple[float, bool]:
+    """(epsilon / mass)^(1/n) clamped to [0, 1], and whether it was clamped; a mass <= 0 gives 1."""
+    return (1.0, True) if mass <= 0.0 else _clamp01((epsilon / mass) ** (1.0 / n))
 
 
 def dag_sparse_bound(K: int, x: float, y: float, n: int = 1) -> float:
-    """Closed-form expected-failure bound x^n e^{Ky} / y for any DAG."""
+    """Closed-form expected-failure bound x^n e^{Ky} / y for any DAG; inf beyond float range."""
     K = check_int(K, "K")
     check_real(x, "x")
     check_real(y, "y", "(0, 1]")
     n = check_int(n, "n")
-    return (x**n) * math.exp(K * y) / y
+    xn, ky = x**n, _times(K, y)
+    if ky <= _LOG_FLOAT_MAX:  # e^{Ky} is a float
+        return xn * math.exp(ky) / y
+    log_value = math.log(xn) + ky - math.log(y) if xn else -math.inf
+    return math.exp(log_value) if log_value <= _LOG_FLOAT_MAX else math.inf
 
 
 def dag_resilience_lb(K: int, epsilon: float, n: int = 1) -> float:
     """Universal DAG resilience lower bound (eps / (e K))^(1/n) at y = 1/K."""
     K = check_int(K, "K")
     check_real(epsilon, "epsilon", "(0, 1)")
-    n = check_int(n, "n")
-    return min(1.0, (epsilon / (math.e * K)) ** (1.0 / n))
+    return _root_bound(epsilon, _times(K, math.e), check_int(n, "n"))[0]
 
 
 def vulnerability_ranking(
@@ -271,14 +276,16 @@ def vulnerability_ranking(
     Uses the DAG pass when the network is acyclic, the fixed point
     otherwise; ties break by ascending product id for determinism.
     """
-    if net.acyclic:
-        bv = dag_beta(net, x, y, n)
-    else:
-        bv = fixed_point_beta(net, x, y, n)
-    return _ranking(bv)
+    solve = dag_beta if net.acyclic else fixed_point_beta
+    return _ranking(solve(net, x, y, n))
 
 
 def _ranking(bv: BetaVector) -> list[tuple[int, float]]:
-    """(product id, beta) pairs, largest beta first, ties by ascending id."""
-    order = sorted(range(1, len(bv.beta) + 1), key=lambda i: (-bv.beta[i - 1], i))
-    return [(i, float(bv.beta[i - 1])) for i in order]
+    """(product id, beta) pairs in `_rank` order."""
+    order = _rank(bv.beta)
+    return list(zip((order + 1).tolist(), bv.beta[order].tolist()))
+
+
+def _rank(scores: np.ndarray) -> np.ndarray:
+    """0-based indices by descending score, ties by ascending index."""
+    return np.argsort(-scores, kind="stable")

@@ -145,7 +145,10 @@ def resilience_curve(
     the trapezoidal integral over [0, 1] with the boundary estimates
     extended flat.
     """
-    eps = np.array([check_real(e, "epsilon", "(0, 1)") for e in epsilon_grid])
+    try:
+        eps = np.array([check_real(e, "epsilon", "(0, 1)") for e in epsilon_grid])
+    except TypeError:  # not iterable
+        raise ParameterError(f"epsilon_grid must be a sequence of reals, got {epsilon_grid!r}") from None
     if eps.size == 0:
         raise ParameterError("epsilon_grid must not be empty")
     if np.any(np.diff(eps) <= 0.0):

@@ -9,9 +9,9 @@ ordering with a greedy prefix fill.
 
 The reverse-graph Katz vector solves (I - y A) g = 1 with the sparse
 strong-component solver of `contagion`, on the network's reverse level
-plan (no reversed copy is built).  One solve, one sort by (-g, id) and
-one suffix sum give the plan for every budget, so a sweep over budgets
-0..T costs one solve plus O(K log K) and O(K) per plan built.
+plan (no reversed copy is built).  One solve, one `contagion._rank` and
+one suffix sum give the unprotected mass of every budget, so a sweep over
+budgets 0..T costs one solve plus O(K log K + T), with no plan built.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contagion import _katz_solve, _x_condition, _y_limit, fixed_point_beta
-from .errors import ParameterError, PreconditionError, check_int, check_real
+from .contagion import _katz_solve, _rank, _root_bound, _x_condition, _y_limit, fixed_point_beta
+from .errors import ParameterError, PreconditionError, check_int, check_real, is_int
 from .network import ProductionNetwork
 
 _INT64_MAX = int(np.iinfo(np.int64).max)  # caps are stored as int64
@@ -52,8 +52,12 @@ class InterventionPlan:
         return (x ** check_int(n, "n")) * self.unprotected_mass
 
 
-def _reverse_katz_order(net: ProductionNetwork, y: float) -> tuple[np.ndarray, np.ndarray]:
-    """Reverse-graph Katz vector and the 0-based products ranked by (-score, id)."""
+def _ranked_reverse_katz(net: ProductionNetwork, y: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reverse-graph Katz vector, the 0-based products in `_rank` order, and mass[0..K].
+
+    mass[T], the unprotected mass of budget T, is the suffix sum of the ranked
+    scores from rank T on: it never increases with T and is exactly 0 at T = K.
+    """
     check_real(y, "y", "[0, inf)")
     if y >= _y_limit(net, planning=True):
         raise PreconditionError(
@@ -61,33 +65,10 @@ def _reverse_katz_order(net: ProductionNetwork, y: float) -> tuple[np.ndarray, n
             f"(max out-degree {net.max_out_degree}, reverse {net.max_in_degree})"
         )
     gamma_rev = _katz_solve(net, y, np.ones(net.node_count), reverse=True)
-    return gamma_rev, np.argsort(-gamma_rev, kind="stable")
-
-
-def _protection_planner(net: ProductionNetwork, y: float):
-    """T -> the optimal plan for budget T, from one reverse-Katz solve and sort.
-
-    The unprotected mass of budget T is the suffix sum of the ranked
-    scores from rank T on, so it never increases with T and is exactly 0
-    at T = K.
-    """
-    gamma_rev, order = _reverse_katz_order(net, y)
-    k = net.node_count
-    mass = np.zeros(k + 1)
-    mass[:k] = np.cumsum(gamma_rev[order][::-1])[::-1]
-
-    def plan(T: int) -> InterventionPlan:
-        protected = np.zeros(k, dtype=bool)
-        protected[order[:T]] = True
-        return InterventionPlan(
-            protected=protected,
-            reverse_katz=gamma_rev,
-            unprotected_mass=float(mass[T]),
-            budget=int(T),
-            y=y,
-        )
-
-    return plan
+    order = _rank(gamma_rev)
+    mass = np.zeros(net.node_count + 1)
+    mass[:-1] = np.cumsum(gamma_rev[order][::-1])[::-1]
+    return gamma_rev, order, mass
 
 
 def optimal_protection(net: ProductionNetwork, T: int, y: float) -> InterventionPlan:
@@ -98,7 +79,10 @@ def optimal_protection(net: ProductionNetwork, T: int, y: float) -> Intervention
     T = check_int(T, "T", minimum=0)
     if T > net.node_count:
         raise ParameterError(f"T = {T} exceeds the product count {net.node_count}")
-    return _protection_planner(net, y)(T)
+    gamma_rev, order, mass = _ranked_reverse_katz(net, y)
+    protected = np.zeros(net.node_count, dtype=bool)
+    protected[order[:T]] = True
+    return InterventionPlan(protected, gamma_rev, float(mass[T]), budget=T, y=y)
 
 
 def evaluate_intervention(
@@ -113,15 +97,20 @@ def evaluate_intervention(
     bound, but the top-centrality plan is no longer guaranteed optimal
     for it).
     """
-    t = np.asarray(t, dtype=bool)
-    if t.shape != (net.node_count,):
+    mask = np.asarray(t)
+    if mask.shape != (net.node_count,):
         raise ParameterError(
-            f"t must have one entry per product ({net.node_count}), got shape {t.shape}"
+            f"t must have one entry per product ({net.node_count}), got shape {mask.shape}"
         )
+    if mask.dtype != bool:
+        for i, v in enumerate(t):
+            if not (isinstance(v, (bool, np.bool_)) or (is_int(v) and v in (0, 1))):
+                raise ParameterError(f"t[{i}] must be a bool or the integer 0 or 1, got {v!r}")
+        mask = mask.astype(bool)
     check_real(x, "x")
     check_real(y, "y")
     n = check_int(n, "n")
-    spontaneous = (x**n) * (~t).astype(np.float64)
+    spontaneous = (x**n) * (~mask).astype(np.float64)
     if y < _y_limit(net) and _x_condition(net, x, y, n)[0]:
         beta = _katz_solve(net, y, spontaneous)
     else:
@@ -143,10 +132,7 @@ def post_intervention_resilience_lb(
     the budget since protecting more only shrinks the denominator.
     """
     check_real(epsilon, "epsilon", "(0, 1)")
-    n = check_int(n, "n")
-    if plan.unprotected_mass <= 0.0:
-        return 1.0
-    return min(1.0, (epsilon / plan.unprotected_mass) ** (1.0 / n))
+    return _root_bound(epsilon, plan.unprotected_mass, check_int(n, "n"))[0]
 
 
 @dataclass
@@ -192,20 +178,14 @@ def supplier_allocation(
         if c > _INT64_MAX:
             raise ParameterError(f"caps[{i}] must be at most {_INT64_MAX}, got {c}")
     caps = np.array(caps, np.int64)
-    gamma_rev, order = _reverse_katz_order(net, y)
-    order = order.tolist()
+    gamma_rev, order, _ = _ranked_reverse_katz(net, y)
     extra = np.zeros(net.node_count, dtype=np.int64)
     remaining = budget
-    for i in order:
+    for i in order.tolist():
         if remaining <= 0:
             break
-        give = min(int(caps[i]), remaining)
-        extra[i] = give
+        extra[i] = give = min(int(caps[i]), remaining)
         remaining -= give
     return SupplierAllocation(
-        extra=extra,
-        caps=caps,
-        budget=budget,
-        order=[i + 1 for i in order],
-        reverse_katz=gamma_rev,
+        extra=extra, caps=caps, budget=budget, order=(order + 1).tolist(), reverse_katz=gamma_rev
     )

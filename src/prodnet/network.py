@@ -440,6 +440,8 @@ def _int_pairs(given: list) -> Optional[np.ndarray]:
 
 def _tier_labels(k: int, tiers) -> dict[int, int]:
     """tiers as a dict of ints, refused unless its keys are exactly 1..k and its tiers nonnegative."""
+    if not isinstance(tiers, Mapping):
+        raise ValidationError(f"tiers must be a mapping of product id to tier, got {tiers!r}")
     labels = dict(tiers)
     if not (set(map(type, labels)) | set(map(type, labels.values())) <= {int} and min(labels, default=1) >= 1
             and max(labels, default=0) <= k and min(labels.values(), default=0) >= 0):

@@ -113,6 +113,13 @@ def test_bounds_subcommands(tmp_path, capsys):
          [("parallel", r.regime, r.lower, r.upper)
           for r in (pn.parallel_bounds(50, 2, 3, eps, n, scope)
                     for scope in ("complex-only", "all-products"))]),
+        # K and m = 10**400, beyond float range
+        (["--arch", "rdag", "--K", str(10**400), "--p", "0.1"],
+         [("rdag", "tail-majorant", 0.0, "")]),
+        (["--arch", "parallel", "--K", str(10**400), "--m", str(10**400), "--d", "3"],
+         [("parallel", r.regime, r.lower, r.upper)
+          for r in (pn.parallel_bounds(10**400, 10**400, 3, eps, n, scope)
+                    for scope in ("complex-only", "all-products"))]),
         (["--arch", "backward-tree", "--m", "2", "--D", "4"],
          [("backward-tree", r.regime, r.lower, r.upper) for r in [pn.tree_bounds(2, 4, eps, n)]]),
         # K = 2**2000 - 1 products, beyond float range
@@ -167,33 +174,59 @@ def test_intervene_monotone_lower_bound(tmp_path, capsys):
 
 
 def test_intervene_rows_equal_optimal_protection(tmp_path, capsys, monkeypatch):
-    # one reverse-Katz solve serves the whole sweep, and row T is exactly
-    # the objective of the optimal plan for budget T
+    # one reverse-Katz solve serves the whole sweep, and every cell of row T
+    # is exactly what the public API gives for the optimal plan of budget T;
+    # the star's reverse-Katz scores tie on its five consumers
     import prodnet.interventions as itv
-    from prodnet import generate_rdag, optimal_protection, save_network_json
-
-    net = generate_rdag(40, 0.1, seed=3)
-    net_path = tmp_path / "net.json"
-    save_network_json(net, net_path)
-    solves = []
-
-    def counted(*args, **kwargs):
-        solves.append(kwargs.get("reverse", False))
-        return solve(*args, **kwargs)
+    from prodnet import generate_rdag, optimal_protection, post_intervention_resilience_lb
 
     solve = itv._katz_solve
-    monkeypatch.setattr(itv, "_katz_solve", counted)
+    for net in (generate_rdag(40, 0.1, seed=3), pn.ProductionNetwork(6, [(1, i) for i in range(2, 7)])):
+        net_path = tmp_path / "net.json"
+        pn.save_network_json(net, net_path)
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(kwargs.get("reverse", False))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(itv, "_katz_solve", counted)
+        out = tmp_path / "sweep.csv"
+        code, stdout, _ = run_cli(
+            capsys, "intervene", "--net", str(net_path), "--x", "0.3", "--n", "2",
+            "--epsilon", "0.3", "--out", str(out),
+        )
+        assert code == 0
+        assert solves == [True]
+        y = json.loads(stdout)["y"]
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == list(range(net.node_count + 1))
+        for r in rows:
+            T = int(r[0])
+            plan = optimal_protection(net, T, y)
+            expected = [T / net.node_count, plan.objective(0.3, 2), post_intervention_resilience_lb(net, plan, 0.3, 2)]
+            assert [float(c) for c in r[1:]] == expected
+
+
+def test_intervene_builds_no_plan_per_budget(tmp_path, capsys, monkeypatch):
+    # the sweep reads every row off one ranked pass: no K-entry mask per budget
+    import prodnet.interventions as itv
+
+    built = []
+
+    class Counted(itv.InterventionPlan):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(itv, "InterventionPlan", Counted)
+    net_path = tmp_path / "net.json"
+    pn.save_network_json(pn.generate_rdag(2000, 0.002, seed=1), net_path)
     out = tmp_path / "sweep.csv"
-    code, stdout, _ = run_cli(
-        capsys, "intervene", "--net", str(net_path), "--x", "0.3", "--n", "2", "--out", str(out)
-    )
+    code, _, _ = run_cli(capsys, "intervene", "--net", str(net_path), "--out", str(out))
     assert code == 0
-    assert solves == [True]
-    y = json.loads(stdout)["y"]
-    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
-    assert [int(r[0]) for r in rows] == list(range(41))
-    for r in rows:
-        assert float(r[2]) == optimal_protection(net, int(r[0]), y).objective(0.3, 2)
+    assert len(out.read_text().splitlines()) == 2002
+    assert len(built) <= 1
 
 
 def test_io_table_ingestion(tmp_path, capsys):

@@ -3,8 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prodnet import (
+    BetaVector,
     ConvergenceError,
     CyclicGraphError,
     ParameterError,
@@ -23,6 +26,7 @@ from prodnet import (
     resilience_lb_katz,
     vulnerability_ranking,
 )
+from prodnet.contagion import _ranking
 
 from oracles import brute_force_stats, exact_cascade_stats
 
@@ -229,6 +233,13 @@ def test_dag_sparse_bound_values():
     assert dag_sparse_bound(k, 0.3, 1.0 / k, 1) == pytest.approx(k * math.e * 0.3)
 
 
+def test_dag_sparse_bound_beyond_float_range():
+    # e^{Ky} overflows alone; the bound is taken in log space, inf only beyond float range
+    assert dag_sparse_bound(700, 0.5, 1.0) == 0.5 * math.exp(700) / 1.0
+    assert dag_sparse_bound(800, 1e-300, 1.0) == pytest.approx(math.exp(800 - 300 * math.log(10)))
+    assert dag_sparse_bound(800, 0.5, 1.0) == math.inf
+
+
 def test_dag_resilience_lb_value():
     assert dag_resilience_lb(100, 0.27, 1) == pytest.approx(0.27 / (math.e * 100))
     assert dag_resilience_lb(100, 0.27, 1) == pytest.approx(9.9327e-4, rel=1e-3)
@@ -275,6 +286,15 @@ def test_ranking_cyclic_uses_fixed_point():
     ranking = vulnerability_ranking(net, 0.1, 0.5, 1)
     # symmetric cycle: all equal, ties broken by id
     assert [pid for pid, _ in ranking] == [1, 2, 3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 1.0), max_size=30))
+def test_ranking_matches_sorted_reference(betas):
+    # reference: Python's sorted by (-beta, id), which the stable argsort must reproduce
+    bv = BetaVector(np.array(betas, dtype=np.float64), method="dag-linear")
+    order = sorted(range(1, len(betas) + 1), key=lambda i: (-bv.beta[i - 1], i))
+    assert _ranking(bv) == [(i, float(bv.beta[i - 1])) for i in order]
 
 
 def test_parameter_validation():

@@ -130,6 +130,13 @@ def test_evaluate_intervention_hand_solve():
     assert obj == pytest.approx(0.4625)
 
 
+def test_evaluate_intervention_accepts_bools_and_zero_one_ints():
+    net = chain(3)
+    expected = evaluate_intervention(net, np.array([False, True, False]), 0.2, 0.25)[0]
+    for t in ([0, 1, 0], [False, True, False], np.array([0, 1, 0]), [np.int64(0), np.True_, 0]):
+        assert evaluate_intervention(net, t, 0.2, 0.25)[0] == expected
+
+
 def test_evaluate_intervention_fallback_warns():
     net = ProductionNetwork(2, [(1, 2)])
     with pytest.warns(UserWarning):

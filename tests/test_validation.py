@@ -6,15 +6,19 @@ and fractional seeds, non-numbers and out-of-range values.  Each one
 must raise ParameterError, never a bare TypeError or ValueError and
 never a result computed from the bad value.  A second table hands
 `ProductionNetwork` edge ids and tiers that break `check_int`'s rule,
-which must raise ValidationError.  The fuzz properties write
+or tiers that are not a mapping, which must raise ValidationError.  A
+third table calls closed-form bounds at sizes beyond float range, which
+must give the limit of their formula.  The fuzz properties write
 arbitrary bytes, and arbitrary or nearly well-formed text in one of three
 encodings, to a file and hand it to each parser, which may warn but may
 raise nothing but a ProdnetError.
 """
 
 import json
+import math
 import tempfile
 import warnings
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +33,8 @@ from prodnet import (
     ProdnetError,
     ProductionNetwork,
     ValidationError,
+    cascade_tail_g,
+    cascade_tail_g_envelope,
     dag_beta,
     dag_resilience_lb,
     dag_sparse_bound,
@@ -46,9 +52,12 @@ from prodnet import (
     katz_centrality,
     load_network_json,
     optimal_protection,
+    parallel_bounds,
     parse_edge_csv,
     parse_io_table,
     powerlaw_pmf,
+    powerlaw_tail_constant,
+    rdag_lb_x,
     resilience_curve,
     resilience_lb_katz,
     run_batch,
@@ -139,6 +148,17 @@ CASES = {
         CHAIN, PercolationConfig(x=0.1, n=2**62), 0.1, 0.2
     ),
     "resilience_curve-trials-beyond-int64": lambda tmp: resilience_curve(CHAIN, trials=2**70),
+    # an epsilon grid that is not a sequence
+    "resilience_curve-grid-none": lambda tmp: resilience_curve(CHAIN, epsilon_grid=None, trials=10),
+    "resilience_curve-grid-int": lambda tmp: resilience_curve(CHAIN, epsilon_grid=5, trials=10),
+    # protection sets whose entries are not bools or the integers 0 and 1
+    "evaluate_intervention-t-str": lambda tmp: evaluate_intervention(CHAIN, ["a", "b", "c"], 0.1, 0.5),
+    "evaluate_intervention-t-fractional": lambda tmp: evaluate_intervention(CHAIN, [0.5, 2, 0], 0.1, 0.5),
+    "evaluate_intervention-t-two": lambda tmp: evaluate_intervention(CHAIN, [0, 2, 1], 0.1, 0.5),
+    "evaluate_intervention-t-float-array": lambda tmp: evaluate_intervention(
+        CHAIN, np.array([1.0, 0.0, 0.0]), 0.1, 0.5
+    ),
+    "evaluate_intervention-t-none": lambda tmp: evaluate_intervention(CHAIN, [None, 0, 1], 0.1, 0.5),
     # out of range
     "estimate_resilience_ensemble-empty": lambda tmp: estimate_resilience_ensemble([], 0.3),
     "poisson-inf": lambda tmp: BranchingDistribution.poisson(float("inf")),
@@ -175,6 +195,10 @@ NETWORK_CASES = {
     "tier-key-above-K": lambda: ProductionNetwork(2, [(1, 2)], tiers={1: 0, 2: 1, 5: 3}),
     "tier-key-zero": lambda: ProductionNetwork(2, [(1, 2)], tiers={0: 0, 1: 0, 2: 1}),
     "tier-key-float": lambda: ProductionNetwork(2, [(1, 2)], tiers={1.0: 0, 2: 1}),
+    "tiers-int": lambda: ProductionNetwork(2, [(1, 2)], tiers=5),
+    "tiers-list": lambda: ProductionNetwork(2, [(1, 2)], tiers=[1, 2]),
+    "tiers-str": lambda: ProductionNetwork(2, [(1, 2)], tiers="ab"),
+    "tiers-pairs": lambda: ProductionNetwork(2, [(1, 2)], tiers=[(1, 0), (2, 1)]),
 }
 
 
@@ -199,6 +223,38 @@ def test_network_messages_name_the_first_bad_pair_or_entry():
     assert {type(v) for item in net.tiers.items() for v in item} == {int}
 
 
+# sizes beyond float range: each call gives the limit its formula takes, where
+# it used to raise OverflowError converting K (or e^{Ky}) to a float
+HUGE = 10**400
+BEYOND_FLOAT_CASES = {
+    "rdag_lb_x": (lambda: rdag_lb_x(HUGE, 0.1, 0.3), 0.0),
+    "dag_resilience_lb": (lambda: dag_resilience_lb(HUGE, 0.3), 0.0),
+    "dag_sparse_bound-e^Ky": (lambda: dag_sparse_bound(800, 0.5, 1.0), math.inf),
+    "dag_sparse_bound-K": (lambda: dag_sparse_bound(HUGE, 0.5, 0.5), math.inf),
+    "dag_sparse_bound-x-zero": (lambda: dag_sparse_bound(HUGE, 0.0, 0.5), 0.0),
+    "powerlaw_pmf": (lambda: powerlaw_pmf(1, HUGE, 0.1, 0.5), 0.0),
+    "powerlaw_pmf-f": (lambda: powerlaw_pmf(HUGE, HUGE, 0.1, 0.5), 0.0),
+    "powerlaw_tail_constant": (lambda: powerlaw_tail_constant(HUGE, 0.1, 0.5), 0.0),
+    "powerlaw_tail_constant-p-one": (lambda: powerlaw_tail_constant(HUGE, 1.0, 1.0), 0.0),
+    "cascade_tail_g": (lambda: cascade_tail_g(0.5, HUGE, 0.1, 0.3), 0.5 * 0.7),
+    "cascade_tail_g_envelope": (lambda: cascade_tail_g_envelope(0.5, HUGE, 0.1, 0.3), 0.5 * 0.7),
+    "parallel_bounds-K": (
+        lambda: astuple(parallel_bounds(HUGE, 3, 2, 0.3))[:2],
+        (0.3 / 6, 1.0 - 0.35 ** (1.0 / 3)),
+    ),
+    "parallel_bounds-m": (lambda: astuple(parallel_bounds(5, HUGE, 2, 0.3, scope="all-products"))[:2], (0.0, 1.0)),
+    "parallel_bounds-d": (
+        lambda: astuple(parallel_bounds(5, 2, HUGE, 0.3, scope="all-products"))[:2],
+        (math.sqrt(math.log(2.5) / 20.0), 1.0 - (1.0 - 0.3) / 6.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("call, expected", BEYOND_FLOAT_CASES.values(), ids=BEYOND_FLOAT_CASES.keys())
+def test_sizes_beyond_float_range_give_the_limit(call, expected):
+    assert call() == expected
+
+
 def test_messages_name_the_argument_and_its_domain():
     with pytest.raises(ParameterError, match=r"^x must lie in \[0, 1\], got nan$"):
         PercolationConfig(x=NAN)
@@ -210,6 +266,10 @@ def test_messages_name_the_argument_and_its_domain():
         resilience_lb_katz(CHAIN, 0.1, 1)
     with pytest.raises(ParameterError, match=r"^caps\[1\] must be at most 9223372036854775807, "):
         supplier_allocation(CHAIN, 0.2, 1, [1, 2**70, 1], 2)
+    with pytest.raises(ParameterError, match=r"^t\[1\] must be a bool or the integer 0 or 1, got 0\.5$"):
+        evaluate_intervention(CHAIN, [True, 0.5, "a"], 0.1, 0.5)
+    with pytest.raises(ValidationError, match=r"^tiers must be a mapping of product id to tier, got 'ab'$"):
+        ProductionNetwork(2, [(1, 2)], tiers="ab")
 
 
 PARSERS = (parse_edge_csv, parse_io_table, load_network_json)
