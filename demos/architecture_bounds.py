@@ -36,9 +36,7 @@ def main():
         print(f"  {dist.kind} mean {dist.mean:.2f}: extinction prob {pn.gw_extinction(dist):.4f}")
     upper, lower = pn.gw_bounds(mu=0.6, tau=5, epsilon=eps, n=n)
     print(f"  per-depth bounds at (mu=0.6, tau=5): lower {lower:.4f}, upper {upper:.4f}")
-    res = pn.gw_expected_bounds(
-        pn.BranchingDistribution.poisson(0.6), eps, n, max_tau=500, samples=20_000, seed=1
-    )
+    res = pn.gw_expected_bounds(pn.BranchingDistribution.poisson(0.6), eps, n, max_tau=500)
     print(f"  depth-averaged: lower {res.lower:.4f}, upper {res.upper:.4f} "
           f"(extinct fraction {res.extinct_fraction:.3f})")
 

@@ -3,7 +3,9 @@
 Asymptotic results are surfaced as the explicit pre-asymptotic expressions
 their proofs actually establish, each labeled with the regime it covers.
 Transcendental work happens in log space wherever quantities like
-(p*w)**D or m**D threaten overflow.  Bound values are clamped into [0, 1]
+(p*w)**D or m**D threaten overflow, and a size or a supplier count n
+beyond float range gives each formula's limit (`_times`, `_power`, `_root`).
+Bound values are clamped into [0, 1]
 and clamping is flagged (BoundResult fields, or a ClampWarning for the
 operations that return a bare float).
 """
@@ -72,6 +74,29 @@ def _times(count: int, value: float) -> float:
         return math.copysign(math.exp(log_size) if log_size < _LOG_FLOAT_MAX else math.inf, value)
 
 
+def _power(x: float, n: int) -> float:
+    """x**n for x >= 0 and an exact integer n of any size.
+
+    An n beyond float range gives the limit: 0 for x < 1, 1 at x = 1 and
+    inf for x > 1.
+    """
+    try:
+        return x**n
+    except OverflowError:  # n does not convert to a float, or x**n exceeds it
+        return 1.0 if x == 1.0 else 0.0 if x < 1.0 else math.inf
+
+
+def _root(v: float, n: int) -> float:
+    """v**(1/n) for v >= 0 and an exact integer n of any size.
+
+    An n beyond float range gives the limit: 0 at v = 0, and 1 otherwise.
+    """
+    try:
+        return v ** (1.0 / n)
+    except OverflowError:  # 1/n does not convert to a float
+        return 0.0 if v == 0.0 else 1.0
+
+
 def _log_times(count: int, value: float) -> float:
     """log(count * value) for an exact integer count of any size and value > 0."""
     try:
@@ -102,7 +127,7 @@ def powerlaw_pmf(f: int, K: int, p: float, x: float, n: int = 1) -> float:
     n = check_int(n, "n")
     if x == 0.0:
         return 0.0
-    xn = x**n
+    xn = _power(x, n)
     denom = _times(K, 1.0 - (1.0 - xn) * (1.0 - p) ** _times(f, 1.0))
     return xn / denom
 
@@ -115,7 +140,7 @@ def powerlaw_tail_constant(K: int, p: float, x: float, n: int = 1) -> float:
     n = check_int(n, "n")
     if x == 0.0:
         return 0.0
-    xn = x**n
+    xn = _power(x, n)
     if p == 1.0:
         return xn / _times(K, 1.0) if xn == 1.0 else 0.0
     return xn / _times(K, 1.0 + (1.0 - xn) * (-math.log1p(-p)))
@@ -134,7 +159,7 @@ def cascade_tail_g(x: float, K: int, p: float, epsilon: float, n: int = 1) -> fl
     n = check_int(n, "n")
     if x == 0.0:
         return 0.0
-    xn = x**n
+    xn = _power(x, n)
     log_one_minus_p = math.log1p(-p)
     big_l = -log_one_minus_p
     a = 1.0 - (1.0 - xn) * math.exp(_times(K, log_one_minus_p))
@@ -149,7 +174,7 @@ def cascade_tail_g_envelope(x: float, K: int, p: float, epsilon: float, n: int =
     check_real(x, "x")
     check_real(epsilon, "epsilon", "(0, 1]")
     n = check_int(n, "n")
-    return x**n * (1.0 - epsilon) + 1.0 / _times(K, -math.log1p(-p))
+    return _power(x, n) * (1.0 - epsilon) + 1.0 / _times(K, -math.log1p(-p))
 
 
 def rdag_lb_x(K: int, p: float, epsilon: float, n: int = 1) -> float:
@@ -163,7 +188,7 @@ def rdag_lb_x(K: int, p: float, epsilon: float, n: int = 1) -> float:
     check_real(epsilon, "epsilon", "(0, 1)")
     n = check_int(n, "n")
     big_l = -math.log1p(-p)
-    value, clamped = _clamp01((1.0 / (_times(K, big_l) * (1.0 - epsilon))) ** (1.0 / n))
+    value, clamped = _clamp01(_root(1.0 / (_times(K, big_l) * (1.0 - epsilon)), n))
     if clamped:
         warnings.warn("rdag_lb_x clamped to [0, 1]", ClampWarning, stacklevel=2)
     return value
@@ -191,13 +216,13 @@ def parallel_bounds(
     n = check_int(n, "n")
     twice_mk = _times(K, _times(m, 2.0))
     if scope == "complex-only":
-        lower_raw = (epsilon / _times(d * m, 1.0) + math.sqrt(math.log(K) / twice_mk)) ** (1.0 / n)
-        upper_raw = (1.0 - ((1.0 - epsilon) / 2.0) ** (1.0 / _times(m, 1.0))) ** (1.0 / n)
+        lower_raw = _root(epsilon / _times(d * m, 1.0) + math.sqrt(math.log(K) / twice_mk), n)
+        upper_raw = _root(1.0 - _root((1.0 - epsilon) / 2.0, m), n)
     elif scope == "all-products":
-        lower_raw = (
-            epsilon / _times(m, _times(d + 1, 2.0)) + math.sqrt(_log_times(K, 0.5) / twice_mk)
-        ) ** (1.0 / n)
-        upper_raw = (1.0 - (1.0 - epsilon) / _times(m + 1, 2.0)) ** (1.0 / n)
+        lower_raw = _root(
+            epsilon / _times(m, _times(d + 1, 2.0)) + math.sqrt(_log_times(K, 0.5) / twice_mk), n
+        )
+        upper_raw = _root(1.0 - (1.0 - epsilon) / _times(m + 1, 2.0), n)
     else:
         raise ParameterError(f"scope must be 'complex-only' or 'all-products', got {scope!r}")
     return _bound_result(lower_raw, upper_raw, scope, {"K": K, "m": m, "d": d, "epsilon": epsilon, "n": n})
@@ -228,13 +253,13 @@ def tree_bounds(m: int, D: int, epsilon: float, n: int = 1) -> BoundResult:
     if K == 1:  # a lone product keeps its survivor at every x
         lower_raw = 1.0
     else:
-        lower_raw = (-math.expm1(math.log1p(-1.0 / k) / ((1.0 - epsilon) * k))) ** (1.0 / n)
+        lower_raw = _root(-math.expm1(math.log1p(-1.0 / k) / ((1.0 - epsilon) * k)), n)
     if m == 1:
         regime = "chain"
-        upper_raw = (2.0 / (k * (1.0 - epsilon))) ** (1.0 / n)
+        upper_raw = _root(2.0 / (k * (1.0 - epsilon)), n)
     else:
         regime = "fanout>=2"
-        upper_raw = ((1.0 - epsilon) * math.log(m) / math.log(K)) ** (1.0 / n) if K > 1 else math.inf
+        upper_raw = _root((1.0 - epsilon) * math.log(m) / math.log(K), n) if K > 1 else math.inf
     return _bound_result(lower_raw, upper_raw, regime, {"m": m, "D": D, "K": K, "epsilon": epsilon, "n": n})
 
 
@@ -251,7 +276,7 @@ def tree_tier_survival(m: int, D: int, x: float, n: int = 1) -> np.ndarray:
     D = check_int(D, "D")
     check_real(x, "x")
     n = check_int(n, "n")
-    log_z = math.log1p(-(x**n)) if x < 1.0 else -math.inf
+    log_z = math.log1p(-_power(x, n)) if x < 1.0 else -math.inf
     if log_z == 0.0:  # x^n is 0: every tier produces
         return np.ones(D, dtype=np.float64)
     q = np.zeros(D, dtype=np.float64)
@@ -275,7 +300,7 @@ def tree_catastrophe_prob(m: int, D: int, x: float, n: int = 1) -> tuple[float, 
     check_real(x, "x")
     n = check_int(n, "n")
     leaves = m ** (D - 1)
-    xn = x**n
+    xn = _power(x, n)
     if x >= 1.0:
         return 1.0, -math.expm1(_times(leaves, -1.0))
     exact = -math.expm1(_times(leaves, math.log1p(-xn)))
@@ -300,7 +325,7 @@ def tree_expected_survivors_envelope(m: int, D: int, x: float, n: int = 1) -> tu
     check_real(x, "x")
     n = check_int(n, "n")
     K = tree_node_count(m, D)
-    xn = x**n
+    xn = _power(x, n)
     lower, upper = _times(K, 1.0 - _times(D - 1, xn)), _times(D - 1, _times(K, xn)) / 2.0
     if not (math.isfinite(lower) and math.isfinite(upper)):
         raise ParameterError(f"the survivor envelopes for m={m}, D={D} exceed float range")
@@ -352,9 +377,9 @@ def _log_expm1_abs(u: float) -> float:
     return math.log(-math.expm1(u))
 
 
-def _log_geom_sum(r: float, tau: int) -> float:
-    """log(sum_{i=0}^{tau-1} r^i) for r >= 0."""
-    if tau == 1 or r == 0.0:
+def _log_geom_sum(r: float, tau: float) -> float:
+    """log(sum_{i=0}^{tau-1} r^i) for r >= 0, with tau as a float (inf beyond float range)."""
+    if tau == 1.0 or r == 0.0:
         return 0.0
     lr = math.log(r)
     if abs(lr) < 1e-14:
@@ -362,28 +387,13 @@ def _log_geom_sum(r: float, tau: int) -> float:
     return _log_expm1_abs(tau * lr) - _log_expm1_abs(lr)
 
 
-def _gw_survivor_leq(mu: float, tau: int, z: float, alpha: float) -> bool:
-    # expected-survivor condition: z * gsum(mu z) <= alpha * gsum(mu)
-    if z <= 0.0:
-        return True
-    lhs = math.log(z) + _log_geom_sum(mu * z, tau)
-    rhs = math.log(alpha) + _log_geom_sum(mu, tau)
-    return lhs <= rhs
-
-
-def _gw_failure_leq(mu: float, tau: int, z: float, epsilon: float) -> bool:
-    # expected-failure condition: gsum(mu) - z * gsum(mu z) <= epsilon
-    log_n = _log_geom_sum(mu, tau)
-    if z <= 0.0:
-        return log_n <= math.log(epsilon)
-    diff = math.log(z) + _log_geom_sum(mu * z, tau) - log_n
-    if diff >= 0.0:
-        return True
-    return log_n + math.log(-math.expm1(diff)) <= math.log(epsilon)
+def _gw_log_survivors(mu: float, tau: float, z: float) -> float:
+    """log(z * gsum(mu z)), the log of the expected survivors at z = 1 - x^n; -inf at z = 0."""
+    return math.log(z) + _log_geom_sum(mu * z, tau) if z > 0.0 else -math.inf
 
 
 def _gw_x_interval_top(mu: float, n: int) -> float:
-    return 1.0 if mu < 1.0 else (1.0 - 1.0 / mu) ** (1.0 / n)
+    return 1.0 if mu < 1.0 else _root(1.0 - 1.0 / mu, n)
 
 
 def _gw_check_regime(mu: float, side: str, epsilon: float):
@@ -417,17 +427,7 @@ def gw_bound_upper(mu: float, tau: int, epsilon: float, n: int = 1) -> float:
     check_real(epsilon, "epsilon", "(0, 1)")
     n = check_int(n, "n")
     _gw_check_regime(mu, "upper", epsilon)
-    alpha = (1.0 - epsilon) / 2.0
-    sat = lambda x: _gw_survivor_leq(mu, tau, 1.0 - x**n, alpha)
-    hi = _gw_x_interval_top(mu, n)
-    if sat(0.0):
-        return 0.0
-    if not sat(hi):
-        raise UnsupportedRegimeError(
-            f"no x in [0, {hi:g}] satisfies the survivor condition for "
-            f"mu={mu:g}, tau={tau}, epsilon={epsilon:g}"
-        )
-    return _bisect(lambda x: not sat(x), 0.0, hi)[1]
+    return _gw_upper_bracket(mu, tau, epsilon, n)[1]
 
 
 def gw_bound_lower(mu: float, tau: int, epsilon: float, n: int = 1) -> float:
@@ -436,15 +436,55 @@ def gw_bound_lower(mu: float, tau: int, epsilon: float, n: int = 1) -> float:
     check_real(epsilon, "epsilon", "(0, 1)")
     n = check_int(n, "n")
     _gw_check_regime(mu, "lower", epsilon)
-    sat = lambda x: _gw_failure_leq(mu, tau, 1.0 - x**n, epsilon)
+    return _gw_lower_bracket(mu, tau, epsilon, n)[0]
+
+
+# Each bracket function returns the final bisection bracket (lo, hi) of its
+# bound, on checked arguments.  `last`, the bracket at another depth, is
+# returned as it is when the new condition still separates its ends: the
+# condition is monotone in x, so the halving from [0, top] would take
+# last's path again.  gw_expected_bounds passes the previous depth's.
+
+
+def _gw_upper_bracket(mu: float, tau: int, epsilon: float, n: int, last=None) -> tuple[float, float]:
+    """The bracket whose hi is gw_bound_upper: the condition fails at lo and holds at hi."""
+    t = _times(tau, 1.0)
+    # expected-survivor condition: z * gsum(mu z) <= (1 - eps)/2 * gsum(mu)
+    log_limit = math.log((1.0 - epsilon) / 2.0) + _log_geom_sum(mu, t)
+    sat = lambda x: _gw_log_survivors(mu, t, 1.0 - _power(x, n)) <= log_limit
+    if last is not None and not sat(last[0]) and sat(last[1]):
+        return last
+    hi = _gw_x_interval_top(mu, n)
+    if sat(0.0):
+        return 0.0, 0.0
+    if not sat(hi):
+        raise UnsupportedRegimeError(
+            f"no x in [0, {hi:g}] satisfies the survivor condition for "
+            f"mu={mu:g}, tau={tau}, epsilon={epsilon:g}"
+        )
+    return _bisect(lambda x: not sat(x), 0.0, hi)
+
+
+def _gw_lower_bracket(mu: float, tau: int, epsilon: float, n: int, last=None) -> tuple[float, float]:
+    """The bracket whose lo is gw_bound_lower: the condition holds at lo and fails at hi."""
+    t = _times(tau, 1.0)
+    # expected-failure condition: gsum(mu) - z * gsum(mu z) <= eps
+    log_n, log_eps = _log_geom_sum(mu, t), math.log(epsilon)
+
+    def sat(x):
+        diff = _gw_log_survivors(mu, t, 1.0 - _power(x, n)) - log_n
+        return diff >= 0.0 or log_n + math.log(-math.expm1(diff)) <= log_eps
+
+    if last is not None and sat(last[0]) and not sat(last[1]):
+        return last
     hi = _gw_x_interval_top(mu, n)
     if not sat(0.0):
         raise UnsupportedRegimeError(
             f"even x = 0 violates the failure condition for mu={mu:g}, tau={tau}"
         )
     if sat(hi):
-        return hi
-    return _bisect(sat, 0.0, hi)[0]
+        return hi, hi
+    return _bisect(sat, 0.0, hi)
 
 
 def gw_bounds(mu: float, tau: int, epsilon: float, n: int = 1) -> tuple[float, float]:
@@ -483,7 +523,10 @@ def simulate_extinction_depths(
 
 @dataclass
 class GWExpectedBounds:
-    """Extinction-time-averaged resilience bounds for a branching network."""
+    """Extinction-time-averaged resilience bounds for a branching network.
+
+    samples echoes the argument of `gw_expected_bounds`, which no longer samples.
+    """
 
     upper: float
     lower: float
@@ -499,29 +542,48 @@ def gw_expected_bounds(
     samples: int = 100_000,
     seed: int = 0,
 ) -> GWExpectedBounds:
-    """Average the per-depth bounds over simulated extinction depths.
+    """Average the per-depth bounds over the exact law of the extinction depth.
 
-    The extinction-time distribution has no general closed form, so it is
-    estimated by simulating `samples` population chains (depth capped at
-    max_tau).  Runs that never die out contribute zero, matching the
-    defining sum over finite extinction times only.
+    The extinction depth tau, the deepest nonempty generation, has
+    Pr[tau <= t] = f_t(0), the t-fold iterate of the pgf (Athreya & Ney,
+    Branching Processes, 1972, ch. I).  So depth t weighs s_{t-1} - s_t,
+    where the survival probability s_t = 1 - f_t(0) is iterated in that
+    complement form (`BranchingDistribution.pgf_complement`).  Depths run
+    over 1..max_tau-1, as in `simulate_extinction_depths`; populations
+    alive at max_tau - 1 contribute zero, and extinct_fraction is
+    f_{max_tau-1}(0).  The sum ends once s stops falling, and a bound's
+    bisection is skipped at a depth whose weight can no longer change its
+    sum (the bounds lie in [0, 1]).  Each depth first tests the last
+    depth's bisection bracket, which the bounds keep once they settle.
+    None of these shortcuts changes the result.
+
+    samples and seed are checked but have no effect: nothing is sampled.
+    They are kept for one version, and `samples` is echoed on the result.
     """
     check_real(epsilon, "epsilon", "(0, 1)")
     n = check_int(n, "n")
+    max_tau = check_int(max_tau, "max_tau")
+    samples = check_int(samples, "samples")
+    check_int(seed, "seed", minimum=0)
     mu = dist.mean
     _gw_check_regime(mu, "upper", epsilon)
     _gw_check_regime(mu, "lower", epsilon)
-    taus = simulate_extinction_depths(dist, max_tau=max_tau, samples=samples, seed=seed)
-    extinct = taus[taus > 0]
-    values, counts = np.unique(extinct, return_counts=True)
-    upper = sum(c * gw_bound_upper(mu, int(t), epsilon, n) for t, c in zip(values, counts))
-    lower = sum(c * gw_bound_lower(mu, int(t), epsilon, n) for t, c in zip(values, counts))
-    return GWExpectedBounds(
-        upper=upper / len(taus),
-        lower=lower / len(taus),
-        extinct_fraction=len(extinct) / len(taus),
-        samples=len(taus),
-    )
+    upper = lower = 0.0
+    up = low = None  # the last depth's bisection brackets
+    s, tau = 1.0, 1  # s = s_{tau-1}, the probability of surviving past depth tau - 1
+    while tau < max_tau:
+        s_next = dist.pgf_complement(s)
+        if s_next >= s:  # s is at its fixed point: no later depth carries mass
+            break
+        weight = s - s_next
+        if upper + weight != upper:
+            up = _gw_upper_bracket(mu, tau, epsilon, n, up)
+            upper += weight * up[1]
+        if lower + weight != lower:
+            low = _gw_lower_bracket(mu, tau, epsilon, n, low)
+            lower += weight * low[0]
+        s, tau = s_next, tau + 1
+    return GWExpectedBounds(upper=upper, lower=lower, extinct_fraction=1.0 - s, samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -542,22 +604,24 @@ def trellis_bounds(w: int, D: int, p: float, epsilon: float, n: int = 1) -> Boun
     check_real(epsilon, "epsilon", "(0, 1]")
     n = check_int(n, "n")
     K = w * D
-    pw = p * w
+    pw = _times(w, p)
+    # K = wD cancels to 1/D in the ratios; sizes beyond float range enter as inf
+    d, d2 = _times(D, 1.0), _times(D * D, 1.0)
     if pw > 1.0:
         regime = "pw>1"
-        log_lower_xn = (
-            math.log(epsilon) + math.log(w) + math.log(pw - 1.0) - math.log(K) - D * math.log(pw)
-        )
-        lower_raw = math.exp(log_lower_xn / n)
-        upper_raw = ((1.0 + epsilon) * w / K) ** (1.0 / n)
+        log_pw = _log_times(w, p)
+        log_gap = math.log(pw - 1.0) if pw < math.inf else log_pw  # log(pw - 1)
+        log_lower_xn = math.log(epsilon) + math.log(w) + log_gap - math.log(K) - _times(D, log_pw)
+        lower_raw = math.exp(log_lower_xn / _times(n, 1.0))
+        upper_raw = _root((1.0 + epsilon) / d, n)
     elif pw == 1.0:
         regime = "pw=1"
-        lower_raw = (epsilon * w * w / (K * K)) ** (1.0 / n)
-        upper_raw = ((1.0 + epsilon) * w * w / K) ** (1.0 / n)
+        lower_raw = _root(epsilon / d2, n)
+        upper_raw = _root(_times(w, 1.0 + epsilon) / d, n)
     else:
         regime = "pw<1"
-        lower_raw = (epsilon * w * w * (1.0 - pw) / (K * K)) ** (1.0 / n)
-        upper_raw = ((1.0 + epsilon) * w * (1.0 - pw) / 2.0) ** (1.0 / n)
+        lower_raw = _root(epsilon * (1.0 - pw) / d2, n)
+        upper_raw = _root(_times(w, 1.0 + epsilon) * (1.0 - pw) / 2.0, n)
     return _bound_result(
         lower_raw, upper_raw, regime, {"w": w, "D": D, "p": p, "K": K, "epsilon": epsilon, "n": n}
     )

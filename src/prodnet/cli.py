@@ -223,7 +223,7 @@ def _cmd_intervene(args):
     # row T holds optimal_protection(net, T, y)'s objective and bound, read off one ranked pass
     mass = _ranked_reverse_katz(net, y)[2][: t_max + 1].tolist()
     epsilon, n = check_real(args.epsilon, "epsilon", "(0, 1)"), check_int(n, "n")
-    xn = check_real(args.x, "x") ** n
+    xn = bnd._power(check_real(args.x, "x"), n)
     rows = [(T, T / net.node_count, xn * m, _root_bound(epsilon, m, n)[0]) for T, m in enumerate(mass)]
     write_intervention_csv(rows, args.out)
     return {"y": y, "k": net.node_count}

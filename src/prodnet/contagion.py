@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import _LOG_FLOAT_MAX, _clamp01, _times
+from .bounds import _LOG_FLOAT_MAX, _clamp01, _power, _root, _times
 from .errors import ConvergenceError, CyclicGraphError, PreconditionError, check_int, check_real
 from .network import ProductionNetwork
 
@@ -51,7 +51,7 @@ def dag_beta(net: ProductionNetwork, x: float, y: float, n: int = 1) -> BetaVect
     n = check_int(n, "n")
     if not net.acyclic:
         raise CyclicGraphError("dag_beta requires an acyclic network")
-    xn = x**n
+    xn = _power(x, n)
     beta = np.zeros(net.node_count, dtype=np.float64)
     for level in net.level_plan():
         acc = np.full(len(level.products), xn, dtype=np.float64)  # then y beta_j, in input order
@@ -82,7 +82,7 @@ def _contract(net, beta, x, y, n, spontaneous):
     # contraction_step without the argument checks, for the iteration loop
     src, dst = net.edge_arrays()
     if spontaneous is None:
-        acc = np.full(net.node_count, x**n)
+        acc = np.full(net.node_count, _power(x, n))
     else:
         acc = np.array(spontaneous, dtype=np.float64)
     acc += np.bincount(dst, weights=y * beta[src], minlength=net.node_count)
@@ -149,7 +149,7 @@ def _x_condition(net: ProductionNetwork, x: float, y: float, n: int) -> tuple[bo
 
     It does when x < x_cap = (1 - y Delta)^(1/n); x_cap = 1 (at Delta = 0 or y = 0) restricts no x.
     """
-    x_cap = (1.0 - y * net.max_out_degree) ** (1.0 / n)
+    x_cap = _root(1.0 - y * net.max_out_degree, n)
     return x < x_cap or x_cap >= 1.0, x_cap
 
 
@@ -219,7 +219,7 @@ def katz_beta(net: ProductionNetwork, x: float, y: float, n: int = 1) -> BetaVec
     x_ok, x_cap = _x_condition(net, x, y, n)
     if not x_ok:
         raise PreconditionError(f"katz_beta needs x < (1 - y Delta)^(1/n) = {x_cap:g}, got x = {x:g}")
-    return BetaVector(beta=(x**n) * _katz_solve(net, y, np.ones(net.node_count)), method="katz-closed-form")
+    return BetaVector(beta=_power(x, n) * _katz_solve(net, y, np.ones(net.node_count)), method="katz-closed-form")
 
 
 @dataclass
@@ -245,7 +245,7 @@ def resilience_lb_katz(net: ProductionNetwork, y: float, epsilon: float, n: int 
 
 def _root_bound(epsilon: float, mass: float, n: int) -> tuple[float, bool]:
     """(epsilon / mass)^(1/n) clamped to [0, 1], and whether it was clamped; a mass <= 0 gives 1."""
-    return (1.0, True) if mass <= 0.0 else _clamp01((epsilon / mass) ** (1.0 / n))
+    return (1.0, True) if mass <= 0.0 else _clamp01(_root(epsilon / mass, n))
 
 
 def dag_sparse_bound(K: int, x: float, y: float, n: int = 1) -> float:
@@ -254,7 +254,7 @@ def dag_sparse_bound(K: int, x: float, y: float, n: int = 1) -> float:
     check_real(x, "x")
     check_real(y, "y", "(0, 1]")
     n = check_int(n, "n")
-    xn, ky = x**n, _times(K, y)
+    xn, ky = _power(x, n), _times(K, y)
     if ky <= _LOG_FLOAT_MAX:  # e^{Ky} is a float
         return xn * math.exp(ky) / y
     log_value = math.log(xn) + ky - math.log(y) if xn else -math.inf

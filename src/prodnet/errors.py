@@ -5,11 +5,14 @@ with 2, violated numeric preconditions with 3, and failed iterative
 solves with 4.  `check_int` and `check_real` are the one place where an
 argument's domain is checked: every public entry point runs its
 arguments through them once, so NaN, bools and non-numbers end in a
-ParameterError wherever they are passed.  Network ids and tiers follow
+ParameterError wherever they are passed.  `check_count` is `check_int`
+for a count that numpy holds or draws as an int64.  Network ids and tiers follow
 `check_int`'s rule (`is_int`), refused with a ValidationError.
 """
 
 import numbers
+
+INT64_MAX = 2**63 - 1  # the largest count that numpy's int64 arrays and draws hold
 
 
 class ProdnetError(Exception):
@@ -68,6 +71,14 @@ def check_int(value, name: str, minimum: int = 1) -> int:
         kind = "nonnegative" if minimum == 0 else "positive"
         raise ParameterError(f"{name} must be a {kind} integer, got {value!r}")
     return int(value)
+
+
+def check_count(value, name: str, minimum: int = 1) -> int:
+    """`check_int`, also refusing a value above INT64_MAX."""
+    value = check_int(value, name, minimum)
+    if value > INT64_MAX:
+        raise ParameterError(f"{name} must be at most {INT64_MAX}, got {value}")
+    return value
 
 
 def is_int(value) -> bool:

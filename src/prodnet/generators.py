@@ -9,12 +9,13 @@ generator draws the same numbers in the same order as its per-node form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterError, SizeError, check_int, check_real
+from .errors import INT64_MAX, ParameterError, SizeError, check_count, check_int, check_real
 from .network import MAX_NODES, ProductionNetwork
 
 RDAG_BLOCK = 1 << 20  # node pairs per draw in generate_rdag: 8 MB of doubles
@@ -25,7 +26,9 @@ class BranchingDistribution:
 
     Supported kinds: ``point`` (a fixed integer number of children),
     ``binomial`` (k trials, success probability p), and ``poisson``
-    (rate mu).  The mean is derived from the parameters.
+    (rate mu).  The mean is derived from the parameters.  A point mass
+    is held as k = value trials that always succeed (p = 1).  Counts are
+    drawn as int64, so k may be at most INT64_MAX and mu at most 9.2e18.
     """
 
     def __init__(self, kind: str, **params):
@@ -33,13 +36,13 @@ class BranchingDistribution:
         self.params = dict(params)
         try:
             if kind == "point":
-                self._value = check_int(params["value"], "point-mass value", minimum=0)
-                self._mean = float(self._value)
+                self._k, self._p = check_count(params["value"], "point-mass value", minimum=0), 1.0
+                self._mean = float(self._k)
             elif kind == "binomial":
-                self._k, self._p = check_int(params["k"], "k"), check_real(params["p"], "p")
+                self._k, self._p = check_count(params["k"], "k"), check_real(params["p"], "p")
                 self._mean = self._k * self._p
-            elif kind == "poisson":
-                self._mu = check_real(params["mu"], "poisson rate", "[0, inf)")
+            elif kind == "poisson":  # numpy draws int64 counts only up to rates near 9.22e18
+                self._mu = check_real(params["mu"], "poisson rate", "[0, 9.2e18]")
                 self._mean = self._mu
             else:
                 raise ParameterError(f"unknown branching distribution kind {kind!r}")
@@ -65,7 +68,7 @@ class BranchingDistribution:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw `size` independent offspring counts."""
         if self.kind == "point":
-            return np.full(size, self._value, dtype=np.int64)
+            return np.full(size, self._k, dtype=np.int64)
         if self.kind == "binomial":
             return rng.binomial(self._k, self._p, size=size).astype(np.int64)
         return rng.poisson(self._mu, size=size).astype(np.int64)
@@ -74,25 +77,43 @@ class BranchingDistribution:
         """Total offspring of `parents` independent nodes, elementwise.
 
         Uses additivity (sums of iid binomials/poissons stay in family) so
-        a whole generation needs a single draw per population entry.
+        a whole generation needs a single draw per population entry.  For
+        point and binomial kinds, k times the largest entry must fit an int64.
         """
         parents = np.asarray(parents, dtype=np.int64)
+        if self.kind == "poisson":
+            return rng.poisson(self._mu * parents).astype(np.int64)
+        most = int(parents.max()) if parents.size else 0
+        if self._k * most > INT64_MAX:
+            raise ParameterError(
+                f"{most} parents of k = {self._k} trials each exceed the int64 limit {INT64_MAX}"
+            )
         if self.kind == "point":
-            return parents * self._value
-        if self.kind == "binomial":
-            return rng.binomial(self._k * parents, self._p).astype(np.int64)
-        return rng.poisson(self._mu * parents).astype(np.int64)
+            return parents * self._k
+        return rng.binomial(self._k * parents, self._p).astype(np.int64)
 
     def pgf(self, eta):
         """Probability generating function E[eta^xi]."""
         eta = np.asarray(eta, dtype=np.float64)
         if self.kind == "point":
-            out = eta**self._value
+            out = eta**self._k
         elif self.kind == "binomial":
             out = (1.0 - self._p + self._p * eta) ** self._k
         else:
             out = np.exp(self._mu * (eta - 1.0))
         return out if out.ndim else float(out)
+
+    def pgf_complement(self, s: float) -> float:
+        """1 - pgf(1 - s) for s in [0, 1], accurate where pgf(1 - s) rounds to 1.
+
+        Iterated from s = 1 it gives the survival probabilities 1 - f_t(0)
+        of the branching process, which shrink past 2**-53 when it dies out.
+        """
+        if self.kind == "poisson":
+            return -math.expm1(-self._mu * s)
+        if self._p * s == 1.0:  # every trial succeeds
+            return float(self._k > 0)
+        return -math.expm1(self._k * math.log1p(-self._p * s))  # 1 - (1 - p s)^k
 
     def prob_zero(self) -> float:
         """Probability of zero offspring."""

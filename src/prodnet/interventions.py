@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _power
 from .contagion import _katz_solve, _rank, _root_bound, _x_condition, _y_limit, fixed_point_beta
-from .errors import ParameterError, PreconditionError, check_int, check_real, is_int
+from .errors import ParameterError, PreconditionError, check_count, check_int, check_real, is_int
 from .network import ProductionNetwork
-
-_INT64_MAX = int(np.iinfo(np.int64).max)  # caps are stored as int64
 
 
 @dataclass
@@ -49,7 +48,7 @@ class InterventionPlan:
     def objective(self, x: float, n: int = 1) -> float:
         """Worst-case expected damage bound of this plan at shock level x."""
         check_real(x, "x")
-        return (x ** check_int(n, "n")) * self.unprotected_mass
+        return _power(x, check_int(n, "n")) * self.unprotected_mass
 
 
 def _ranked_reverse_katz(net: ProductionNetwork, y: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -110,7 +109,7 @@ def evaluate_intervention(
     check_real(x, "x")
     check_real(y, "y")
     n = check_int(n, "n")
-    spontaneous = (x**n) * (~mask).astype(np.float64)
+    spontaneous = _power(x, n) * (~mask).astype(np.float64)
     if y < _y_limit(net) and _x_condition(net, x, y, n)[0]:
         beta = _katz_solve(net, y, spontaneous)
     else:
@@ -173,11 +172,7 @@ def supplier_allocation(
         raise ParameterError(
             f"caps must have one entry per product ({net.node_count}), got shape {caps.shape}"
         )
-    caps = [check_int(c, f"caps[{i}]", minimum=0) for i, c in enumerate(caps.tolist())]
-    for i, c in enumerate(caps):
-        if c > _INT64_MAX:
-            raise ParameterError(f"caps[{i}] must be at most {_INT64_MAX}, got {c}")
-    caps = np.array(caps, np.int64)
+    caps = np.array([check_count(c, f"caps[{i}]", minimum=0) for i, c in enumerate(caps.tolist())], np.int64)
     gamma_rev, order, _ = _ranked_reverse_katz(net, y)
     extra = np.zeros(net.node_count, dtype=np.int64)
     remaining = budget

@@ -362,6 +362,76 @@ def test_gw_expected_bounds_subcritical():
     assert 0 < res.lower < res.upper <= 1.0
 
 
+# (distribution, epsilon): sub- and supercritical, inside each bound's regime;
+# a point mass is supercritical here, as its only subcritical mean, 0, is refused
+GW_LAWS = {
+    "poisson-sub": (BranchingDistribution.poisson(0.5), 0.3),
+    "binomial-sub": (BranchingDistribution.binomial(4, 0.2), 0.3),
+    "poisson-near-critical": (BranchingDistribution.poisson(0.95), 0.3),
+    "poisson-super": (BranchingDistribution.poisson(10.0), 0.1),
+    "binomial-super": (BranchingDistribution.binomial(20, 0.5), 0.1),
+    "point-super": (BranchingDistribution.point(10), 0.1),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("dist, eps", GW_LAWS.values(), ids=GW_LAWS.keys())
+def test_gw_expected_bounds_sum_the_exact_depth_law(dist, eps, n):
+    # referee: the pgf-iterated pmf of the extinction depth times the public per-depth bounds
+    max_tau = 200
+    pmf = pgf_extinction_depth_pmf(dist, max_tau - 1)
+    depths = [t for t in range(1, max_tau) if pmf[t] > 0.0]
+    upper = sum(pmf[t] * gw_bound_upper(dist.mean, t, eps, n) for t in depths)
+    lower = sum(pmf[t] * gw_bound_lower(dist.mean, t, eps, n) for t in depths)
+    res = gw_expected_bounds(dist, eps, n, max_tau=max_tau)
+    assert abs(res.upper - upper) < 1e-12 and abs(res.lower - lower) < 1e-12
+    assert abs(res.extinct_fraction - pmf.sum()) < 1e-12
+
+
+def test_gw_expected_bounds_ignore_samples_and_seed():
+    dist = BranchingDistribution.binomial(4, 0.2)
+    ref = gw_expected_bounds(dist, 0.3)
+    for samples, seed in ((1, 0), (20_000, 5), (10**30, 2**70)):
+        res = gw_expected_bounds(dist, 0.3, samples=samples, seed=seed)
+        assert (res.upper, res.lower, res.extinct_fraction) == (ref.upper, ref.lower, ref.extinct_fraction)
+        assert res.samples == samples
+
+
+@pytest.mark.parametrize("dist, eps", GW_LAWS.values(), ids=GW_LAWS.keys())
+def test_gw_expected_bounds_stop_once_the_law_is_spent(dist, eps):
+    # the survival probability stops falling within a few thousand depths, so a
+    # max_tau beyond float range returns at once, with the finite cap's result
+    assert gw_expected_bounds(dist, eps, max_tau=10**400) == gw_expected_bounds(dist, eps, max_tau=5000)
+
+
+def test_gw_expected_bounds_count_depths_as_the_simulation():
+    # depths run over 1..max_tau-1, so extinct_fraction is f_{max_tau-1}(0), not f_{max_tau}(0)
+    dist = BranchingDistribution.poisson(0.5)
+    f1 = dist.prob_zero()
+    f2 = dist.pgf(f1)
+    for max_tau, exact, off_by_one in ((2, f1, f2), (3, f2, dist.pgf(f2))):
+        res = gw_expected_bounds(dist, 0.3, max_tau=max_tau)
+        assert res.extinct_fraction == pytest.approx(exact, abs=1e-15)
+        taus = simulate_extinction_depths(dist, max_tau=max_tau, samples=20_000, seed=4)
+        frequency = float((taus > 0).mean())
+        se = math.sqrt(exact * (1.0 - exact) / 20_000)
+        assert abs(frequency - res.extinct_fraction) < 4 * se < abs(frequency - off_by_one)
+    assert gw_expected_bounds(dist, 0.3, max_tau=1).extinct_fraction == 0.0
+
+
+def test_pgf_complement_keeps_tiny_survival_probabilities():
+    for dist in (
+        BranchingDistribution.poisson(0.5),
+        BranchingDistribution.binomial(4, 0.2),
+        BranchingDistribution.point(0),
+        BranchingDistribution.point(3),
+    ):
+        for s in (1.0, 0.7, 0.1):
+            assert dist.pgf_complement(s) == pytest.approx(1.0 - dist.pgf(1.0 - s), abs=1e-15)
+        # 1 - pgf(1 - s) ~ mean * s as s -> 0, where pgf(1 - s) itself rounds to 1
+        assert dist.pgf_complement(1e-300) == pytest.approx(dist.mean * 1e-300, rel=1e-12)
+
+
 # -- Monte Carlo consistency of the analytic lower bounds ---------------------
 
 

@@ -142,6 +142,54 @@ def test_bounds_subcommands(tmp_path, capsys):
         assert [line.split(",") for line in lines[1:]] == [_cells(row) for row in rows], args
 
 
+def test_supplier_count_beyond_float_range(tmp_path, capsys):
+    # n = 10**400: each subcommand writes the limit of its formulas, as the API gives it
+    huge, eps = 10**400, 0.3
+    tree, trellis = pn.tree_bounds(2, 3, eps, huge), pn.trellis_bounds(3, 4, 0.2, eps, huge)
+    for args, row in [
+        (["--arch", "rdag", "--K", "100", "--p", "0.1"],
+         ("rdag", "tail-majorant", pn.rdag_lb_x(100, 0.1, eps, huge), "")),
+        (["--arch", "backward-tree", "--m", "2", "--D", "3"],
+         ("backward-tree", tree.regime, tree.lower, tree.upper)),
+        (["--arch", "trellis", "--w", "3", "--D", "4", "--p", "0.2"],
+         ("trellis", trellis.regime, trellis.lower, trellis.upper)),
+        (["--arch", "gw", "--mu", "0.6", "--tau", "4"],
+         ("gw", "per-extinction-depth", *pn.gw_bounds(0.6, 4, eps, huge)[::-1])),
+    ]:
+        out = tmp_path / "b.csv"
+        code, _, _ = run_cli(capsys, "bounds", *args, "--epsilon", str(eps), "--n", str(huge), "--out", str(out))
+        assert code == 0, args
+        assert out.read_text().splitlines()[1].split(",") == _cells(row), args
+    net_path = tmp_path / "net.csv"
+    net_path.write_text("source,target\n1,2\n2,3\n1,3\n", encoding="utf-8")
+    for command, flags, column, value in [
+        ("beta", ["--x", "0.5", "--y", "0.3"], 1, "0.0"),
+        ("beta", ["--x", "0.5", "--y", "0.3", "--method", "katz"], 1, "0.0"),
+        ("intervene", [], 2, "0.0"),  # the objective x^n * mass
+        ("intervene", [], 3, "1.0"),  # the bound (eps / mass)^(1/n)
+    ]:
+        out = tmp_path / "o.csv"
+        code, _, stderr = run_cli(
+            capsys, command, "--net", str(net_path), *flags, "--n", str(huge), "--out", str(out)
+        )
+        assert code == 0, (command, stderr)
+        assert {line.split(",")[column] for line in out.read_text().splitlines()[1:]} == {value}
+
+
+def test_gw_tree_dist_beyond_int64_exit_code(tmp_path, capsys):
+    for spec, limit in (
+        ("point:10000000000000000000", "at most 9223372036854775807"),
+        ("binomial:10000000000000000000,0.1", "at most 9223372036854775807"),
+        ("poisson:1e19", "in [0, 9.2e18]"),
+    ):
+        code, _, stderr = run_cli(
+            capsys, "generate", "--arch", "gw-tree", "--dist", spec, "--max-depth", "3",
+            "--seed", "1", "--out", str(tmp_path / "net.json"),
+        )
+        assert code == 2
+        assert stderr.startswith(f"prodnet: bad --dist value {spec!r}") and limit in stderr
+
+
 def test_beta_ranking_csv(tmp_path, capsys):
     net_path = tmp_path / "net.json"
     run_cli(capsys, "generate", "--arch", "backward-tree", "--m", "1", "--D", "4",

@@ -47,6 +47,7 @@ from prodnet import (
     generate_parallel,
     generate_rdag,
     generate_trellis,
+    gw_bound_upper,
     gw_bounds,
     katz_beta,
     katz_centrality,
@@ -64,7 +65,10 @@ from prodnet import (
     run_coupled_pair,
     simulate_extinction_depths,
     supplier_allocation,
+    tree_bounds,
+    tree_catastrophe_prob,
     tree_expected_survivors_envelope,
+    tree_tier_survival,
     trellis_bounds,
 )
 
@@ -166,6 +170,13 @@ CASES = {
     # a missing parameter
     "poisson-without-mu": lambda tmp: BranchingDistribution("poisson"),
     "binomial-without-p": lambda tmp: BranchingDistribution("binomial", k=3),
+    # counts that numpy draws as int64, beyond it
+    "point-value-beyond-int64": lambda tmp: BranchingDistribution.point(10**19),
+    "binomial-k-beyond-int64": lambda tmp: BranchingDistribution.binomial(10**19, 0.1),
+    "poisson-rate-beyond-int64": lambda tmp: BranchingDistribution.poisson(1e19),
+    "simulate_extinction_depths-k-times-parents-beyond-int64": lambda tmp: simulate_extinction_depths(
+        BranchingDistribution.binomial(10**12, 2e-12), 200, 2000
+    ),
     "katz_centrality-y-inf": lambda tmp: katz_centrality(EDGELESS, float("inf")),
 }
 
@@ -224,7 +235,7 @@ def test_network_messages_name_the_first_bad_pair_or_entry():
 
 
 # sizes beyond float range: each call gives the limit its formula takes, where
-# it used to raise OverflowError converting K (or e^{Ky}) to a float
+# it used to raise OverflowError converting K, n, tau, w, D (or e^{Ky}) to a float
 HUGE = 10**400
 BEYOND_FLOAT_CASES = {
     "rdag_lb_x": (lambda: rdag_lb_x(HUGE, 0.1, 0.3), 0.0),
@@ -247,6 +258,37 @@ BEYOND_FLOAT_CASES = {
         lambda: astuple(parallel_bounds(5, 2, HUGE, 0.3, scope="all-products"))[:2],
         (math.sqrt(math.log(2.5) / 20.0), 1.0 - (1.0 - 0.3) / 6.0),
     ),
+    # n, the supplier count: x^n -> 0 for x < 1 and (.)^(1/n) -> 1
+    "dag_sparse_bound-n": (lambda: dag_sparse_bound(3, 0.5, 0.5, HUGE), 0.0),
+    "dag_resilience_lb-n": (lambda: dag_resilience_lb(3, 0.3, HUGE), 1.0),
+    "rdag_lb_x-n": (lambda: rdag_lb_x(3, 0.3, 0.3, HUGE), 1.0),
+    "powerlaw_pmf-n": (lambda: powerlaw_pmf(1, 3, 0.3, 0.3, HUGE), 0.0),
+    "powerlaw_tail_constant-n": (lambda: powerlaw_tail_constant(3, 0.3, 0.3, HUGE), 0.0),
+    "cascade_tail_g-n": (lambda: cascade_tail_g(0.5, 3, 0.1, 0.3, HUGE), 0.0),
+    "cascade_tail_g_envelope-n": (
+        lambda: cascade_tail_g_envelope(0.5, 3, 0.1, 0.3, HUGE), 1.0 / (3 * -math.log1p(-0.1))
+    ),
+    "tree_bounds-n": (lambda: astuple(tree_bounds(2, 3, 0.3, HUGE))[:2], (1.0, 1.0)),
+    "tree_tier_survival-n": (lambda: tree_tier_survival(2, 3, 0.5, HUGE).tolist(), [1.0, 1.0, 1.0]),
+    "tree_catastrophe_prob-n": (lambda: tree_catastrophe_prob(2, 3, 0.5, HUGE), (0.0, 0.0)),
+    "parallel_bounds-n": (lambda: astuple(parallel_bounds(5, 2, 2, 0.3, HUGE))[:2], (1.0, 1.0)),
+    "resilience_lb_katz-n": (lambda: astuple(resilience_lb_katz(CHAIN, 0.1, 0.3, HUGE)), (1.0, True, False)),
+    # the bisections see x^n = 0 below x = 1, as at the largest n a float holds
+    "gw_bound_upper-n": (lambda: gw_bound_upper(0.5, 3, 0.3, HUGE), gw_bound_upper(0.5, 3, 0.3, 10**300)),
+    "gw_bounds-n": (lambda: gw_bounds(0.5, 3, 0.3, HUGE), gw_bounds(0.5, 3, 0.3, 10**300)),
+    "gw_bounds-tau": (lambda: gw_bounds(0.5, HUGE, 0.3), gw_bounds(0.5, 10**300, 0.3)),
+    # a trellis bound depends on w and D, as K = wD cancels
+    "trellis_bounds-w": (lambda: astuple(trellis_bounds(HUGE, 2, 0.3, 0.3))[:3], (0.0, 1.3 / 2, "pw>1")),
+    "trellis_bounds-w-p-zero": (lambda: astuple(trellis_bounds(HUGE, 2, 0.0, 0.3))[:3], (0.3 / 4, 1.0, "pw<1")),
+    "trellis_bounds-D": (lambda: astuple(trellis_bounds(3, HUGE, 0.5, 0.3))[:3], (0.0, 0.0, "pw>1")),
+    "trellis_bounds-D-subcritical": (lambda: astuple(trellis_bounds(3, HUGE, 0.1, 0.3))[:3], (0.0, 1.0, "pw<1")),
+    "trellis_bounds-n": (lambda: astuple(trellis_bounds(3, 4, 0.5, 0.3, HUGE))[:3], (1.0, 1.0, "pw>1")),
+    # the per-product bounds and plans: x^n -> 0, so nothing fails spontaneously
+    "dag_beta-n": (lambda: dag_beta(CHAIN, 0.5, 0.5, HUGE).total(), 0.0),
+    "katz_beta-n": (lambda: katz_beta(CHAIN, 0.5, 0.5, HUGE).total(), 0.0),
+    "fixed_point_beta-n": (lambda: fixed_point_beta(CHAIN, 0.5, 0.5, HUGE).total(), 0.0),
+    "evaluate_intervention-n": (lambda: evaluate_intervention(CHAIN, [0, 0, 0], 0.5, 0.5, HUGE)[0], 0.0),
+    "plan-objective-n": (lambda: optimal_protection(CHAIN, 1, 0.5).objective(0.5, HUGE), 0.0),
 }
 
 
