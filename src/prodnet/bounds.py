@@ -16,7 +16,8 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -68,10 +69,15 @@ def _times(count: int, value: float) -> float:
     try:
         return count * value
     except OverflowError:  # count does not convert to a float
-        if value == 0.0:
-            return 0.0
-        log_size = math.log(count) + math.log(abs(value))
-        return math.copysign(math.exp(log_size) if log_size < _LOG_FLOAT_MAX else math.inf, value)
+        return _exp_times(math.log(count), value)
+
+
+def _exp_times(log_count: float, value: float) -> float:
+    """e**log_count * value, taken in log space; +-inf beyond float range."""
+    if value == 0.0:
+        return 0.0
+    log_size = log_count + math.log(abs(value))
+    return math.copysign(math.exp(log_size) if log_size < _LOG_FLOAT_MAX else math.inf, value)
 
 
 def _power(x: float, n: int) -> float:
@@ -240,17 +246,35 @@ def tree_node_count(m: int, D: int) -> int:
     return D if m == 1 else (m**D - 1) // (m - 1)
 
 
+def _tree_count(m: int, D: int, leaves: bool = False) -> tuple[Callable[[float], float], float]:
+    """(count * value as a function of value, log count) for the tree's K products, or its leaves.
+
+    The count, K or the m^(D-1) leaves, is an exact int taken through
+    `_times` while m^(D-1) is a float.  Beyond that only its log is formed,
+    from D log m, since K = (m^D - 1)/(m - 1) is then m^(D-1)/(1 - 1/m) to
+    far below a rounding; so the cost does not grow with D.
+    """
+    log_leaves = _times(D - 1, math.log(m))
+    if log_leaves <= _LOG_FLOAT_MAX:
+        count = m ** (D - 1) if leaves else tree_node_count(m, D)
+        return partial(_times, count), math.log(count)
+    log_count = log_leaves if leaves else log_leaves - math.log1p(-1 / m)
+    return partial(_exp_times, log_count), log_count
+
+
 def tree_bounds(m: int, D: int, epsilon: float, n: int = 1) -> BoundResult:
     """Resilience bounds for the backward m-ary tree of depth D.
 
-    K stays an exact int at any size; it enters as log K, or as a float
-    that is inf beyond float range, so a tree that large gets bounds.
+    K enters as log K, or as a float that is inf beyond float range; once
+    m^(D-1) leaves float range K is taken in log space (`_tree_count`), so
+    a tree of any depth gets bounds.  `tree_node_count` gives K itself.
     """
     check_real(epsilon, "epsilon", "(0, 1)")
     n = check_int(n, "n")
-    K = tree_node_count(m, D)
-    k = _times(K, 1.0)
-    if K == 1:  # a lone product keeps its survivor at every x
+    m, D = check_int(m, "m"), check_int(D, "D")
+    times_k, log_k = _tree_count(m, D)
+    k = times_k(1.0)
+    if D == 1:  # a lone product keeps its survivor at every x
         lower_raw = 1.0
     else:
         lower_raw = _root(-math.expm1(math.log1p(-1.0 / k) / ((1.0 - epsilon) * k)), n)
@@ -259,8 +283,8 @@ def tree_bounds(m: int, D: int, epsilon: float, n: int = 1) -> BoundResult:
         upper_raw = _root(2.0 / (k * (1.0 - epsilon)), n)
     else:
         regime = "fanout>=2"
-        upper_raw = _root((1.0 - epsilon) * math.log(m) / math.log(K), n) if K > 1 else math.inf
-    return _bound_result(lower_raw, upper_raw, regime, {"m": m, "D": D, "K": K, "epsilon": epsilon, "n": n})
+        upper_raw = _root((1.0 - epsilon) * math.log(m) / log_k, n) if D > 1 else math.inf
+    return _bound_result(lower_raw, upper_raw, regime, {"m": m, "D": D, "epsilon": epsilon, "n": n})
 
 
 def tree_tier_survival(m: int, D: int, x: float, n: int = 1) -> np.ndarray:
@@ -293,18 +317,18 @@ def tree_catastrophe_prob(m: int, D: int, x: float, n: int = 1) -> tuple[float, 
     """Probability that at least one raw material malfunctions.
 
     Returns (exact, envelope): 1 - (1-x^n)^(m^(D-1)) and its lower envelope
-    1 - exp(-x^n m^(D-1)).
+    1 - exp(-x^n m^(D-1)), with m^(D-1) in log space beyond float range.
     """
     m = check_int(m, "m")
     D = check_int(D, "D")
     check_real(x, "x")
     n = check_int(n, "n")
-    leaves = m ** (D - 1)
+    times_leaves = _tree_count(m, D, leaves=True)[0]
     xn = _power(x, n)
     if x >= 1.0:
-        return 1.0, -math.expm1(_times(leaves, -1.0))
-    exact = -math.expm1(_times(leaves, math.log1p(-xn)))
-    envelope = -math.expm1(_times(leaves, -xn))
+        return 1.0, -math.expm1(times_leaves(-1.0))
+    exact = -math.expm1(times_leaves(math.log1p(-xn)))
+    envelope = -math.expm1(times_leaves(-xn))
     return exact, envelope
 
 
@@ -324,9 +348,9 @@ def tree_expected_survivors_envelope(m: int, D: int, x: float, n: int = 1) -> tu
     D = check_int(D, "D")
     check_real(x, "x")
     n = check_int(n, "n")
-    K = tree_node_count(m, D)
+    times_k = _tree_count(m, D)[0]
     xn = _power(x, n)
-    lower, upper = _times(K, 1.0 - _times(D - 1, xn)), _times(D - 1, _times(K, xn)) / 2.0
+    lower, upper = times_k(1.0 - _times(D - 1, xn)), _times(D - 1, times_k(xn)) / 2.0
     if not (math.isfinite(lower) and math.isfinite(upper)):
         raise ParameterError(f"the survivor envelopes for m={m}, D={D} exceed float range")
     return lower, upper
@@ -468,8 +492,10 @@ def _gw_upper_bracket(mu: float, tau: int, epsilon: float, n: int, last=None) ->
 def _gw_lower_bracket(mu: float, tau: int, epsilon: float, n: int, last=None) -> tuple[float, float]:
     """The bracket whose lo is gw_bound_lower: the condition holds at lo and fails at hi."""
     t = _times(tau, 1.0)
-    # expected-failure condition: gsum(mu) - z * gsum(mu z) <= eps
+    # expected-failure condition: gsum(mu) - z * gsum(mu z) <= eps, which x = 0 meets
     log_n, log_eps = _log_geom_sum(mu, t), math.log(epsilon)
+    if log_n == math.inf:  # an expected size beyond float range (tau -> inf): only x = 0 meets it
+        return 0.0, 0.0
 
     def sat(x):
         diff = _gw_log_survivors(mu, t, 1.0 - _power(x, n)) - log_n
@@ -478,17 +504,16 @@ def _gw_lower_bracket(mu: float, tau: int, epsilon: float, n: int, last=None) ->
     if last is not None and sat(last[0]) and not sat(last[1]):
         return last
     hi = _gw_x_interval_top(mu, n)
-    if not sat(0.0):
-        raise UnsupportedRegimeError(
-            f"even x = 0 violates the failure condition for mu={mu:g}, tau={tau}"
-        )
     if sat(hi):
         return hi, hi
     return _bisect(sat, 0.0, hi)
 
 
 def gw_bounds(mu: float, tau: int, epsilon: float, n: int = 1) -> tuple[float, float]:
-    """(upper, lower) resilience bounds for a branching network of depth tau."""
+    """(upper, lower) resilience bounds for a branching network of depth tau.
+
+    With mu > 1 both tend to 0 as tau grows, and a tau past float range gives that limit.
+    """
     return gw_bound_upper(mu, tau, epsilon, n), gw_bound_lower(mu, tau, epsilon, n)
 
 
@@ -523,24 +548,15 @@ def simulate_extinction_depths(
 
 @dataclass
 class GWExpectedBounds:
-    """Extinction-time-averaged resilience bounds for a branching network.
-
-    samples echoes the argument of `gw_expected_bounds`, which no longer samples.
-    """
+    """Extinction-time-averaged resilience bounds for a branching network."""
 
     upper: float
     lower: float
     extinct_fraction: float
-    samples: int
 
 
 def gw_expected_bounds(
-    dist: BranchingDistribution,
-    epsilon: float,
-    n: int = 1,
-    max_tau: int = 1000,
-    samples: int = 100_000,
-    seed: int = 0,
+    dist: BranchingDistribution, epsilon: float, n: int = 1, max_tau: int = 1000
 ) -> GWExpectedBounds:
     """Average the per-depth bounds over the exact law of the extinction depth.
 
@@ -556,15 +572,10 @@ def gw_expected_bounds(
     sum (the bounds lie in [0, 1]).  Each depth first tests the last
     depth's bisection bracket, which the bounds keep once they settle.
     None of these shortcuts changes the result.
-
-    samples and seed are checked but have no effect: nothing is sampled.
-    They are kept for one version, and `samples` is echoed on the result.
     """
     check_real(epsilon, "epsilon", "(0, 1)")
     n = check_int(n, "n")
     max_tau = check_int(max_tau, "max_tau")
-    samples = check_int(samples, "samples")
-    check_int(seed, "seed", minimum=0)
     mu = dist.mean
     _gw_check_regime(mu, "upper", epsilon)
     _gw_check_regime(mu, "lower", epsilon)
@@ -583,7 +594,7 @@ def gw_expected_bounds(
             low = _gw_lower_bracket(mu, tau, epsilon, n, low)
             lower += weight * low[0]
         s, tau = s_next, tau + 1
-    return GWExpectedBounds(upper=upper, lower=lower, extinct_fraction=1.0 - s, samples=samples)
+    return GWExpectedBounds(upper=upper, lower=lower, extinct_fraction=1.0 - s)
 
 
 # ---------------------------------------------------------------------------

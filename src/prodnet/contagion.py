@@ -15,7 +15,6 @@ strongly connected components, walking the network's level plan.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,6 +23,9 @@ import numpy as np
 from .bounds import _LOG_FLOAT_MAX, _clamp01, _power, _root, _times
 from .errors import ConvergenceError, CyclicGraphError, PreconditionError, check_int, check_real
 from .network import ProductionNetwork
+
+FIXED_POINT_TOL = 1e-12  # the iteration stops once no entry moves by this much
+KATZ_TOL = 1e-12  # a cyclic component's Neumann sweeps stop at this relative update
 
 
 @dataclass
@@ -94,43 +96,33 @@ def fixed_point_beta(
     x: float,
     y: float,
     n: int = 1,
-    tol: float = 1e-12,
     max_iter: int = 10**6,
-    allow_above_threshold: bool = False,
     spontaneous: Optional[np.ndarray] = None,
 ) -> BetaVector:
     """Greatest fixed point of the operator, iterated down from all-ones.
 
-    Valid as the program optimum when y <= 1/Delta (max out-degree); above
-    that threshold the call is refused unless allow_above_threshold is set,
-    in which case the fixed point is still computed but is not guaranteed
-    to solve the program.
+    It is the program optimum when y <= 1/Delta (max out-degree), and a
+    larger y raises PreconditionError.  The iteration stops once no entry
+    moves by FIXED_POINT_TOL, and raises ConvergenceError after max_iter
+    steps.
     """
     check_real(x, "x")
     check_real(y, "y")
     n = check_int(n, "n")
-    check_real(tol, "tol", "[0, inf)")
     max_iter = check_int(max_iter, "max_iter")
     if y > _y_limit(net):
-        if not allow_above_threshold:
-            raise PreconditionError(
-                f"fixed-point/program equivalence needs y <= 1/Delta = {_y_limit(net):g}, "
-                f"got y = {y:g}; pass allow_above_threshold=True to compute it anyway"
-            )
-        warnings.warn(
-            "y exceeds 1/Delta: computing the fixed point, but it need not equal "
-            "the program optimum",
-            stacklevel=2,
+        raise PreconditionError(
+            f"fixed-point/program equivalence needs y <= 1/Delta = {_y_limit(net):g}, got y = {y:g}"
         )
     beta = np.ones(net.node_count, dtype=np.float64)
     for it in range(1, max_iter + 1):
         nxt = _contract(net, beta, x, y, n, spontaneous)
         residual = float(np.max(np.abs(nxt - beta))) if net.node_count else 0.0
         beta = nxt
-        if residual < tol:
+        if residual < FIXED_POINT_TOL:
             return BetaVector(beta=beta, method="fixed-point", iterations=it, residual=residual)
     raise ConvergenceError(
-        f"fixed-point iteration did not reach tol={tol:g} within {max_iter} iterations",
+        f"fixed-point iteration did not reach tol={FIXED_POINT_TOL:g} within {max_iter} iterations",
         residual=residual,
     )
 
@@ -153,9 +145,7 @@ def _x_condition(net: ProductionNetwork, x: float, y: float, n: int) -> tuple[bo
     return x < x_cap or x_cap >= 1.0, x_cap
 
 
-def _katz_solve(
-    net: ProductionNetwork, y: float, b: np.ndarray, reverse: bool = False, tol: float = 1e-12
-) -> np.ndarray:
+def _katz_solve(net: ProductionNetwork, y: float, b: np.ndarray, reverse: bool = False) -> np.ndarray:
     """Solve (I - y A^T) g = b, or (I - y A) g = b when reverse, for y A of spectral radius < 1.
 
     Row i reads g_i = b_i + y * (sum of g over the inputs of i), or over
@@ -164,7 +154,7 @@ def _katz_solve(
     reached: one `bincount` per level substitutes exactly off cycles and
     adds a cyclic component's outside terms to b.  That component then
     runs Neumann sweeps over its internal edges until the update is
-    within tol of the largest entry.  A component still short of that
+    within KATZ_TOL of the largest entry.  A component still short of that
     after len(component) sweeps, which happens when y * A is close to
     spectral radius 1 on it, solves its own dense block instead.
     """
@@ -177,7 +167,7 @@ def _katz_solve(
             gc = r
             for _ in range(m):
                 nxt = r + y * np.bincount(cycle.heads, weights=gc[cycle.tails], minlength=m)
-                converged = np.max(np.abs(nxt - gc)) <= tol * np.max(np.abs(nxt))
+                converged = np.max(np.abs(nxt - gc)) <= KATZ_TOL * np.max(np.abs(nxt))
                 gc = nxt
                 if converged:
                     break
@@ -189,20 +179,19 @@ def _katz_solve(
     return g
 
 
-def katz_centrality(net: ProductionNetwork, y: float, tol: float = 1e-12) -> np.ndarray:
+def katz_centrality(net: ProductionNetwork, y: float) -> np.ndarray:
     """Katz vector (I - y A^T)^{-1} 1, requiring y < 1/Delta.
 
     Solved sparsely over `net.level_plan()`: exact forward substitution,
     one `bincount` per level, off cycles, and Neumann sweeps to a relative
-    update of tol (or, failing that within the component's size, a solve
+    update of KATZ_TOL (or, failing that within the component's size, a solve
     of that component's own block) for a cyclic component.  Memory is
     O(K + |E|) unless such a block is needed.
     """
     check_real(y, "y", "[0, inf)")
-    check_real(tol, "tol", "[0, inf)")
     if y >= _y_limit(net):
         raise PreconditionError(f"Katz centrality needs y < 1/Delta = {_y_limit(net):g}, got y = {y:g}")
-    return _katz_solve(net, y, np.ones(net.node_count), tol=tol)
+    return _katz_solve(net, y, np.ones(net.node_count))
 
 
 def katz_beta(net: ProductionNetwork, x: float, y: float, n: int = 1) -> BetaVector:

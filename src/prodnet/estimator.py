@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ParameterError, check_int, check_real
 from .network import ProductionNetwork
-from .percolation import _draws, _failure_thresholds, _trial_blocks, derive_subseed
+from .percolation import PercolationConfig, _draws, _failure_thresholds, _trial_blocks, derive_subseed, run_batch
 
 DEFAULT_EPSILON_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
 _CEIL_GUARD = 1e-9  # absorbs float fuzz in (1-eps)*K before the ceiling
@@ -56,10 +56,6 @@ def _survival_levels(net: ProductionNetwork, n: int, trials: int, seed: int, s_m
     return list(levels)
 
 
-def _survival_estimate(levels: np.ndarray, x: float) -> float:
-    return float(len(levels) - np.searchsorted(levels, x)) / len(levels)
-
-
 def _resilience(levels: np.ndarray, k: int) -> float:
     """Largest x in [0, 1] at which the survival estimate reaches 1 - 1/K.
 
@@ -80,12 +76,16 @@ def estimate_survival_prob(
     trials: int,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Estimate Pr[S >= ceil((1-eps) K)] with its binomial standard error."""
+    """Estimate Pr[S >= ceil((1-eps) K)] with its binomial standard error.
+
+    p_hat is the share of a batch's trials at x with that many survivors:
+    trial t has them iff x <= u_t, so it equals the curve's estimate.
+    """
     check_real(x, "x")
     check_real(epsilon, "epsilon", "(0, 1)")
     n, trials = check_int(n, "n"), check_int(trials, "trials")
-    levels = _survival_levels(net, n, trials, seed, [_s_min(epsilon, net.node_count)])
-    p_hat = _survival_estimate(levels[0], x)
+    survivors = run_batch(net, PercolationConfig(x, 1.0, n, seed), trials).S
+    p_hat = float(np.count_nonzero(survivors >= _s_min(epsilon, net.node_count))) / trials
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / trials)
 
 
@@ -96,7 +96,7 @@ def _curve_points(
     k = net.node_count
     all_levels = _survival_levels(net, n, trials, seed, [_s_min(e, k) for e in epsilons])
     r_hats = [_resilience(levels, k) for levels in all_levels]
-    return [(r, _survival_estimate(levels, r)) for r, levels in zip(r_hats, all_levels)]
+    return [(r, float(trials - np.searchsorted(levels, r)) / trials) for r, levels in zip(r_hats, all_levels)]
 
 
 def estimate_resilience(
@@ -118,7 +118,7 @@ class ResilienceCurve:
 
     epsilon_grid: np.ndarray
     r_hat: np.ndarray
-    stderr: np.ndarray  # binomial SE of the survival estimate at r_hat
+    stderr: np.ndarray  # binomial SE of the survival estimate p_hat at r_hat, not an error bar on r_hat
     auc: float
     trials: int
     seed: int

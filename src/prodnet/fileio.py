@@ -295,7 +295,10 @@ def save_network_json(net: ProductionNetwork, path) -> None:
 
 
 def load_network_json(path) -> ProductionNetwork:
-    """Read a network written by save_network_json; a leading UTF-8 byte-order mark is dropped."""
+    """Read a network written by save_network_json; a leading UTF-8 byte-order mark is dropped.
+
+    A file that declares "acyclic": true over a cycle raises ValidationError.
+    """
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8").removeprefix("\ufeff"))
@@ -314,13 +317,10 @@ def load_network_json(path) -> ProductionNetwork:
             tiers = {_json_int(v): _json_int(t) for v, t in tiers.items()}
     except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed network field: {exc}") from exc
-    return ProductionNetwork(
-        k,
-        edges,
-        supplier_count=n,
-        tiers=tiers,
-        acyclic=bool(doc["acyclic"]) if doc.get("acyclic") else None,
-    )
+    net = ProductionNetwork(k, edges, supplier_count=n, tiers=tiers)
+    if doc.get("acyclic") and not net.acyclic:
+        raise ValidationError("network was declared acyclic but contains a cycle")
+    return net
 
 
 def _json_edges(value):
@@ -364,7 +364,11 @@ def write_csv(path, header: list[str], rows) -> None:
 
 
 def write_resilience_csv(curve, path) -> None:
-    """ResilienceCurve as CSV with columns epsilon, r_hat, stderr."""
+    """ResilienceCurve as CSV with columns epsilon, r_hat, stderr.
+
+    stderr is the binomial standard error of the survival estimate p_hat
+    at r_hat, not an error bar on r_hat.
+    """
     write_csv(
         path,
         ["epsilon", "r_hat", "stderr"],

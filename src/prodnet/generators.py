@@ -156,7 +156,7 @@ def generate_rdag(K: int, p: float, seed: int) -> ProductionNetwork:
     t = np.concatenate(kept)
     src = np.searchsorted(first, t, side="right") - 1
     edges = np.column_stack((src, t - first[src] + src + 1)) + 1
-    return ProductionNetwork(K, edges, acyclic=True)
+    return ProductionNetwork(K, edges)
 
 
 def generate_parallel(K: int, m: int, d: int, seed: int) -> ProductionNetwork:
@@ -190,7 +190,7 @@ def generate_parallel(K: int, m: int, d: int, seed: int) -> ProductionNetwork:
         capacity[chosen] -= 1
         inputs[c] = chosen
     edges = np.column_stack((inputs.ravel() + 1, np.repeat(np.arange(rho + 1, rho + K + 1), m)))
-    return ProductionNetwork(rho + K, edges, tiers=_tiers([rho, K]), acyclic=True)
+    return ProductionNetwork(rho + K, edges, tiers=_tiers([rho, K]))
 
 
 def generate_backward_tree(m: int, D: int) -> ProductionNetwork:
@@ -203,13 +203,15 @@ def generate_backward_tree(m: int, D: int) -> ProductionNetwork:
     """
     m = check_int(m, "m")
     D = check_int(D, "D")
-    total = D if m == 1 else (m**D - 1) // (m - 1)
-    if total > MAX_NODES:
-        raise SizeError(f"tree would have {total} nodes, exceeding the limit of {MAX_NODES}")
+    # the m^(D-1) leaves alone are refused from D log m, before any size is built
+    too_deep = m > 1 and D - 1 > math.log(MAX_NODES) / math.log(m)
+    total = None if too_deep else D if m == 1 else (m**D - 1) // (m - 1)
+    if total is None or total > MAX_NODES:
+        raise SizeError(f"tree would exceed the limit of {MAX_NODES} nodes")
     m = min(m, total)  # equal unless D = 1, where a huge m would leave int64
     inputs = np.arange(2, total + 1)
     edges = np.column_stack((inputs, (inputs - 2) // m + 1))
-    return ProductionNetwork(total, edges, tiers=_tiers(m ** np.arange(D)), acyclic=True)
+    return ProductionNetwork(total, edges, tiers=_tiers(m ** np.arange(D)))
 
 
 def generate_gw_tree(dist: BranchingDistribution, max_depth: int, seed: int) -> GWTreeResult:
@@ -240,7 +242,7 @@ def generate_gw_tree(dist: BranchingDistribution, max_depth: int, seed: int) -> 
         widths.append(born)
         total += born
     edges = np.column_stack((np.concatenate(parents), np.arange(2, total + 1)))
-    net = ProductionNetwork(total, edges, tiers=_tiers(widths), acyclic=True)
+    net = ProductionNetwork(total, edges, tiers=_tiers(widths))
     truncated = len(widths) == max_depth
     return GWTreeResult(net, None if truncated else len(widths), truncated)
 
@@ -256,7 +258,7 @@ def generate_trellis(w: int, D: int, p: float, seed: int) -> ProductionNetwork:
         a, b = np.nonzero(rng.random((w, w)) < p)
         edges.append(np.column_stack((a + (d - 1) * w, b + d * w)) + 1)
     tiers = _tiers(np.full(D, w))
-    return ProductionNetwork(w * D, np.concatenate(edges), tiers=tiers, acyclic=True)
+    return ProductionNetwork(w * D, np.concatenate(edges), tiers=tiers)
 
 
 def _tiers(widths) -> dict[int, int]:

@@ -94,7 +94,7 @@ def evaluate_intervention(
     O(K + |E|) memory; when only y <= 1/Delta holds, falls back to the
     fixed point with the protected spontaneous terms zeroed (a valid
     bound, but the top-centrality plan is no longer guaranteed optimal
-    for it).
+    for it); above 1/Delta that raises PreconditionError.
     """
     mask = np.asarray(t)
     if mask.shape != (net.node_count,):

@@ -80,7 +80,6 @@ class ProductionNetwork:
         rule, never bools, floats or strings.
     supplier_count : number of independent suppliers per product (n).
     tiers : optional mapping product id -> nonnegative tier, keyed by exactly 1..K.
-    acyclic : optional claim; verified when given, computed otherwise.
     """
 
     __slots__ = (
@@ -102,7 +101,6 @@ class ProductionNetwork:
         edges: Iterable[tuple[int, int]] | np.ndarray,
         supplier_count: int = 1,
         tiers: Optional[Mapping[int, int]] = None,
-        acyclic: Optional[bool] = None,
     ):
         k = check_int(node_count, "node_count")
         if k > MAX_NODES:
@@ -127,8 +125,6 @@ class ProductionNetwork:
         object.__setattr__(self, "_cache", {})
 
         order = self._topological_order()
-        if acyclic is True and order is None:
-            raise ValidationError("network was declared acyclic but contains a cycle")
         object.__setattr__(self, "acyclic", order is not None)
         if order is not None:
             self._cache["topological_order"] = order

@@ -94,9 +94,6 @@ class BatchResult:
     def trials(self) -> int:
         return len(self.F)
 
-    def outcomes(self) -> list[tuple[int, int]]:
-        return list(zip(self.F.tolist(), self.S.tolist()))
-
 
 MAX_TRIALS = 2**32  # trials in one batch, a limit of the batch interface
 _MAX_UNIFORMS = np.iinfo(np.intp).max // 8  # doubles in numpy's largest array

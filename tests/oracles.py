@@ -459,7 +459,7 @@ def parallel_reference(K: int, m: int, d: int, seed: int) -> ProductionNetwork:
         capacity[chosen] -= 1
         for r in sorted(int(r) + 1 for r in chosen):
             edges.append((r, product))
-    return ProductionNetwork(rho + K, edges, tiers=tiers, acyclic=True)
+    return ProductionNetwork(rho + K, edges, tiers=tiers)
 
 
 def backward_tree_reference(m: int, D: int) -> ProductionNetwork:
@@ -479,7 +479,7 @@ def backward_tree_reference(m: int, D: int) -> ProductionNetwork:
                     edges.append((child_start + idx * m + c, parent))
         tier_start += width
         width *= m
-    return ProductionNetwork(total, edges, tiers=tiers, acyclic=True)
+    return ProductionNetwork(total, edges, tiers=tiers)
 
 
 def gw_tree_reference(dist, max_depth: int, seed: int):
@@ -513,7 +513,7 @@ def gw_tree_reference(dist, max_depth: int, seed: int):
             break
         level = nxt
         depth += 1
-    net = ProductionNetwork(next_id - 1, edges, tiers=tiers, acyclic=True)
+    net = ProductionNetwork(next_id - 1, edges, tiers=tiers)
     return net, None if truncated else depth, truncated
 
 
@@ -529,4 +529,4 @@ def trellis_reference(w: int, D: int, p: float, seed: int) -> ProductionNetwork:
     for d in range(1, D):
         a, b = np.nonzero(rng.random((w, w)) < p)
         edges.append(np.column_stack((a + (d - 1) * w, b + d * w)) + 1)
-    return ProductionNetwork(w * D, np.concatenate(edges), tiers=tiers, acyclic=True)
+    return ProductionNetwork(w * D, np.concatenate(edges), tiers=tiers)

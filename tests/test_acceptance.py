@@ -223,7 +223,7 @@ def test_criterion_7_gw_bound_solver():
     uppers, lowers = [], []
     for mu in (0.2, 0.4, 0.6, 0.8):
         dist = pn.BranchingDistribution.binomial(4, mu / 4)
-        res = pn.gw_expected_bounds(dist, 0.3, 1, max_tau=1000, samples=30_000, seed=11)
+        res = pn.gw_expected_bounds(dist, 0.3, 1, max_tau=1000)
         uppers.append(res.upper)
         lowers.append(res.lower)
     assert all(a >= b for a, b in zip(uppers, uppers[1:])), uppers

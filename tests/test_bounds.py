@@ -29,7 +29,7 @@ from prodnet import (
     trellis_bounds,
 )
 
-from prodnet.bounds import _times
+from prodnet.bounds import _LOG_FLOAT_MAX, _times
 
 from oracles import (
     brute_force_stats,
@@ -253,6 +253,42 @@ def test_tree_beyond_float_range():
     assert tree_bounds(1, 10**400, 0.2).upper == 0.0
 
 
+def _tree_bounds_from_log_k(m, D, eps, n, log_k):
+    # tree_bounds' formulas for m >= 2 and D >= 2, with K taken from its log
+    k = math.exp(log_k) if log_k < _LOG_FLOAT_MAX else math.inf
+    lower = (-math.expm1(math.log1p(-1.0 / k) / ((1.0 - eps) * k))) ** (1.0 / n)
+    return lower, ((1.0 - eps) * math.log(m) / log_k) ** (1.0 / n)
+
+
+@pytest.mark.parametrize(
+    "m, D",
+    [(2, 1023), (3, 600), (10, 300), (2**60, 17), (10**100, 4),  # m^D below 2^1024
+     (2, 1100), (3, 1000), (5, 444), (10, 400), (2**60, 20), (10**400, 2), (2, 10**12)],
+)
+def test_tree_sizes_beyond_float_range_in_log_space(m, D):
+    # K = (m^D - 1)/(m - 1) is built while m^(D-1) is a float, so the bounds are
+    # the exact count's, bit for bit; beyond that K and the m^(D-1) leaves enter
+    # only through logs from D log m, within 4 ulp of the exact count's value
+    with mpmath.workdps(40):
+        log_k = float(mpmath.log((mpmath.mpf(m) ** D - 1) / (m - 1)))
+        logs = {x: mpmath.mpf(m) ** (D - 1) * mpmath.log1p(-mpmath.mpf(x)) for x in (1e-310, 1e-300, 1e-10, 0.3)}
+        catastrophe = {x: float(-mpmath.expm1(t)) if t > -800 else 1.0 for x, t in logs.items()}
+    in_range = D * math.log2(m) < 1024
+    for eps in (0.05, 0.3, 0.9):
+        for n in (1, 3):
+            res = tree_bounds(m, D, eps, n)
+            if in_range:
+                K = tree_node_count(m, D)
+                k = _times(K, 1.0)
+                lower = (-math.expm1(math.log1p(-1.0 / k) / ((1.0 - eps) * k))) ** (1.0 / n)
+                assert (res.lower, res.upper) == (lower, ((1.0 - eps) * math.log(m) / math.log(K)) ** (1.0 / n))
+            else:
+                lower, upper = _tree_bounds_from_log_k(m, D, eps, n, log_k)
+                assert res.lower == lower == 0.0 and abs(res.upper - upper) <= 4 * math.ulp(upper)
+    for x, exact in catastrophe.items():
+        assert tree_catastrophe_prob(m, D, x)[0] == pytest.approx(exact, rel=1e-12, abs=1e-300)
+
+
 def test_tree_of_one_product():
     # one product keeps its one survivor at every shock level
     for m in (1, 2, 3):
@@ -357,7 +393,7 @@ def test_extinction_depths_point_masses():
 
 def test_gw_expected_bounds_subcritical():
     dist = BranchingDistribution.poisson(0.5)
-    res = gw_expected_bounds(dist, 0.3, 1, max_tau=500, samples=20_000, seed=5)
+    res = gw_expected_bounds(dist, 0.3, 1, max_tau=500)
     assert res.extinct_fraction == 1.0
     assert 0 < res.lower < res.upper <= 1.0
 
@@ -386,15 +422,6 @@ def test_gw_expected_bounds_sum_the_exact_depth_law(dist, eps, n):
     res = gw_expected_bounds(dist, eps, n, max_tau=max_tau)
     assert abs(res.upper - upper) < 1e-12 and abs(res.lower - lower) < 1e-12
     assert abs(res.extinct_fraction - pmf.sum()) < 1e-12
-
-
-def test_gw_expected_bounds_ignore_samples_and_seed():
-    dist = BranchingDistribution.binomial(4, 0.2)
-    ref = gw_expected_bounds(dist, 0.3)
-    for samples, seed in ((1, 0), (20_000, 5), (10**30, 2**70)):
-        res = gw_expected_bounds(dist, 0.3, samples=samples, seed=seed)
-        assert (res.upper, res.lower, res.extinct_fraction) == (ref.upper, ref.lower, ref.extinct_fraction)
-        assert res.samples == samples
 
 
 @pytest.mark.parametrize("dist, eps", GW_LAWS.values(), ids=GW_LAWS.keys())

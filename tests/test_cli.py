@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -174,6 +175,31 @@ def test_supplier_count_beyond_float_range(tmp_path, capsys):
         )
         assert code == 0, (command, stderr)
         assert {line.split(",")[column] for line in out.read_text().splitlines()[1:]} == {value}
+
+
+def test_tree_and_gw_sizes_beyond_float_range(tmp_path, capsys):
+    # a tree past the node cap is refused from D log m, without a traceback
+    code, stdout, stderr = run_cli(
+        capsys, "generate", "--arch", "backward-tree", "--m", "2", "--D", "100000",
+        "--out", str(tmp_path / "t.json"),
+    )
+    assert (code, stdout) == (2, "") and "Traceback" not in stderr
+    assert stderr == f"prodnet: tree would exceed the limit of {pn.generators.MAX_NODES} nodes\n"
+    # bounds at D = 10**12 never build m**D, and a supercritical tau = 10**400 gives the limit 0
+    out = tmp_path / "b.csv"
+    started = time.monotonic()
+    code, _, _ = run_cli(
+        capsys, "bounds", "--arch", "backward-tree", "--m", "2", "--D", str(10**12),
+        "--epsilon", "0.3", "--out", str(out),
+    )
+    assert code == 0 and time.monotonic() - started < 1.0
+    assert out.read_text().splitlines()[1].split(",")[:3] == ["backward-tree", "fanout>=2", "0.0"]
+    code, _, _ = run_cli(
+        capsys, "bounds", "--arch", "gw", "--mu", "10", "--tau", str(10**400),
+        "--epsilon", "0.05", "--out", str(out),
+    )
+    assert code == 0
+    assert out.read_text().splitlines()[1] == "gw,per-extinction-depth,0.0,0.0"
 
 
 def test_gw_tree_dist_beyond_int64_exit_code(tmp_path, capsys):
@@ -453,6 +479,17 @@ def test_network_json_with_bad_tiers_exit_code(tmp_path, capsys, tiers):
     )
     assert code == 2 and stdout == ""
     assert stderr.startswith("prodnet: tier entry ")
+
+
+def test_network_json_declared_acyclic_over_a_cycle_exit_code(tmp_path, capsys):
+    doc = {"schema": 1, "k": 2, "n": 1, "edges": [[1, 2], [2, 1]], "tiers": None, "acyclic": True}
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps(doc), encoding="utf-8")
+    code, stdout, stderr = run_cli(
+        capsys, "simulate", "--net", str(net_path), "--x", "0.2", "--out", str(tmp_path / "h.csv")
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr == "prodnet: network was declared acyclic but contains a cycle\n"
 
 
 def test_simulate_reads_an_edge_csv_with_a_byte_order_mark(tmp_path, capsys):

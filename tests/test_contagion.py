@@ -109,9 +109,6 @@ def test_fixed_point_threshold_enforced():
     net = ProductionNetwork(3, [(1, 2), (1, 3)])  # Delta = 2
     with pytest.raises(PreconditionError):
         fixed_point_beta(net, 0.2, 0.9, 1)
-    with pytest.warns(UserWarning):
-        bv = fixed_point_beta(net, 0.2, 0.9, 1, allow_above_threshold=True)
-    assert bv.method == "fixed-point"
 
 
 def test_fixed_point_iterates_monotone():

@@ -13,6 +13,8 @@ from prodnet import (
     resilience_curve,
 )
 
+from prodnet.estimator import _s_min, _survival_levels
+
 from oracles import exact_resilience, exact_survival_prob
 
 
@@ -137,6 +139,22 @@ def test_estimator_consistent_with_run_batch():
     p_from_batch = float((batch.S >= 5).mean())
     p_hat, _ = estimate_survival_prob(net, 0.45, 2, 1.0 - 5.0 / 9.0 + 1e-12, trials=400, seed=21)
     assert p_hat == pytest.approx(p_from_batch, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "net",
+    [generate_rdag(12, 0.3, seed=5), ProductionNetwork(6, [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 6)])],
+    ids=["acyclic", "cyclic"],
+)
+def test_survival_prob_equals_the_curves_order_statistics(net):
+    # counting a batch's trials with s_min survivors at x gives the share of u_t >= x
+    for n in (1, 2):
+        for eps in (0.1, 0.4, 0.8):
+            levels = _survival_levels(net, n, 300, 7, [_s_min(eps, net.node_count)])[0]
+            for x in (0.0, 0.1, 0.35, 0.6, 1.0, *levels[::50].tolist()):
+                p_hat, se = estimate_survival_prob(net, x, n, eps, trials=300, seed=7)
+                assert p_hat == np.count_nonzero(levels >= x) / 300
+                assert se == math.sqrt(p_hat * (1.0 - p_hat) / 300)
 
 
 def test_curve_entries_match_single_estimates():

@@ -133,6 +133,11 @@ def test_backward_tree_wide():
 def test_backward_tree_size_limit():
     with pytest.raises(SizeError):
         generate_backward_tree(2, 40)
+    # refused from D log m, with no size built or formatted
+    for m, D in ((2, 100_000), (2, 10**400), (10**400, 2)):
+        with pytest.raises(SizeError, match=f"^tree would exceed the limit of {generators.MAX_NODES} nodes$"):
+            generate_backward_tree(m, D)
+    assert generate_backward_tree(10**400, 1).node_count == 1
 
 
 def test_backward_tree_tier_direction():

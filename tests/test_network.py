@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,11 @@ from prodnet import (
     ProductionNetwork,
     ValidationError,
     generate_rdag,
+    load_network_json,
     reverse_graph,
     topological_order,
 )
+from prodnet.fileio import NETWORK_JSON_SCHEMA
 
 from oracles import canonical_edges
 
@@ -39,11 +43,17 @@ def test_rejects_self_loops_and_duplicates():
         ProductionNetwork(0, [])
 
 
-def test_acyclic_claim_verified():
-    with pytest.raises(ValidationError):
-        ProductionNetwork(2, [(1, 2), (2, 1)], acyclic=True)
-    net = ProductionNetwork(2, [(1, 2), (2, 1)])
-    assert not net.acyclic
+def test_acyclic_claim_verified(tmp_path):
+    # a network JSON's "acyclic": true is the one outside claim, and the loader checks it
+    doc = {"schema": NETWORK_JSON_SCHEMA, "k": 2, "n": 1, "edges": [[1, 2], [2, 1]], "acyclic": True}
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValidationError, match="^network was declared acyclic but contains a cycle$"):
+        load_network_json(path)
+    doc["acyclic"] = False
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert not load_network_json(path).acyclic
+    assert not ProductionNetwork(2, [(1, 2), (2, 1)]).acyclic
 
 
 def test_tiers_must_cover_all_nodes():

@@ -18,7 +18,7 @@ import json
 import math
 import tempfile
 import warnings
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prodnet import (
+    BatchResult,
     BranchingDistribution,
+    GWExpectedBounds,
     ParameterError,
     PercolationConfig,
     ProdnetError,
@@ -49,6 +51,7 @@ from prodnet import (
     generate_trellis,
     gw_bound_upper,
     gw_bounds,
+    gw_expected_bounds,
     katz_beta,
     katz_centrality,
     load_network_json,
@@ -86,7 +89,6 @@ def _io_table(tmp_path, threshold):
 CASES = {
     # NaN where a real is expected
     "katz_centrality-y-nan": lambda tmp: katz_centrality(CHAIN, NAN),
-    "katz_centrality-tol-nan": lambda tmp: katz_centrality(CHAIN, 0.5, tol=NAN),
     "optimal_protection-y-nan": lambda tmp: optimal_protection(CHAIN, 1, NAN),
     "supplier_allocation-y-nan": lambda tmp: supplier_allocation(CHAIN, NAN, 1, [1, 1, 1], 2),
     "resilience_lb_katz-y-nan": lambda tmp: resilience_lb_katz(CHAIN, NAN, 0.3),
@@ -277,6 +279,10 @@ BEYOND_FLOAT_CASES = {
     "gw_bound_upper-n": (lambda: gw_bound_upper(0.5, 3, 0.3, HUGE), gw_bound_upper(0.5, 3, 0.3, 10**300)),
     "gw_bounds-n": (lambda: gw_bounds(0.5, 3, 0.3, HUGE), gw_bounds(0.5, 3, 0.3, 10**300)),
     "gw_bounds-tau": (lambda: gw_bounds(0.5, HUGE, 0.3), gw_bounds(0.5, 10**300, 0.3)),
+    # supercritical: both bounds tend to 0 as tau grows
+    "gw_bounds-tau-supercritical": (lambda: gw_bounds(10.0, HUGE, 0.05), (0.0, 0.0)),
+    "gw_bounds-tau-supercritical-1e300": (lambda: gw_bounds(10.0, 10**300, 0.05), (0.0, 0.0)),
+    "gw_bounds-tau-supercritical-1e308": (lambda: gw_bounds(10.0, 10**308, 0.05), (0.0, 0.0)),  # tau log mu overflows
     # a trellis bound depends on w and D, as K = wD cancels
     "trellis_bounds-w": (lambda: astuple(trellis_bounds(HUGE, 2, 0.3, 0.3))[:3], (0.0, 1.3 / 2, "pw>1")),
     "trellis_bounds-w-p-zero": (lambda: astuple(trellis_bounds(HUGE, 2, 0.0, 0.3))[:3], (0.3 / 4, 1.0, "pw<1")),
@@ -295,6 +301,30 @@ BEYOND_FLOAT_CASES = {
 @pytest.mark.parametrize("call, expected", BEYOND_FLOAT_CASES.values(), ids=BEYOND_FLOAT_CASES.keys())
 def test_sizes_beyond_float_range_give_the_limit(call, expected):
     assert call() == expected
+
+
+# options removed in 0.3.0, each now refused as an unknown keyword
+REMOVED_OPTIONS = {
+    "gw_expected_bounds-samples": lambda: gw_expected_bounds(BranchingDistribution.poisson(0.5), 0.3, samples=10),
+    "gw_expected_bounds-seed": lambda: gw_expected_bounds(BranchingDistribution.poisson(0.5), 0.3, seed=1),
+    "fixed_point_beta-tol": lambda: fixed_point_beta(CHAIN, 0.1, 0.5, tol=1e-6),
+    "fixed_point_beta-allow_above_threshold": lambda: fixed_point_beta(
+        CHAIN, 0.1, 0.5, allow_above_threshold=True
+    ),
+    "katz_centrality-tol": lambda: katz_centrality(CHAIN, 0.5, tol=1e-6),
+    "ProductionNetwork-acyclic": lambda: ProductionNetwork(2, [(1, 2)], acyclic=True),
+}
+
+
+@pytest.mark.parametrize("call", REMOVED_OPTIONS.values(), ids=REMOVED_OPTIONS.keys())
+def test_removed_options_raise_type_error(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_removed_result_members():
+    assert "samples" not in {f.name for f in fields(GWExpectedBounds)}
+    assert not hasattr(BatchResult, "outcomes")
 
 
 def test_messages_name_the_argument_and_its_domain():
