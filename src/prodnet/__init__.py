@@ -8,7 +8,7 @@ architecture, expected-cascade bounds via the topological/fixed-point/
 Katz pipeline, and budget-constrained protection planning.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .bounds import (
     BoundResult,
@@ -36,7 +36,6 @@ from .bounds import (
 from .contagion import (
     BetaVector,
     KatzResilienceBound,
-    contraction_step,
     dag_beta,
     dag_resilience_lb,
     dag_sparse_bound,

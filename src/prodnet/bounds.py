@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ParameterError, UnsupportedRegimeError, check_int, check_real
+from .errors import ParameterError, UnsupportedRegimeError, check_int, check_real, shown
 from .generators import BranchingDistribution
 
 BISECTION_TOL = 1e-10
@@ -127,7 +127,7 @@ def powerlaw_pmf(f: int, K: int, p: float, x: float, n: int = 1) -> float:
     K = check_int(K, "K")
     f = check_int(f, "f")
     if f > K:
-        raise ParameterError(f"f must lie in 1..K, got f={f}, K={K}")
+        raise ParameterError(f"f must lie in 1..K, got f={shown(f)}, K={shown(K)}")
     check_real(p, "p")
     check_real(x, "x")
     n = check_int(n, "n")
@@ -230,7 +230,7 @@ def parallel_bounds(
         )
         upper_raw = _root(1.0 - (1.0 - epsilon) / _times(m + 1, 2.0), n)
     else:
-        raise ParameterError(f"scope must be 'complex-only' or 'all-products', got {scope!r}")
+        raise ParameterError(f"scope must be 'complex-only' or 'all-products', got {shown(scope)}")
     return _bound_result(lower_raw, upper_raw, scope, {"K": K, "m": m, "d": d, "epsilon": epsilon, "n": n})
 
 
@@ -352,7 +352,7 @@ def tree_expected_survivors_envelope(m: int, D: int, x: float, n: int = 1) -> tu
     xn = _power(x, n)
     lower, upper = times_k(1.0 - _times(D - 1, xn)), _times(D - 1, times_k(xn)) / 2.0
     if not (math.isfinite(lower) and math.isfinite(upper)):
-        raise ParameterError(f"the survivor envelopes for m={m}, D={D} exceed float range")
+        raise ParameterError(f"the survivor envelopes for m={shown(m)}, D={shown(D)} exceed float range")
     return lower, upper
 
 

@@ -62,26 +62,12 @@ def dag_beta(net: ProductionNetwork, x: float, y: float, n: int = 1) -> BetaVect
     return BetaVector(beta=beta, method="dag-linear")
 
 
-def contraction_step(
-    net: ProductionNetwork,
-    beta: np.ndarray,
-    x: float,
-    y: float,
-    n: int = 1,
-    spontaneous: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def _contract(net, beta, x, y, n, spontaneous):
     """One application of the monotone operator min(1, y A^T beta + x^n).
 
-    `spontaneous` optionally replaces the uniform x^n vector (used by
-    interventions, where protected products have their term zeroed).
+    `spontaneous`, when given, replaces the uniform x^n vector (interventions
+    zero the protected products' terms).
     """
-    check_real(x, "x")
-    check_real(y, "y")
-    return _contract(net, beta, x, y, check_int(n, "n"), spontaneous)
-
-
-def _contract(net, beta, x, y, n, spontaneous):
-    # contraction_step without the argument checks, for the iteration loop
     src, dst = net.edge_arrays()
     if spontaneous is None:
         acc = np.full(net.node_count, _power(x, n))
@@ -110,10 +96,7 @@ def fixed_point_beta(
     check_real(y, "y")
     n = check_int(n, "n")
     max_iter = check_int(max_iter, "max_iter")
-    if y > _y_limit(net):
-        raise PreconditionError(
-            f"fixed-point/program equivalence needs y <= 1/Delta = {_y_limit(net):g}, got y = {y:g}"
-        )
+    _check_y(net, y, "fixed_point_beta", strict=False)
     beta = np.ones(net.node_count, dtype=np.float64)
     for it in range(1, max_iter + 1):
         nxt = _contract(net, beta, x, y, n, spontaneous)
@@ -134,6 +117,20 @@ def _y_limit(net: ProductionNetwork, planning: bool = False) -> float:
     """
     delta = max(net.max_out_degree, net.max_in_degree) if planning else net.max_out_degree
     return math.inf if delta == 0 else 1.0 / delta
+
+
+def _check_y(net: ProductionNetwork, y: float, operation: str, strict: bool = True, planning: bool = False):
+    """Raise the one PreconditionError for y unless y < `_y_limit(net, planning)`, or <= when not strict.
+
+    The message names the operation, the limit, y and the degrees the limit comes from.
+    """
+    limit = _y_limit(net, planning)
+    if not (y < limit or (y == limit and not strict)):
+        degrees = f"Delta = {net.max_out_degree}" + (f", Delta_R = {net.max_in_degree}" if planning else "")
+        raise PreconditionError(
+            f"{operation} needs y {'<' if strict else '<='} 1/{'max(Delta, Delta_R)' if planning else 'Delta'}"
+            f" = {limit:g}, got y = {y:g} ({degrees})"
+        )
 
 
 def _x_condition(net: ProductionNetwork, x: float, y: float, n: int) -> tuple[bool, float]:
@@ -182,15 +179,10 @@ def _katz_solve(net: ProductionNetwork, y: float, b: np.ndarray, reverse: bool =
 def katz_centrality(net: ProductionNetwork, y: float) -> np.ndarray:
     """Katz vector (I - y A^T)^{-1} 1, requiring y < 1/Delta.
 
-    Solved sparsely over `net.level_plan()`: exact forward substitution,
-    one `bincount` per level, off cycles, and Neumann sweeps to a relative
-    update of KATZ_TOL (or, failing that within the component's size, a solve
-    of that component's own block) for a cyclic component.  Memory is
-    O(K + |E|) unless such a block is needed.
+    Solved sparsely by `_katz_solve`, in O(K + |E|) memory unless a cyclic
+    component falls back to a solve of its own dense block.
     """
-    check_real(y, "y", "[0, inf)")
-    if y >= _y_limit(net):
-        raise PreconditionError(f"Katz centrality needs y < 1/Delta = {_y_limit(net):g}, got y = {y:g}")
+    _check_y(net, check_real(y, "y", "[0, inf)"), "katz_centrality")
     return _katz_solve(net, y, np.ones(net.node_count))
 
 
@@ -203,8 +195,7 @@ def katz_beta(net: ProductionNetwork, x: float, y: float, n: int = 1) -> BetaVec
     check_real(x, "x")
     check_real(y, "y")
     n = check_int(n, "n")
-    if y >= _y_limit(net):
-        raise PreconditionError(f"katz_beta needs y < 1/Delta = {_y_limit(net):g}, got y = {y:g}")
+    _check_y(net, y, "katz_beta")
     x_ok, x_cap = _x_condition(net, x, y, n)
     if not x_ok:
         raise PreconditionError(f"katz_beta needs x < (1 - y Delta)^(1/n) = {x_cap:g}, got x = {x:g}")

@@ -7,10 +7,14 @@ argument's domain is checked: every public entry point runs its
 arguments through them once, so NaN, bools and non-numbers end in a
 ParameterError wherever they are passed.  `check_count` is `check_int`
 for a count that numpy holds or draws as an int64.  Network ids and tiers follow
-`check_int`'s rule (`is_int`), refused with a ValidationError.
+`check_int`'s rule (`is_int`), refused with a ValidationError.  Every
+message that quotes a caller's value quotes it through `shown`, so an
+integer too long to print is refused like any other value.
 """
 
+import math
 import numbers
+import sys
 
 INT64_MAX = 2**63 - 1  # the largest count that numpy's int64 arrays and draws hold
 
@@ -69,7 +73,7 @@ def check_int(value, name: str, minimum: int = 1) -> int:
     """`value` as an int, refused unless it is an integer (`is_int`) >= minimum (0 or 1)."""
     if not is_int(value) or value < minimum:
         kind = "nonnegative" if minimum == 0 else "positive"
-        raise ParameterError(f"{name} must be a {kind} integer, got {value!r}")
+        raise ParameterError(f"{name} must be a {kind} integer, got {shown(value)}")
     return int(value)
 
 
@@ -77,7 +81,7 @@ def check_count(value, name: str, minimum: int = 1) -> int:
     """`check_int`, also refusing a value above INT64_MAX."""
     value = check_int(value, name, minimum)
     if value > INT64_MAX:
-        raise ParameterError(f"{name} must be at most {INT64_MAX}, got {value}")
+        raise ParameterError(f"{name} must be at most {INT64_MAX}, got {shown(value)}")
     return value
 
 
@@ -91,19 +95,27 @@ def check_real(value, name: str, interval: str = "[0, 1]") -> float:
 
     interval is written as the message shows it, such as "(0, 1]" or
     "[0, inf)": a bracket closes an end and a parenthesis opens it.  NaN
-    lies in no interval, and bools are not real numbers.
+    lies in no interval, bools are not real numbers, and a rational beyond
+    float range has no float to return.
     """
-    lo, hi, closed_lo, closed_hi = _interval_ends(interval)
+    lo, hi = map(float, interval[1:-1].split(","))
     if (
         isinstance(value, bool)
         or not isinstance(value, numbers.Real)
-        or not (lo <= value if closed_lo else lo < value)
-        or not (value <= hi if closed_hi else value < hi)
+        or not (lo <= value if interval[0] == "[" else lo < value)
+        or not (value <= hi if interval[-1] == "]" else value < hi)
+        or isinstance(value, numbers.Rational) and abs(value) > sys.float_info.max
     ):
-        raise ParameterError(f"{name} must lie in {interval}, got {value!r}")
+        raise ParameterError(f"{name} must lie in {interval}, got {shown(value)}")
     return float(value)
 
 
-def _interval_ends(interval: str) -> tuple[float, float, bool, bool]:
-    lo, hi = interval[1:-1].split(",")
-    return float(lo), float(hi), interval[0] == "[", interval[-1] == "]"
+def shown(value) -> str:
+    """repr(value) for a message; an int too long to print shows its sign and about how many digits it has."""
+    try:
+        return repr(value)
+    except ValueError:  # the interpreter's limit on printing int digits, met by value or inside it
+        if isinstance(value, int):
+            digits = int(abs(value).bit_length() * math.log10(2)) + 1
+            return f"{'-' if value < 0 else ''}<an integer of about {digits} digits>"
+        return f"<a {type(value).__name__} holding an integer too long to print>"

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_int, check_real
+from .errors import ParameterError, check_int, check_real, shown
 from .network import ProductionNetwork
 from .percolation import PercolationConfig, _draws, _failure_thresholds, _trial_blocks, derive_subseed, run_batch
 
@@ -148,7 +148,7 @@ def resilience_curve(
     try:
         eps = np.array([check_real(e, "epsilon", "(0, 1)") for e in epsilon_grid])
     except TypeError:  # not iterable
-        raise ParameterError(f"epsilon_grid must be a sequence of reals, got {epsilon_grid!r}") from None
+        raise ParameterError(f"epsilon_grid must be a sequence of reals, got {shown(epsilon_grid)}") from None
     if eps.size == 0:
         raise ParameterError("epsilon_grid must not be empty")
     if np.any(np.diff(eps) <= 0.0):

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import INT64_MAX, ParameterError, SizeError, check_count, check_int, check_real
+from .errors import INT64_MAX, ParameterError, SizeError, check_count, check_int, check_real, shown
 from .network import MAX_NODES, ProductionNetwork
 
 RDAG_BLOCK = 1 << 20  # node pairs per draw in generate_rdag: 8 MB of doubles
@@ -174,8 +174,8 @@ def generate_parallel(K: int, m: int, d: int, seed: int) -> ProductionNetwork:
     rho = -(-m * K // d)  # ceil
     if rho < m:
         raise ParameterError(
-            f"supply dependency d={d} too large: raw pool ceil(m*K/d)={rho} "
-            f"cannot provide m={m} distinct inputs per product"
+            f"supply dependency d={shown(d)} too large: raw pool ceil(m*K/d)={shown(rho)} "
+            f"cannot provide m={shown(m)} distinct inputs per product"
         )
     rng = np.random.default_rng(check_int(seed, "seed", minimum=0))
     capacity = np.full(rho, d, dtype=np.int64)

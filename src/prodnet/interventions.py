@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _power
-from .contagion import _katz_solve, _rank, _root_bound, _x_condition, _y_limit, fixed_point_beta
-from .errors import ParameterError, PreconditionError, check_count, check_int, check_real, is_int
+from .contagion import _check_y, _katz_solve, _rank, _root_bound, _x_condition, _y_limit, fixed_point_beta
+from .errors import ParameterError, check_count, check_int, check_real, is_int, shown
 from .network import ProductionNetwork
 
 
@@ -57,12 +57,7 @@ def _ranked_reverse_katz(net: ProductionNetwork, y: float) -> tuple[np.ndarray, 
     mass[T], the unprotected mass of budget T, is the suffix sum of the ranked
     scores from rank T on: it never increases with T and is exactly 0 at T = K.
     """
-    check_real(y, "y", "[0, inf)")
-    if y >= _y_limit(net, planning=True):
-        raise PreconditionError(
-            f"interventions need y < 1/max(Delta, Delta_R) = {_y_limit(net, planning=True):g}, got y = {y:g} "
-            f"(max out-degree {net.max_out_degree}, reverse {net.max_in_degree})"
-        )
+    _check_y(net, check_real(y, "y", "[0, inf)"), "protection planning", planning=True)
     gamma_rev = _katz_solve(net, y, np.ones(net.node_count), reverse=True)
     order = _rank(gamma_rev)
     mass = np.zeros(net.node_count + 1)
@@ -77,7 +72,7 @@ def optimal_protection(net: ProductionNetwork, T: int, y: float) -> Intervention
     """
     T = check_int(T, "T", minimum=0)
     if T > net.node_count:
-        raise ParameterError(f"T = {T} exceeds the product count {net.node_count}")
+        raise ParameterError(f"T = {shown(T)} exceeds the product count {net.node_count}")
     gamma_rev, order, mass = _ranked_reverse_katz(net, y)
     protected = np.zeros(net.node_count, dtype=bool)
     protected[order[:T]] = True
@@ -91,10 +86,11 @@ def evaluate_intervention(
 
     Under the closed-form preconditions solves (I - y A^T) beta = x^n (1-t)
     with the sparse strong-component solver behind `katz_centrality`, in
-    O(K + |E|) memory; when only y <= 1/Delta holds, falls back to the
-    fixed point with the protected spontaneous terms zeroed (a valid
-    bound, but the top-centrality plan is no longer guaranteed optimal
-    for it); above 1/Delta that raises PreconditionError.
+    O(K + |E|) memory; when only y <= 1/Delta holds, runs the fixed point
+    with the protected spontaneous terms zeroed (a valid bound, but the
+    top-centrality plan is no longer guaranteed optimal for it) and then
+    warns once; above 1/Delta the fixed point raises PreconditionError
+    before anything is warned.
     """
     mask = np.asarray(t)
     if mask.shape != (net.node_count,):
@@ -104,7 +100,7 @@ def evaluate_intervention(
     if mask.dtype != bool:
         for i, v in enumerate(t):
             if not (isinstance(v, (bool, np.bool_)) or (is_int(v) and v in (0, 1))):
-                raise ParameterError(f"t[{i}] must be a bool or the integer 0 or 1, got {v!r}")
+                raise ParameterError(f"t[{i}] must be a bool or the integer 0 or 1, got {shown(v)}")
         mask = mask.astype(bool)
     check_real(x, "x")
     check_real(y, "y")
@@ -113,12 +109,12 @@ def evaluate_intervention(
     if y < _y_limit(net) and _x_condition(net, x, y, n)[0]:
         beta = _katz_solve(net, y, spontaneous)
     else:
+        beta = fixed_point_beta(net, x, y, n, spontaneous=spontaneous).beta
         warnings.warn(
-            "closed-form preconditions violated; evaluating via the fixed point, "
+            "closed-form preconditions violated; evaluated via the fixed point, "
             "for which the centrality ranking is not guaranteed optimal",
             stacklevel=2,
         )
-        beta = fixed_point_beta(net, x, y, n, spontaneous=spontaneous).beta
     return float(beta.sum()), beta
 
 

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import CyclicGraphError, SizeError, ValidationError, check_int, is_int
+from .errors import CyclicGraphError, SizeError, ValidationError, check_int, is_int, shown
 
 MAX_NODES = 10_000_000  # products per network: construction allocates CSR offsets of K + 1 entries
 
@@ -104,7 +104,7 @@ class ProductionNetwork:
     ):
         k = check_int(node_count, "node_count")
         if k > MAX_NODES:
-            raise SizeError(f"node_count {k} exceeds the limit of {MAX_NODES} products")
+            raise SizeError(f"node_count {shown(k)} exceeds the limit of {MAX_NODES} products")
         n = check_int(supplier_count, "supplier_count")
         src, dst = _canonical_edges(k, edges)
         # inputs by consumer: a stable sort keeps each consumer's sources ascending
@@ -187,7 +187,8 @@ class ProductionNetwork:
         )
 
     def __hash__(self):
-        return hash((self.node_count, self.edges, self.supplier_count))
+        # the edge arrays' bytes, not `edges`, which would build and cache E tuples
+        return hash((self.node_count, self._src.tobytes(), self._dst.tobytes(), self.supplier_count))
 
     def __repr__(self):
         return (
@@ -362,11 +363,14 @@ class ProductionNetwork:
     def _topological_order(self) -> Optional[np.ndarray]:
         """A topological order of the products, 0-based, or None if the network is cyclic.
 
-        It is the ids in order when they ascend along every edge, else
-        Kahn's order.
+        It is the ids in order when they ascend along every edge, the ids
+        in reverse when they descend along every edge (as a backward tree's
+        do), else Kahn's order.
         """
-        if np.all(self._src < self._dst):  # ids ascend along every edge
+        if np.all(self._src < self._dst):
             return np.arange(self.node_count)
+        if np.all(self._src > self._dst):
+            return np.arange(self.node_count - 1, -1, -1)
         indeg = np.diff(self._in_starts).tolist()
         starts, succ = self._out_starts.tolist(), self._dst.tolist()
         ready = np.flatnonzero(np.diff(self._in_starts) == 0).tolist()
@@ -388,7 +392,7 @@ def _canonical_edges(k: int, edges) -> tuple[np.ndarray, np.ndarray]:
     order that leaves 1..k, is a self-loop or repeats an earlier pair,
     raises ValidationError naming that pair.
     """
-    given, shown = edges, None  # shown: the pairs error messages quote, when they differ from `pairs`
+    given, quoted = edges, None  # quoted: the pairs error messages quote, when they differ from `pairs`
     try:
         try:
             if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu":
@@ -398,10 +402,10 @@ def _canonical_edges(k: int, edges) -> tuple[np.ndarray, np.ndarray]:
                 pairs = _int_pairs(given)
                 if pairs is None:  # numpy integers pass, any other id is refused
                     if (bad := next((pair for pair in given if not all(map(is_int, pair))), None)) is not None:
-                        raise TypeError(f"got {bad!r}")
+                        raise TypeError(f"got {shown(bad)}")
                     pairs = np.asarray(given, dtype=np.int64)
         except OverflowError:  # an id beyond int64 lies outside 1..k, as 0 does
-            shown = given
+            quoted = given
             pairs = np.array([[v if abs(v) <= k else 0 for v in e] for e in given], dtype=np.int64)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"edges must be (j, i) pairs of integers: {exc}") from exc
@@ -417,9 +421,9 @@ def _canonical_edges(k: int, edges) -> tuple[np.ndarray, np.ndarray]:
     bad[order[1:][keys[1:] == keys[:-1]]] = True  # repeats of an earlier pair
     if bad.any():
         e = int(np.argmax(bad))
-        a, b = (int(v) for v in (pairs if shown is None else shown)[e])
+        a, b = (int(v) for v in (pairs if quoted is None else quoted)[e])
         if not (1 <= a <= k and 1 <= b <= k):
-            raise ValidationError(f"edge ({a}, {b}) references a node outside 1..{k}")
+            raise ValidationError(f"edge ({shown(a)}, {shown(b)}) references a node outside 1..{k}")
         if a == b:
             raise ValidationError(f"self-loop on node {a} is not allowed")
         raise ValidationError(f"duplicate edge ({a}, {b})")
@@ -437,13 +441,13 @@ def _int_pairs(given: list) -> Optional[np.ndarray]:
 def _tier_labels(k: int, tiers) -> dict[int, int]:
     """tiers as a dict of ints, refused unless its keys are exactly 1..k and its tiers nonnegative."""
     if not isinstance(tiers, Mapping):
-        raise ValidationError(f"tiers must be a mapping of product id to tier, got {tiers!r}")
+        raise ValidationError(f"tiers must be a mapping of product id to tier, got {shown(tiers)}")
     labels = dict(tiers)
     if not (set(map(type, labels)) | set(map(type, labels.values())) <= {int} and min(labels, default=1) >= 1
             and max(labels, default=0) <= k and min(labels.values(), default=0) >= 0):
         for v, t in labels.items():  # numpy integers pass; name the first bad entry
             if not (is_int(v) and 1 <= v <= k and is_int(t) and t >= 0):
-                raise ValidationError(f"tier entry {v!r}: {t!r} needs a product id in 1..{k} and a nonnegative integer tier")
+                raise ValidationError(f"tier entry {shown(v)}: {shown(t)} needs a product id in 1..{k} and a nonnegative integer tier")
         labels = {int(v): int(t) for v, t in labels.items()}
     if len(labels) < k:
         raise ValidationError(f"tier labels missing for nodes {[v for v in range(1, k + 1) if v not in labels][:5]}")

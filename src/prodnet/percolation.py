@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SizeError, check_int, check_real
+from .errors import ParameterError, SizeError, check_int, check_real, shown
 from .network import Cycle, ProductionNetwork
 
 
@@ -109,14 +109,9 @@ def derive_subseed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def _check_trials(trials: int):
-    if trials > MAX_TRIALS:
-        raise SizeError(f"{trials} trials exceed the limit of {MAX_TRIALS} per batch")
-
-
 def _check_uniforms(trials: int, k: int, n: int):
     if trials * k * n > _MAX_UNIFORMS:
-        raise SizeError(f"{trials} trials of {k} x {n} supplier uniforms exceed numpy's array size")
+        raise SizeError(f"{trials} trials of {k} x {shown(n)} supplier uniforms exceed numpy's array size")
 
 
 def _draws(
@@ -158,7 +153,8 @@ def _trial_blocks(net: ProductionNetwork, n: int, y: float, seed: int, trials: i
 
     The batch's limits are checked at once; the blocks are formed lazily.
     """
-    _check_trials(trials)
+    if trials > MAX_TRIALS:
+        raise SizeError(f"{shown(trials)} trials exceed the limit of {MAX_TRIALS} per batch")
     check_int(seed, "seed", minimum=0)
     _check_uniforms(trials, net.node_count, n)
     size = max(1, TRIAL_BLOCK_BYTES // _trial_bytes(net, n, y))

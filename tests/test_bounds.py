@@ -6,6 +6,7 @@ import pytest
 
 from prodnet import (
     BranchingDistribution,
+    ClampWarning,
     ParameterError,
     UnsupportedRegimeError,
     cascade_tail_g,
@@ -109,6 +110,12 @@ def test_rdag_lb_x_closed_form():
 
 def test_rdag_lb_x_large_n_tends_to_one():
     assert rdag_lb_x(100, 0.3, 0.5, 10**6) == pytest.approx(1.0, abs=1e-4)
+
+
+def test_rdag_lb_x_clamp_warns():
+    # K log(1/(1-p)) (1-eps) < 1 puts the root above 1
+    with pytest.warns(ClampWarning, match="clamped"):
+        assert rdag_lb_x(1, 0.1, 0.5) == 1.0
 
 
 def test_rdag_lb_x_plugback_envelope():

@@ -589,3 +589,13 @@ def test_negative_t_max_exit_code(tmp_path, capsys):
     )
     assert code == 2
     assert "--t-max" in stderr
+
+
+def test_t_max_above_k_exit_code(tmp_path, capsys):
+    net_path = tmp_path / "net.csv"
+    net_path.write_text("source,target\n1,2\n", encoding="utf-8")  # K = 2
+    code, _, stderr = run_cli(
+        capsys, "intervene", "--net", str(net_path), "--t-max", "3", "--out", str(tmp_path / "i.csv"),
+    )
+    assert code == 2
+    assert "--t-max 3 exceeds the product count 2" in stderr

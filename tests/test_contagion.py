@@ -13,7 +13,6 @@ from prodnet import (
     ParameterError,
     PreconditionError,
     ProductionNetwork,
-    contraction_step,
     dag_beta,
     dag_resilience_lb,
     dag_sparse_bound,
@@ -26,7 +25,7 @@ from prodnet import (
     resilience_lb_katz,
     vulnerability_ranking,
 )
-from prodnet.contagion import _ranking
+from prodnet.contagion import _contract, _ranking
 
 from oracles import brute_force_stats, exact_cascade_stats
 
@@ -116,7 +115,7 @@ def test_fixed_point_iterates_monotone():
     delta = max(net.max_out_degree, 1)
     beta = np.ones(10)
     for _ in range(30):
-        nxt = contraction_step(net, beta, 0.3, 1.0 / delta, 1)
+        nxt = _contract(net, beta, 0.3, 1.0 / delta, 1, None)
         assert np.all(nxt <= beta + 1e-15)
         beta = nxt
 
@@ -166,6 +165,35 @@ def test_y_at_one_over_delta_exactly():
     assert katz_centrality(in_star, 0.6).tolist() == pytest.approx([2.2, 1.0, 1.0])
     with pytest.raises(PreconditionError, match=r"1/max\(Delta, Delta_R\) = 0\.5, got y = 0\.6"):
         optimal_protection(in_star, 1, 0.6)
+
+
+OUT_STAR = ProductionNetwork(3, [(1, 2), (1, 3)])  # Delta = 2, Delta_R = 1
+
+# each entry point at the first y its rule refuses on OUT_STAR, whose limits are all 0.5
+Y_GATE_CASES = {
+    "fixed_point_beta": (
+        lambda: fixed_point_beta(OUT_STAR, 0.1, math.nextafter(0.5, 1.0)),
+        r"fixed_point_beta needs y <= 1/Delta = 0\.5, got y = 0\.5 \(Delta = 2\)",
+    ),
+    "katz_centrality": (
+        lambda: katz_centrality(OUT_STAR, 0.5),
+        r"katz_centrality needs y < 1/Delta = 0\.5, got y = 0\.5 \(Delta = 2\)",
+    ),
+    "katz_beta": (
+        lambda: katz_beta(OUT_STAR, 0.1, 0.5),
+        r"katz_beta needs y < 1/Delta = 0\.5, got y = 0\.5 \(Delta = 2\)",
+    ),
+    "optimal_protection": (
+        lambda: optimal_protection(OUT_STAR, 1, 0.5),
+        r"protection planning needs y < 1/max\(Delta, Delta_R\) = 0\.5, got y = 0\.5 \(Delta = 2, Delta_R = 1\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", Y_GATE_CASES.values(), ids=Y_GATE_CASES.keys())
+def test_one_y_gate_and_message(call, message):
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        call()
 
 
 def test_katz_beta_agrees_with_fixed_point():

@@ -537,6 +537,18 @@ def test_io_table_cell_over_the_csv_field_limit(tmp_path):
         parse_io_table(f)
 
 
+def test_io_table_quoted_past_one_csv_chunk(tmp_path):
+    # csv.reader's rows reach the reducer 256 at a time; 300 rows fill one chunk and start another
+    k = 300
+    labels = ['"s0, Inc"'] + [f"s{c}" for c in range(1, k)]
+    lines = ["," + ",".join(labels)]
+    lines += [labels[r] + "," + ",".join("2" if (3 * r + c) % 7 == 0 else "0" for c in range(k)) for r in range(k)]
+    path = tmp_path / "io.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for threshold in (0.0, -1.0):
+        assert _parsed(path, threshold) == io_table_edges(path, threshold)
+
+
 def test_io_table_quoted_zero_and_spaced_zero(tmp_path):
     # '"0"' unquotes to the literal 0; ' 0' and '-0' convert to zero
     f = tmp_path / "io.csv"

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from prodnet import (
     PreconditionError,
     ProductionNetwork,
     evaluate_intervention,
+    fixed_point_beta,
     generate_rdag,
     katz_beta,
     katz_centrality,
@@ -142,6 +144,22 @@ def test_evaluate_intervention_fallback_warns():
     with pytest.warns(UserWarning):
         obj, beta = evaluate_intervention(net, np.zeros(2, dtype=bool), 0.9, 1.0, 1)
     assert np.all(beta <= 1.0)
+
+
+def test_evaluate_intervention_warns_only_after_the_fixed_point_ran():
+    out_star = ProductionNetwork(3, [(1, 2), (1, 3)])  # Delta = 2
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(PreconditionError):
+            evaluate_intervention(out_star, [0, 0, 0], 0.1, 0.9)
+    assert seen == []
+    # y = 1/Delta puts x_cap at 0: the fixed point runs, then one warning
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        obj, beta = evaluate_intervention(out_star, [1, 0, 0], 0.1, 0.5)
+    assert [w.category for w in seen] == [UserWarning]
+    expected = fixed_point_beta(out_star, 0.1, 0.5, spontaneous=np.array([0.0, 0.1, 0.1])).beta
+    assert beta.tolist() == expected.tolist() and obj == float(expected.sum())
 
 
 @pytest.mark.parametrize("y", [-0.5, 1.5, float("nan")])

@@ -10,6 +10,7 @@ from prodnet import (
     ParameterError,
     ProductionNetwork,
     ValidationError,
+    generate_backward_tree,
     generate_rdag,
     load_network_json,
     reverse_graph,
@@ -17,7 +18,7 @@ from prodnet import (
 )
 from prodnet.fileio import NETWORK_JSON_SCHEMA
 
-from oracles import canonical_edges
+from oracles import _kahn_order, canonical_edges
 
 
 def test_basic_construction():
@@ -239,7 +240,8 @@ def test_csr_accessors_match_the_edges(net):
         assert net.out_degree(v) == len(net.successors(v))
     assert net.sources() == [v for v in range(1, k + 1) if not net.predecessors(v)]
     assert net.max_in_degree == max(net.in_degree(v) for v in range(1, k + 1))
-    assert net == ProductionNetwork(k, np.array(net.edges, dtype=np.int64).reshape(-1, 2))
+    rebuilt = ProductionNetwork(k, np.array(net.edges, dtype=np.int64).reshape(-1, 2))
+    assert net == rebuilt and hash(net) == hash(rebuilt)
     assert reverse_graph(net).edges == tuple(sorted((i, j) for j, i in net.edges))
     src, dst = net.edge_arrays()
     with pytest.raises(ValueError):
@@ -261,3 +263,35 @@ def test_strong_components_are_the_mutual_reachability_classes(net):
         if position[j - 1] < position[i - 1]:
             assert not reach[i - 1, j - 1]
     assert net.acyclic == all(len(c) == 1 for c in comps)
+
+
+def test_hash_follows_equality_without_building_edge_tuples():
+    edges = [(3, 1), (1, 2), (2, 4)]
+    net = ProductionNetwork(4, edges)
+    same = ProductionNetwork(4, np.array(edges[::-1]), tiers={1: 0, 2: 1, 3: 0, 4: 2})  # tiers stay out
+    assert hash(net) == hash(same) and len({net, same, ProductionNetwork(4, edges)}) == 2
+    assert "edges" not in net._cache
+
+
+DESCENDING = {
+    "backward-tree-2-5": generate_backward_tree(2, 5),
+    "backward-tree-3-4": generate_backward_tree(3, 4),
+    "descending-chain": ProductionNetwork(6, [(i + 1, i) for i in range(1, 6)]),
+}
+
+
+@pytest.mark.parametrize("net", DESCENDING.values(), ids=DESCENDING.keys())
+def test_descending_ids_plan_as_kahns_order_does(net):
+    # ids that descend along every edge are kept reversed as the order, without Kahn's pass;
+    # a copy that keeps the oracle's Kahn order instead must plan the same levels
+    assert net._cache["topological_order"].tolist() == list(range(net.node_count))[::-1]
+    kahn = ProductionNetwork(net.node_count, np.column_stack(net.edge_arrays()) + 1)
+    kahn._cache["topological_order"] = np.array(_kahn_order(kahn)) - 1
+    for reverse in (False, True):
+        plans = net.level_plan(reverse), kahn.level_plan(reverse)
+        assert len(plans[0]) == len(plans[1])
+        for level, expected in zip(*plans):
+            for field, value in level._asdict().items():
+                other = getattr(expected, field)
+                assert (value == other if isinstance(value, tuple) else np.array_equal(value, other)), field
+    assert topological_order(net) == topological_order(kahn)

@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prodnet
 from prodnet import (
     BatchResult,
     BranchingDistribution,
@@ -76,6 +77,7 @@ from prodnet import (
 )
 
 NAN = float("nan")
+TOO_LONG = 10**5000  # beyond the interpreter's 4300-digit limit on printing an int
 CHAIN = ProductionNetwork(3, [(1, 2), (2, 3)])
 EDGELESS = ProductionNetwork(2, [])
 
@@ -180,6 +182,27 @@ CASES = {
         BranchingDistribution.binomial(10**12, 2e-12), 200, 2000
     ),
     "katz_centrality-y-inf": lambda tmp: katz_centrality(EDGELESS, float("inf")),
+    "katz_centrality-y-beyond-float": lambda tmp: katz_centrality(EDGELESS, 10**400),
+    # a protection set of the wrong shape, f above K and an unknown scope
+    "evaluate_intervention-t-shape": lambda tmp: evaluate_intervention(CHAIN, [0, 0], 0.1, 0.5),
+    "powerlaw_pmf-f-above-K": lambda tmp: powerlaw_pmf(4, 3, 0.3, 0.3),
+    "parallel_bounds-scope-unknown": lambda tmp: parallel_bounds(5, 2, 2, 0.3, scope="some"),
+    # integers too long to print, quoted by each message that names the value
+    "tree_bounds-D-too-long": lambda tmp: tree_bounds(2, -TOO_LONG, 0.3),
+    "PercolationConfig-n-too-long": lambda tmp: PercolationConfig(x=0.1, n=-TOO_LONG),
+    "PercolationConfig-x-too-long": lambda tmp: PercolationConfig(x=TOO_LONG),
+    "run_batch-trials-too-long": lambda tmp: run_batch(CHAIN, PercolationConfig(x=0.1), TOO_LONG),
+    "run_batch-n-too-long": lambda tmp: run_batch(CHAIN, PercolationConfig(x=0.1, n=TOO_LONG), 10),
+    "supplier_allocation-caps-too-long": lambda tmp: supplier_allocation(CHAIN, 0.2, 1, [1, TOO_LONG, 1], 2),
+    "ProductionNetwork-K-too-long": lambda tmp: ProductionNetwork(TOO_LONG, []),
+    "powerlaw_pmf-f-too-long": lambda tmp: powerlaw_pmf(TOO_LONG, 3, 0.3, 0.3),
+    "parallel_bounds-scope-too-long": lambda tmp: parallel_bounds(5, 2, 2, 0.3, scope=TOO_LONG),
+    "tree_expected_survivors_envelope-D-too-long": lambda tmp: tree_expected_survivors_envelope(10, TOO_LONG, 0.1),
+    "resilience_curve-grid-too-long": lambda tmp: resilience_curve(CHAIN, epsilon_grid=TOO_LONG, trials=10),
+    "optimal_protection-T-too-long": lambda tmp: optimal_protection(CHAIN, TOO_LONG, 0.5),
+    "evaluate_intervention-t-too-long": lambda tmp: evaluate_intervention(CHAIN, [TOO_LONG, 0, 0], 0.1, 0.5),
+    "generate_parallel-d-too-long": lambda tmp: generate_parallel(1, TOO_LONG, TOO_LONG, seed=1),
+    "generate_parallel-pool-too-long": lambda tmp: generate_parallel(1, 10 * TOO_LONG, 2, seed=1),
 }
 
 
@@ -212,6 +235,11 @@ NETWORK_CASES = {
     "tiers-list": lambda: ProductionNetwork(2, [(1, 2)], tiers=[1, 2]),
     "tiers-str": lambda: ProductionNetwork(2, [(1, 2)], tiers="ab"),
     "tiers-pairs": lambda: ProductionNetwork(2, [(1, 2)], tiers=[(1, 0), (2, 1)]),
+    # integers too long to print
+    "edge-id-too-long": lambda: ProductionNetwork(3, [(1, TOO_LONG)]),
+    "edge-id-too-long-beside-a-float": lambda: ProductionNetwork(3, [(TOO_LONG, 2.5)]),
+    "tiers-too-long": lambda: ProductionNetwork(2, [(1, 2)], tiers=TOO_LONG),
+    "tier-too-long": lambda: ProductionNetwork(2, [(1, 2)], tiers={1: -TOO_LONG, 2: 0}),
 }
 
 
@@ -327,6 +355,13 @@ def test_removed_result_members():
     assert not hasattr(BatchResult, "outcomes")
 
 
+def test_removed_functions():
+    # 0.4.0: fixed_point_beta iterates the operator; no single step is public
+    assert prodnet.__version__ == "0.4.0"
+    assert not hasattr(prodnet, "contraction_step")
+    assert not hasattr(prodnet.contagion, "contraction_step")
+
+
 def test_messages_name_the_argument_and_its_domain():
     with pytest.raises(ParameterError, match=r"^x must lie in \[0, 1\], got nan$"):
         PercolationConfig(x=NAN)
@@ -342,6 +377,11 @@ def test_messages_name_the_argument_and_its_domain():
         evaluate_intervention(CHAIN, [True, 0.5, "a"], 0.1, 0.5)
     with pytest.raises(ValidationError, match=r"^tiers must be a mapping of product id to tier, got 'ab'$"):
         ProductionNetwork(2, [(1, 2)], tiers="ab")
+    # an integer too long to print is quoted by its sign and approximate length
+    with pytest.raises(ParameterError, match=r"^D must be a positive integer, got -<an integer of about 5001 digits>$"):
+        tree_bounds(2, -TOO_LONG, 0.3)
+    with pytest.raises(ValidationError, match=r"^edge \(1, <an integer of about 5001 digits>\) references a node "):
+        ProductionNetwork(3, [(1, TOO_LONG)])
 
 
 PARSERS = (parse_edge_csv, parse_io_table, load_network_json)
