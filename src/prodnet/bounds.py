@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ParameterError, UnsupportedRegimeError, check_int, check_real, shown
+from .errors import ParameterError, UnsupportedRegimeError, check_count, check_int, check_real, shown
 from .generators import BranchingDistribution
 
 BISECTION_TOL = 1e-10
@@ -297,7 +297,7 @@ def tree_tier_survival(m: int, D: int, x: float, n: int = 1) -> np.ndarray:
     tier above it has a larger exponent, so O(D) work in all.
     """
     m = check_int(m, "m")
-    D = check_int(D, "D")
+    D = check_count(D, "D")  # one float per tier
     check_real(x, "x")
     n = check_int(n, "n")
     log_z = math.log1p(-_power(x, n)) if x < 1.0 else -math.inf
@@ -528,7 +528,7 @@ def simulate_extinction_depths(
     certain never to die out up to error eta*^cap).
     """
     max_tau = check_int(max_tau, "max_tau")
-    samples = check_int(samples, "samples")
+    samples = check_count(samples, "samples")
     rng = np.random.default_rng(check_int(seed, "seed", minimum=0))
     z = np.ones(samples, dtype=np.int64)
     tau = np.zeros(samples, dtype=np.int64)

@@ -8,12 +8,14 @@ content exactly.  All CSV output is plain ASCII with '.' decimal points.
 Every input file is read as UTF-8; bytes that do not decode raise
 FormatError, like any other malformed content.
 
-Both CSV formats are read IO_TABLE_BLOCK bytes at a time, cut at line
-ends and checked as UTF-8, which names a bad byte by its file position.
-Input-output tables are scanned as bytes with numpy, converting only the
-cells that are not "0", so their memory is O(block + K + E).  Edge CSVs,
-and tables with a quote or NUL byte or a cell longer than csv's field
-limit, are decoded by csv.reader; both table routes feed one reducer.
+Both CSV formats are read into one reused buffer IO_TABLE_BLOCK (256 KB)
+bytes at a time, cut at line ends and checked as UTF-8, which names a bad
+byte by its file position.  Input-output tables are scanned as bytes with
+numpy, with "\\r\\n" as one line end, and only the cells that can become
+edges (data cells off the diagonal that are not "0") are decoded and
+converted, so their memory is O(block + K + E).  Edge CSVs, and tables
+with a quote or NUL byte or a cell longer than csv's field limit, are
+decoded by csv.reader; both table routes feed one reducer.
 """
 
 from __future__ import annotations
@@ -76,14 +78,15 @@ def parse_edge_csv(path) -> ProductionNetwork:
 
 def _csv_rows(path: Path):
     """The rows of a CSV file, read by csv.reader through `_line_blocks`; csv errors raise FormatError."""
-    lines = (line for block in _line_blocks(path) for line in io.StringIO(block.decode(), newline=""))
+    lines = (line for block in _line_blocks(path) for line in io.StringIO(str(block, "utf-8"), newline=""))
     try:
         yield from csv.reader(lines)
     except csv.Error as exc:
         raise FormatError(f"{path}: unreadable CSV: {exc}") from exc
 
 
-IO_TABLE_BLOCK = 1 << 16  # bytes that the CSV readers read, check and scan at a time
+IO_TABLE_BLOCK = 1 << 18  # bytes that the CSV readers read, check and scan at a time
+_ZERO_RUNS = np.frombuffer(b"0,0,0,0,,0,0,0,0", np.uint64)  # 8 bytes of "0" cells, in both phases
 
 
 def parse_io_table(path, threshold: float = 0.0) -> ProductionNetwork:
@@ -96,17 +99,21 @@ def parse_io_table(path, threshold: float = 0.0) -> ProductionNetwork:
     row.  Rows whose cells all strip to nothing are skipped.
 
     The file is read in binary blocks of IO_TABLE_BLOCK bytes, each cut
-    after its last line end ('\\n' or '\\r') and checked as UTF-8.  numpy
-    scans a block's bytes with commas and line ends as separators, and a
-    cell is a zero exactly when it is the single byte "0".  Only the other
-    cells are located, decoded and converted (all of them when the
-    threshold is negative, which makes "0" cells edges), so no K x K
-    structure is held and memory is O(block + K + E).  A file the scan
-    cannot split as csv.reader would (one with a quote or NUL byte, or a
-    cell longer than csv's field limit) is decoded by csv.reader instead.
-    Both sources feed one reducer, which takes each row's cell count and
-    its located cells' columns and texts, and applies the diagonal, the
-    threshold, the error order and the build.
+    after its last line end and checked as UTF-8.  numpy scans a block's
+    bytes with commas and line ends as separators; '\\n', '\\r' and "\\r\\n"
+    each end one line, and empty lines are skipped where they are found.
+    A cell is a zero exactly when it is the single byte "0".  8-byte words
+    of "0" cells inside a run of them are skipped whole, and only the
+    cells that can become edges are decoded and converted: the data cells
+    off the diagonal that are not "0" (all of those when the threshold is
+    negative, which makes "0" cells edges), never the header or the
+    labels.  So no K x K structure is held and memory is O(block + K + E).
+    A file the scan cannot split as csv.reader would (one with a quote or
+    NUL byte, or a cell longer than csv's field limit) is decoded by
+    csv.reader instead.  Both sources feed one reducer, which takes each
+    row's cell count and the data rows, columns and texts of the cells
+    that can become edges, and applies the error order, the threshold and
+    the build.
     """
     path = Path(path)
     threshold = check_real(threshold, "threshold", "[-inf, inf]")
@@ -125,8 +132,9 @@ def _reduce_io_table(path: Path, threshold: float, chunks) -> ProductionNetwork:
     """The network of a table given as chunks of its non-blank rows, in file order.
 
     A chunk is (widths, rows, cols, texts): each row's cell count, and for
-    each located cell its row in the chunk, its column (0 is the label)
-    and its text.  The cells not located are "0".
+    each cell that can be an edge its data row, its column and its text.
+    Those are the data cells off the diagonal, less the "0" cells when
+    "0" is not an edge.
     """
     k, seen, error, src, dst = 0, 0, None, [], []
     for widths, rows, cols, texts in chunks:
@@ -136,13 +144,11 @@ def _reduce_io_table(path: Path, threshold: float, chunks) -> ProductionNetwork:
         seen += len(widths)
         if error is not None:
             continue  # the row count decides whether the error is raised
-        data = np.arange(first, seen - 1)
-        ragged = np.flatnonzero((data >= 0) & (data < k) & (widths != k + 1))
-        end = int(data[ragged[0]]) if len(ragged) else k  # rows before it are converted
-        r = rows + first
-        at = np.flatnonzero((r >= 0) & (r < end) & (cols > 0) & (cols != r + 1))
-        given = [texts[t] for t in at.tolist()]
-        r, c = r[at], cols[at]
+        lo = max(-first, 0)  # the chunk's first data row
+        ragged = np.flatnonzero(widths[lo : max(k - first, lo)] != k + 1) + lo
+        end = first + int(ragged[0]) if len(ragged) else k  # rows before it are converted
+        n = int(np.searchsorted(rows, end))  # rows are in file order
+        given, r, c = texts[:n], rows[:n], cols[:n]
         try:
             values = np.array(given, dtype=np.float64)
         except ValueError:
@@ -155,7 +161,7 @@ def _reduce_io_table(path: Path, threshold: float, chunks) -> ProductionNetwork:
             continue
         if len(ragged):
             row = ragged[0]
-            error = FormatError(f"{path}: row {data[row] + 1} has {widths[row] - 1} cells, expected {k}")
+            error = FormatError(f"{path}: row {first + row + 1} has {widths[row] - 1} cells, expected {k}")
         keep = values > threshold
         src.append(r[keep] + 1)
         dst.append(c[keep])
@@ -169,22 +175,20 @@ def _reduce_io_table(path: Path, threshold: float, chunks) -> ProductionNetwork:
     return ProductionNetwork(k, np.column_stack((np.concatenate(src), np.concatenate(dst))))
 
 
-def _has_text(cells) -> bool:
-    """Whether a row is kept: some cell is more than whitespace."""
-    return any(c.strip() for c in cells)
-
-
 def _csv_chunks(path: Path, zero_is_edge: bool):
     """The reducer's chunks from csv.reader's rows, 256 rows to a chunk."""
+    r = -1  # the data row of the next kept row; the header's is -1
     widths, rows, cols, texts = [], [], [], []
     for row in _csv_rows(path):
-        if not _has_text(row):
-            continue
-        given = range(len(row)) if zero_is_edge else [c for c, cell in enumerate(row) if cell != "0"]
-        rows += [len(widths)] * len(given)
+        if not any(cell.strip() for cell in row):
+            continue  # a row is kept when some cell is more than whitespace
+        if r >= 0:
+            given = [c for c in range(1, len(row)) if c != r + 1 and (zero_is_edge or row[c] != "0")]
+            rows += [r] * len(given)
+            cols += given
+            texts += map(row.__getitem__, given)
         widths.append(len(row))
-        cols += given
-        texts += map(row.__getitem__, given)
+        r += 1
         if len(widths) == 256:
             yield np.array(widths, np.intp), np.array(rows, np.intp), np.array(cols, np.intp), texts
             widths, rows, cols, texts = [], [], [], []
@@ -193,80 +197,131 @@ def _csv_chunks(path: Path, zero_is_edge: bool):
 
 def _scanned_chunks(path: Path, zero_is_edge: bool):
     """The reducer's chunks from a numpy scan of the file's bytes, one per block."""
+    seen = 0  # rows kept in earlier blocks
     for block in _line_blocks(path):
-        if b'"' in block or b"\0" in block:
-            raise _NeedsCsv  # quoted cells; and csv.reader's NUL rule differs between Pythons
-        if block[-1:] not in (b"\n", b"\r"):
-            block += b"\n"  # the file's last line gains a line end
-        b = np.frombuffer(block, np.uint8)
-        sep = b == ord(",")
-        skip = b == ord("0")  # "0" cells that follow a comma, so not at a line start
-        skip[1:] &= sep[:-1]
-        skip[0] = False  # a block starts with a line
-        sep |= b == ord("\n")
-        sep |= b == ord("\r")
-        skip[:-1] &= sep[1:]  # b[-1] is a line end, so skip[-1] is already False
+        words = np.frombuffer(block, np.uint64, len(block) // 8)
         if zero_is_edge:
-            skip[:] = False  # "0" cells are edges: locate every cell
-        cells = np.empty_like(sep)  # where each cell starts
-        cells[0], cells[1:] = True, sep[:-1]
-        # unmark where each skipped cell starts and the separator that ends it
-        cells ^= skip
-        sep[1:] ^= skip[:-1]
-        starts, ends = np.flatnonzero(cells), np.flatnonzero(sep)
-        del sep, skip, cells  # or they live on while the next block is read and scanned
-        if (ends - starts).max() > csv.field_size_limit():
+            kept = np.arange(len(words))
+        else:
+            # a word of four "0" cells between two copies of itself locates nothing,
+            # and dropping it leaves the same bytes around every byte that is kept
+            same = words[1:] == words[:-1]
+            run = (words == _ZERO_RUNS[0]) | (words == _ZERO_RUNS[1])
+            run[1:-1] &= same[1:]
+            run[1:-1] &= same[:-1]
+            run[:1] = run[-1:] = False
+            kept = np.flatnonzero(~run)
+        # the kept words, the bytes after the last whole word, and a line end (the
+        # file's last line may lack one; after another it ends an empty line)
+        text = b"".join((words[kept].tobytes(), block[len(words) * 8 :], b"\n"))
+        if b'"' in text or b"\0" in text:
+            raise _NeedsCsv  # quoted cells; and csv.reader's NUL rule differs between Pythons
+        b = np.frombuffer(text, np.uint8)
+        comma, nl = b == ord(","), b == ord("\n")
+        nl |= b == ord("\r")
+        # a cell starts after a comma or a line end and ends at the next one; a
+        # line end right after another ("\r\n", or an empty line, which is
+        # skipped) marks nothing; a block starts after a line end
+        start, end = np.empty_like(nl), np.empty_like(nl)
+        start[0], end[0] = not nl[0], False
+        np.greater(nl[:-1], nl[1:], out=start[1:])
+        start[1:] |= comma[:-1]
+        np.greater(nl[1:], nl[:-1], out=end[1:])
+        end |= comma
+        if not zero_is_edge:
+            # a "0" between two commas is not located, so a line's first and last cells always are
+            zero = b == ord("0")
+            zero[1:] &= comma[:-1]
+            zero[:-1] &= comma[1:]
+            zero[0] = False
+            start ^= zero
+            end[1:] ^= zero[:-1]
+            del zero
+        starts, ends = np.flatnonzero(start), np.flatnonzero(end)
+        heads = nl[starts - 1]  # a located cell after a line end starts a line (b[-1] is one, for starts[0] = 0)
+        zeros = (ends - starts == 1) & (b[starts] == ord("0"))  # "0" cells first or last in their line
+        del b, comma, nl, start, end  # or they live on while the next block is read and scanned
+        if not len(starts):
+            continue  # empty lines only
+        if len(block) > csv.field_size_limit() and (ends - starts).max() > csv.field_size_limit():
             raise _NeedsCsv
-        # a located cell after a line end starts a line (b[-1] is one, for starts[0] = 0);
-        # the bytes between a located cell's end and the next start are "0," pairs
-        heads = (b[starts - 1] == ord("\n")) | (b[starts - 1] == ord("\r"))
+        # within a line, the block's bytes between a located cell's end and the next start are "0," pairs
+        shift = (np.concatenate((kept, [len(words)])) - np.arange(len(kept) + 1)) * 8  # words dropped before, in bytes
+        del kept
+        line = np.cumsum(heads) - 1
         firsts = np.flatnonzero(heads)
-        steps = np.diff(starts, append=len(block)) - (ends - starts) - 1
-        before = np.concatenate(([0], np.cumsum(steps // 2 + 1)))  # cells in the block before
-        line_of = np.cumsum(heads) - 1
-        cols = before[:-1] - before[firsts][line_of]
-        widths = np.diff(before[firsts], append=before[-1])
-        located = np.diff(firsts, append=len(starts))
-        texts = [block[s:e].decode() for s, e in zip(starts.tolist(), ends.tolist())]
-        # a line with a "0" cell has text; any other line is judged on its cells
-        maybe = np.flatnonzero(widths == located).tolist()
-        blank = [j for j in maybe if not _has_text(texts[firsts[j] : firsts[j] + located[j]])]
+        lasts = np.concatenate((firsts[1:], [len(starts)])) - 1
+        cols = np.zeros(len(starts), np.intp)
+        np.cumsum((starts[1:] + shift[starts[1:] >> 3] - ends[:-1] - shift[ends[:-1] >> 3] + 1) >> 1, out=cols[1:])
+        cols -= cols[firsts][line]
+        widths = cols[lasts] + 1
+        # a line with a "0" cell has text; any other line is its cells and their commas
+        maybe = np.flatnonzero(widths == lasts - firsts + 1).tolist()
+        blank = [j for j in maybe if not text[starts[firsts[j]] : ends[lasts[j]]].decode().replace(",", "").strip()]
         if blank:
-            kept = np.ones(len(widths), bool)
-            kept[blank] = False
-            on = kept[line_of]
-            texts = [t for t, o in zip(texts, on.tolist()) if o]
-            widths, cols = widths[kept], cols[on]
-            line_of = (np.cumsum(kept) - 1)[line_of[on]]
-        yield widths, line_of, cols, texts
+            live = np.ones(len(widths), bool)
+            live[blank] = False
+            on = live[line]
+            starts, ends, heads, zeros, cols = starts[on], ends[on], heads[on], zeros[on], cols[on]
+            widths, line = widths[live], (np.cumsum(live) - 1)[line[on]]
+        # the cells that can be edges: data cells, not labels, off the diagonal
+        keep = cols != line + seen
+        keep &= ~heads
+        if not zero_is_edge:
+            keep &= ~zeros  # a line's last cell may be "0"
+        if seen == 0:
+            keep &= line > 0  # the header
+        at = np.flatnonzero(keep)
+        rows, seen = line[at] + (seen - 1), seen + len(widths)
+        yield widths, rows, cols[at], _texts(text, starts[at], ends[at])
+
+
+def _texts(text: bytes, starts, ends) -> list:
+    """The decoded texts of cells, given their starts and ends in text.
+
+    Each cell is gathered with the byte that ends it, which becomes a comma,
+    so one decode and one split make every text.
+    """
+    sizes = ends - starts + 1
+    last = np.cumsum(sizes) - 1  # where each cell's end lands
+    cells = np.frombuffer(text, np.uint8)[np.repeat(starts - last + sizes - 1, sizes) + np.arange(sizes.sum())]
+    cells[last] = ord(",")
+    return cells.tobytes().decode().split(",")[:-1]
 
 
 def _line_blocks(path: Path):
     """The file's bytes, checked as UTF-8, in blocks that end at a line end or the file's end.
 
-    A read's last '\r' waits for the next read, whose '\n' may pair with it.
+    A block is a memoryview of the one buffer that every read refills, so it
+    is valid until the next block is asked for.  A read's last '\r' waits for
+    the next read, whose '\n' may pair with it.
     """
-    tail, offset = b"", 0
+    buf, have, offset = bytearray(IO_TABLE_BLOCK), 0, 0
     with path.open("rb") as fh:
-        while data := fh.read(IO_TABLE_BLOCK):
-            cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
+        while True:
+            if have == len(buf):  # a line longer than the buffer: a bigger one, as a block may view this one
+                buf = buf + bytearray(len(buf))
+            got = fh.readinto(memoryview(buf)[have:])
+            if not got:
+                break
+            have += got
+            cut = max(buf.rfind(b"\n", have - got, have), buf.rfind(b"\r", have - got, have - 1)) + 1
             if cut:
-                block, tail = b"".join((tail, memoryview(data)[:cut])), data[cut:]
-                del data  # hold one copy of the block while it is scanned
+                block = memoryview(buf)[:cut]
                 _check_utf8(block, offset, path)
-                offset += len(block)
+                offset += cut
                 yield block
-            else:
-                tail += data
-    if tail:
-        _check_utf8(tail, offset, path)
-        yield tail
+                buf[: have - cut], have = buf[cut:have], have - cut
+    if have:
+        block = memoryview(buf)[:have]
+        _check_utf8(block, offset, path)
+        yield block
 
 
-def _check_utf8(block: bytes, offset: int, path: Path) -> None:
+def _check_utf8(block, offset: int, path: Path) -> None:
     """Raise FormatError, naming positions in the file, if a block is not UTF-8."""
     try:
-        block.decode("utf-8")
+        str(block, "utf-8")
     except ValueError as exc:  # a decode error, which carries the bad bytes' span
         start, end = offset + exc.start, offset + exc.end - 1
         where = f"byte 0x{block[exc.start]:02x} in position {start}" if start == end else f"bytes in position {start}-{end}"

@@ -145,6 +145,8 @@ def generate_rdag(K: int, p: float, seed: int) -> ProductionNetwork:
     is O(K + E + RDAG_BLOCK) rather than O(K^2).
     """
     K = check_int(K, "K")
+    if K > MAX_NODES:  # refused before its K(K-1)/2 draws
+        raise SizeError(f"K {shown(K)} exceeds the limit of {MAX_NODES} products")
     check_real(p, "p")
     rng = np.random.default_rng(check_int(seed, "seed", minimum=0))
     rows = np.arange(K)
@@ -251,6 +253,8 @@ def generate_trellis(w: int, D: int, p: float, seed: int) -> ProductionNetwork:
     """Random width-w trellis: D tiers of w products, inter-tier edges w.p. p."""
     w = check_int(w, "w")
     D = check_int(D, "D")
+    if w * D > MAX_NODES:  # refused before its (D - 1) w^2 draws
+        raise SizeError(f"{shown(D)} tiers of {shown(w)} products exceed the limit of {MAX_NODES} products")
     check_real(p, "p")
     rng = np.random.default_rng(check_int(seed, "seed", minimum=0))
     edges = [np.zeros((0, 2), dtype=np.int64)]

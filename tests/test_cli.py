@@ -333,7 +333,7 @@ def test_io_table_bom_and_crlf_give_the_lf_run(tmp_path, capsys):
 
 
 def test_io_table_not_utf8_past_first_block_exit_code(tmp_path, capsys):
-    k = 200
+    k = 400
     net_path = tmp_path / "wide.csv"
     net_path.write_bytes("\n".join([",".join(["s"] + ["0"] * k)] * (k + 1)).encode()[:-1] + b"\xff\n")
     assert net_path.stat().st_size > pn.fileio.IO_TABLE_BLOCK

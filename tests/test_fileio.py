@@ -147,7 +147,7 @@ _EDGE_CSVS = {
 }
 
 
-@pytest.mark.parametrize("block", [1, 5, 64, IO_TABLE_BLOCK])
+@pytest.mark.parametrize("block", [1, 5, 64, 1 << 16, IO_TABLE_BLOCK])
 def test_edge_csv_blocks_cut_at_line_ends(tmp_path, monkeypatch, block):
     monkeypatch.setattr(fileio, "IO_TABLE_BLOCK", block)
     for name, (text, expected) in _EDGE_CSVS.items():
@@ -505,7 +505,7 @@ def _block_tables() -> dict:
     }
 
 
-@pytest.mark.parametrize("block", [1, 5, 64, IO_TABLE_BLOCK])
+@pytest.mark.parametrize("block", [1, 5, 64, 1 << 16, IO_TABLE_BLOCK])
 def test_io_table_blocks_cut_at_line_ends(tmp_path, monkeypatch, block):
     monkeypatch.setattr(fileio, "IO_TABLE_BLOCK", block)
     for name, text in _block_tables().items():
@@ -516,7 +516,7 @@ def test_io_table_blocks_cut_at_line_ends(tmp_path, monkeypatch, block):
             assert _outcome(lambda: _parsed(path, threshold)) == expected, name
     # past the first real block, a byte that is not UTF-8 in the last row is
     # named by its position in the file, as decoding the whole file names it
-    k = 180
+    k = 360
     lines = ["," + ",".join(f"s{c}" for c in range(k))]
     lines += [f"s{r}," + ",".join("0.5" if (r + c) % 7 == 0 else "0" for c in range(k)) for r in range(k)]
     path = tmp_path / "wide.csv"
@@ -555,6 +555,30 @@ def test_io_table_quoted_zero_and_spaced_zero(tmp_path):
     f.write_text(',"A, Inc",B,C\n"A, Inc","0", 0,-0\nB,0,0,0.0\nC,1,0,0\n', encoding="utf-8")
     assert parse_io_table(f).edges == ((3, 1),)
     assert parse_io_table(f, threshold=-0.5).edges == ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))
+
+
+def test_io_table_line_ends_at_scale(tmp_path):
+    # one table past several default-size blocks, written with each line end:
+    # rows of "0" runs broken by every other kind of cell, a non-ASCII label
+    k = 400
+    rng = np.random.default_rng(24)
+    kinds = ["00", "0.0", "-0", " 0", "1e-3", "-2.5"]
+    rows = [[""] + ["é€"] + [f"s{c}" for c in range(1, k)]]
+    for r in range(k):
+        cells = ["0"] * k
+        for c in range(r // 2, r // 2 + k // 2):  # a band of mixed cells; the rest of the row is a "0" run
+            pick = int(rng.integers(2 * len(kinds)))
+            cells[c] = kinds[pick] if pick < len(kinds) else repr(float(rng.random()))
+        rows.append([rows[0][r + 1]] + cells)
+    parsed = []
+    for end in ("\r\n", "\n", "\r"):
+        path = tmp_path / f"io{len(parsed)}.csv"
+        path.write_bytes("".join(",".join(row) + end for row in rows).encode())
+        assert path.stat().st_size > 3 * IO_TABLE_BLOCK
+        parsed.append([_parsed(path, threshold) for threshold in (0.0, 0.5, -1.0)])
+        assert parsed[-1] == [io_table_edges(path, threshold) for threshold in (0.0, 0.5, -1.0)]
+    assert parsed[0] == parsed[1] == parsed[2]
+    assert all(len(edges) > 0 for _, edges in parsed[0])
 
 
 @settings(max_examples=60, deadline=None)

@@ -17,6 +17,7 @@ raise nothing but a ProdnetError.
 import json
 import math
 import tempfile
+import time
 import warnings
 from dataclasses import astuple, fields
 from pathlib import Path
@@ -212,6 +213,28 @@ def test_bad_argument_raises_parameter_error(call, tmp_path):
         warnings.simplefilter("ignore")
         with pytest.raises(ParameterError):
             call(tmp_path)
+
+
+# sizes that numpy cannot hold, or networks past the node cap, refused
+# before any draw: the last two would draw about 5e13 and 1e12 doubles
+OVERSIZE = {
+    "generate_rdag-K-beyond-int64": lambda: generate_rdag(2**70, 0.3, seed=1),
+    "generate_trellis-w-beyond-int64": lambda: generate_trellis(2**70, 2, 0.5, seed=1),
+    "tree_tier_survival-D-beyond-int64": lambda: tree_tier_survival(2, 2**70, 0.5),
+    "simulate_extinction_depths-samples-beyond-int64": lambda: simulate_extinction_depths(
+        BranchingDistribution.poisson(0.5), max_tau=5, samples=2**70, seed=1
+    ),
+    "generate_rdag-K-past-the-cap": lambda: generate_rdag(10**7 + 1, 1e-12, seed=1),
+    "generate_trellis-w-times-D-past-the-cap": lambda: generate_trellis(10**4, 10**4, 1e-9, seed=1),
+}
+
+
+@pytest.mark.parametrize("call", OVERSIZE.values(), ids=OVERSIZE.keys())
+def test_oversize_request_is_refused_before_drawing(call):
+    start = time.perf_counter()
+    with pytest.raises(ProdnetError):
+        call()
+    assert time.perf_counter() - start < 1.0
 
 
 # edge ids and tiers that break check_int's rule, and tier keys outside 1..K
