@@ -11,10 +11,11 @@ curve is exactly nonincreasing in x and nondecreasing in eps.  The
 estimate is the exact supremum of the qualifying levels, read off one
 order statistic of u, so no grid of x levels is searched.
 
-The trials are drawn and ranked in the blocks of `percolation`'s
-batches, and each block is reduced to its u_t per s_min before the next
-is drawn.  A curve therefore holds O(B K + E) memory for B trials to a
-block, plus O(trials |eps|) for the u_t, and never a (trials, K) array.
+theta comes block by block from `percolation._theta_blocks`, the one
+generator that batches also reduce, and each block is ranked and reduced
+to its u_t per s_min before the next is drawn.  A curve therefore holds
+O(B K + E) memory for B trials to a block, plus O(trials |eps|) for the
+u_t, and never a (trials, K) array.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import ParameterError, check_int, check_real, shown
 from .network import ProductionNetwork
-from .percolation import PercolationConfig, _draws, _failure_thresholds, _trial_blocks, derive_subseed, run_batch
+from .percolation import PercolationConfig, _theta_blocks, derive_subseed, run_batch
 
 DEFAULT_EPSILON_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
 _CEIL_GUARD = 1e-9  # absorbs float fuzz in (1-eps)*K before the ceiling
@@ -39,18 +40,15 @@ def _s_min(epsilon: float, k: int) -> int:
 def _survival_levels(net: ProductionNetwork, n: int, trials: int, seed: int, s_mins) -> list:
     """Per s_min, the ascending levels u_t with S_t(x) >= s_min iff x <= u_t.
 
-    Each block of trials is drawn and ranked, and only its u_t are kept.
+    Each block of trials is ranked, and only its u_t are kept.
     """
-    blocks = _trial_blocks(net, n, 1.0, seed, trials)
+    blocks = _theta_blocks(net, n, 1.0, seed, trials)
     levels = np.full((len(s_mins), trials), np.inf)
-    for start, count in blocks:
-        maxima, _ = _draws(net, n, 1.0, seed, count, start)
-        ranked = _failure_thresholds(net, maxima)
-        del maxima
+    for start, ranked in blocks:
         ranked.sort(axis=1)
         for row, s in zip(levels, s_mins):
             if s > 0:
-                row[start : start + count] = ranked[:, -s]
+                row[start : start + len(ranked)] = ranked[:, -s]
         del ranked  # before the next block is drawn
     levels.sort(axis=1)
     return list(levels)
@@ -84,7 +82,7 @@ def estimate_survival_prob(
     check_real(x, "x")
     check_real(epsilon, "epsilon", "(0, 1)")
     n, trials = check_int(n, "n"), check_int(trials, "trials")
-    survivors = run_batch(net, PercolationConfig(x, 1.0, n, seed), trials).S
+    survivors = run_batch(net, PercolationConfig(x, n=n, seed=seed), trials).S
     p_hat = float(np.count_nonzero(survivors >= _s_min(epsilon, net.node_count))) / trials
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / trials)
 

@@ -28,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, check_real
-from .network import ProductionNetwork, _int_pairs
+from .errors import FormatError, SizeError, ValidationError, check_real
+from .network import ProductionNetwork
 
 NETWORK_JSON_SCHEMA = 1
 
@@ -352,7 +352,9 @@ def save_network_json(net: ProductionNetwork, path) -> None:
 def load_network_json(path) -> ProductionNetwork:
     """Read a network written by save_network_json; a leading UTF-8 byte-order mark is dropped.
 
-    A file that declares "acyclic": true over a cycle raises ValidationError.
+    The fields go to ProductionNetwork as they are, and a field it refuses
+    raises FormatError naming the file.  A file that declares
+    "acyclic": true over a cycle raises ValidationError.
     """
     path = Path(path)
     try:
@@ -364,34 +366,18 @@ def load_network_json(path) -> ProductionNetwork:
     for key in ("k", "n", "edges"):
         if key not in doc:
             raise FormatError(f"{path}: missing field {key!r}")
+    tiers = doc.get("tiers")
     try:
-        k, n = _json_int(doc["k"]), _json_int(doc["n"])
-        edges = _json_edges(doc["edges"])
-        tiers = doc.get("tiers")
-        if tiers is not None:
-            tiers = {_json_int(v): _json_int(t) for v, t in tiers.items()}
-    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        if isinstance(tiers, dict):  # save_network_json writes product v's key as str(v); other keys stay text
+            tiers = {int(v) if v.isascii() and v.isdigit() and str(int(v)) == v else v: t for v, t in tiers.items()}
+        net = ProductionNetwork(doc["k"], doc["edges"], supplier_count=doc["n"], tiers=tiers)
+    except SizeError:
+        raise
+    except ValueError as exc:  # the constructor's ParameterError or ValidationError, or a key too long for int()
         raise FormatError(f"{path}: malformed network field: {exc}") from exc
-    net = ProductionNetwork(k, edges, supplier_count=n, tiers=tiers)
     if doc.get("acyclic") and not net.acyclic:
         raise ValidationError("network was declared acyclic but contains a cycle")
     return net
-
-
-def _json_edges(value):
-    """Edge pairs: one int64 array when every id is an int, else checked pair by pair."""
-    try:
-        pairs = _int_pairs(value)
-    except (TypeError, ValueError, OverflowError):
-        pairs = None  # not a list of int pairs: the check below names the fault
-    return [(_json_int(j), _json_int(i)) for j, i in value] if pairs is None else pairs
-
-
-def _json_int(value) -> int:
-    # int() alone would truncate 2.7 to 2 and read true as 1
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
 
 
 def save_edge_csv(net: ProductionNetwork, path) -> None:

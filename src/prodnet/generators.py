@@ -95,12 +95,10 @@ class BranchingDistribution:
     def pgf(self, eta):
         """Probability generating function E[eta^xi]."""
         eta = np.asarray(eta, dtype=np.float64)
-        if self.kind == "point":
-            out = eta**self._k
-        elif self.kind == "binomial":
-            out = (1.0 - self._p + self._p * eta) ** self._k
-        else:
+        if self.kind == "poisson":
             out = np.exp(self._mu * (eta - 1.0))
+        else:  # a point mass is held as binomial(k, p = 1), whose 1 - p + p eta is eta exactly
+            out = (1.0 - self._p + self._p * eta) ** self._k
         return out if out.ndim else float(out)
 
     def pgf_complement(self, s: float) -> float:

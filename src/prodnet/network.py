@@ -409,7 +409,7 @@ def _canonical_edges(k: int, edges) -> tuple[np.ndarray, np.ndarray]:
             pairs = np.array([[v if abs(v) <= k else 0 for v in e] for e in given], dtype=np.int64)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"edges must be (j, i) pairs of integers: {exc}") from exc
-    if pairs.size == 0:
+    if pairs.shape == (0,):  # no edges; an empty pair, as in [()], is refused below
         pairs = pairs.reshape(0, 2)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValidationError(f"edges must be (j, i) pairs, got an array of shape {pairs.shape}")

@@ -16,16 +16,19 @@ levels x1 <= x2 on the same draws therefore yields nested failure sets.
 
 Under that layout product i fails at level x iff theta[i] < x, where
 theta[i] is the least supplier maximum over i and every product that
-reaches i along operational edges.  Every entry point draws, computes
-theta in one pass over a block of trials, and compares it with its
-levels.  The pass walks `net.level_plan()`: per level it gathers the
-inputs from earlier levels and the rows of the products they feed, takes
-one contiguous minimum per round of inputs, each round feeding a prefix
-of those rows, and writes the rows back.  A batch walks its trials in
-blocks of B, sized so that a block's draws, theta and its gather of the
-widest level's inputs take about TRIAL_BLOCK_BYTES, and keeps only each
-trial's reduction; so it holds O(B K + E) memory, not O(trials K), and
-only keep_failures=True keeps a (trials, K) matrix.
+reaches i along operational edges.  theta is computed in one pass over
+a block of trials that walks `net.level_plan()`: per level it gathers
+the inputs from earlier levels and the rows of the products they feed,
+takes one contiguous minimum per round of inputs, each round feeding a
+prefix of those rows, and writes the rows back.  Draws and theta are
+composed in two places only: `_theta_blocks` for batches and the
+estimator's curves, and `_trial_zero` for `run_trial` and
+`run_coupled_pair`.  `_theta_blocks` checks a batch's limits when it is
+called and yields theta in blocks of B trials, sized so that a block's
+draws, theta and its gather of the widest level's inputs take about
+TRIAL_BLOCK_BYTES; each caller keeps only each trial's reduction, so it
+holds O(B K + E) memory, not O(trials K), and only keep_failures=True
+keeps a (trials, K) matrix.
 
 Seeding contract, fixed because every seeded output depends on it: all
 trials read one stream, that of `default_rng(seed)`, and trial t reads
@@ -148,17 +151,22 @@ def _trial_bytes(net: ProductionNetwork, n: int, y: float) -> int:
     return 8 * (net.node_count * (n + 2) + widest) + (10 * net.edge_count if y < 1.0 else 0)
 
 
-def _trial_blocks(net: ProductionNetwork, n: int, y: float, seed: int, trials: int):
-    """A batch's trials as (start, count) blocks of about TRIAL_BLOCK_BYTES.
+def _theta_blocks(net: ProductionNetwork, n: int, y: float, seed: int, trials: int, stop: float = 1.0):
+    """A batch's theta, yielded as (start, theta (count, K)) blocks of about TRIAL_BLOCK_BYTES.
 
-    The batch's limits are checked at once; the blocks are formed lazily.
+    The batch's limits are checked at the call, before a caller sizes
+    anything by trials.  Each block is drawn and thresholded when it is
+    asked for, and nothing of it is held once it is yielded.
     """
     if trials > MAX_TRIALS:
         raise SizeError(f"{shown(trials)} trials exceed the limit of {MAX_TRIALS} per batch")
     check_int(seed, "seed", minimum=0)
     _check_uniforms(trials, net.node_count, n)
     size = max(1, TRIAL_BLOCK_BYTES // _trial_bytes(net, n, y))
-    return ((start, min(size, trials - start)) for start in range(0, trials, size))
+    return (
+        (start, _failure_thresholds(net, *_draws(net, n, y, seed, min(size, trials - start), start), stop))
+        for start in range(0, trials, size)
+    )
 
 
 def _failure_thresholds(
@@ -218,6 +226,16 @@ def _flood(theta: np.ndarray, cycle: Cycle, op_mask: np.ndarray, stop: float):
         theta[rows, t] = value
 
 
+def _trial_zero(net: ProductionNetwork, cfg: PercolationConfig, levels: tuple) -> list[CascadeOutcome]:
+    """Trial 0 of cfg's stream, what `default_rng(cfg.seed)` draws, at each of the ascending levels.
+
+    It is one trial, so no block is sized.
+    """
+    maxima, op_mask = _draws(net, cfg.n, cfg.y, cfg.seed)
+    theta = _failure_thresholds(net, maxima, op_mask, stop=levels[-1])
+    return [_outcome_from_failed(theta[0] < x, maxima[0] < x) for x in levels]
+
+
 def _outcome_from_failed(failed: np.ndarray, spont: np.ndarray) -> CascadeOutcome:
     z = (~failed).astype(np.int8)
     f = int(failed.sum())
@@ -231,9 +249,7 @@ def _outcome_from_failed(failed: np.ndarray, spont: np.ndarray) -> CascadeOutcom
 
 def run_trial(net: ProductionNetwork, cfg: PercolationConfig) -> CascadeOutcome:
     """Execute one percolation trial, deterministic given cfg.seed."""
-    maxima, op_mask = _draws(net, cfg.n, cfg.y, cfg.seed)
-    theta = _failure_thresholds(net, maxima, op_mask, stop=cfg.x)
-    return _outcome_from_failed(theta[0] < cfg.x, maxima[0] < cfg.x)
+    return _trial_zero(net, cfg, (cfg.x,))[0]
 
 
 def run_batch(
@@ -243,24 +259,23 @@ def run_batch(
 
     Trial t reads uniforms t U to (t + 1) U - 1 of `default_rng(cfg.seed)`,
     U per trial as the module describes; trial 0 is exactly `run_trial`
-    with the same config, and a batch can be split by trial index.  The
-    trials are drawn and reduced to their failure counts in blocks of about
-    TRIAL_BLOCK_BYTES, so memory is O(B K + E) for B trials to a block.
-    With keep_failures=True the (trials, K) failure-indicator matrix is
-    kept in the result for per-product statistics.
+    with the same config, and a batch can be split by trial index.  Each
+    block of `_theta_blocks` is reduced to its trials' failure counts
+    before the next is drawn, so memory is O(B K + E) for B trials to a
+    block.  With keep_failures=True the (trials, K) failure-indicator
+    matrix is kept in the result for per-product statistics.
     """
     trials = check_int(trials, "trials")
     k = net.node_count
-    blocks = _trial_blocks(net, cfg.n, cfg.y, cfg.seed, trials)
+    blocks = _theta_blocks(net, cfg.n, cfg.y, cfg.seed, trials, stop=cfg.x)
     f_counts = np.empty(trials, dtype=np.int64)
     failures = np.empty((trials, k), dtype=bool) if keep_failures else None
-    for start, count in blocks:
-        maxima, op_mask = _draws(net, cfg.n, cfg.y, cfg.seed, count, start)
-        failed = _failure_thresholds(net, maxima, op_mask, stop=cfg.x) < cfg.x
-        f_counts[start : start + count] = failed.sum(axis=1)
+    for start, theta in blocks:
+        failed = theta < cfg.x
+        f_counts[start : start + len(failed)] = failed.sum(axis=1)
         if keep_failures:
-            failures[start : start + count] = failed
-        del maxima, op_mask, failed  # before the next block is drawn
+            failures[start : start + len(failed)] = failed
+        del theta, failed  # before the next block is drawn
     pmf = np.bincount(f_counts, minlength=k + 1).astype(np.float64) / trials
     return BatchResult(F=f_counts, S=k - f_counts, pmf=pmf, failures=failures)
 
@@ -277,6 +292,4 @@ def run_coupled_pair(
     check_real(x2, "x2")
     if x1 > x2:
         raise ParameterError(f"coupled pair requires x1 <= x2, got {x1} > {x2}")
-    maxima, op_mask = _draws(net, cfg.n, cfg.y, cfg.seed)
-    theta = _failure_thresholds(net, maxima, op_mask, stop=x2)
-    return tuple(_outcome_from_failed(theta[0] < x, maxima[0] < x) for x in (x1, x2))
+    return tuple(_trial_zero(net, cfg, (x1, x2)))

@@ -478,7 +478,7 @@ def test_network_json_with_bad_tiers_exit_code(tmp_path, capsys, tiers):
         capsys, "simulate", "--net", str(net_path), "--x", "0.2", "--out", str(tmp_path / "h.csv")
     )
     assert code == 2 and stdout == ""
-    assert stderr.startswith("prodnet: tier entry ")
+    assert stderr.startswith(f"prodnet: {net_path}: malformed network field: tier entry ")
 
 
 def test_network_json_declared_acyclic_over_a_cycle_exit_code(tmp_path, capsys):

@@ -604,16 +604,17 @@ def test_edge_csv_dedupes_like_a_set(edges, dup):
 
 
 def test_json_edges_refused_as_before(tmp_path):
-    # the array fast path takes only int pairs; the rest is checked pair by pair
+    # the edges go to ProductionNetwork as they are, so a float or a string
+    # id is refused as it is there, not cast
     path = tmp_path / "net.json"
     for edges, ok in (
         ([[1, 2]], True),
-        ([[1.0, 2]], True),
+        ([[1.0, 2]], False),
         ([[True, 2]], False),
         ([[1, 2], [2]], False),
         ([[1, 2, 3]], False),
         ([[]], False),
-        ([[1, "2"]], True),
+        ([[1, "2"]], False),
         ([[1, 2**70]], False),
         ([], True),
     ):

@@ -12,6 +12,7 @@ split into blocks of any size, a batch or a resilience curve gives the
 arrays of a single block.
 """
 
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -33,7 +34,7 @@ from prodnet import (
     run_trial,
 )
 from prodnet import percolation
-from prodnet.percolation import MAX_TRIALS, _draws, _failure_thresholds, _trial_blocks, _trial_bytes
+from prodnet.percolation import MAX_TRIALS, _draws, _failure_thresholds, _theta_blocks, _trial_bytes
 
 EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 7, 2**130 + 5)
 seeds = st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**140))
@@ -184,7 +185,7 @@ def test_seeding_rejects_non_integer_or_negative_seeds(seed):
     with pytest.raises(ParameterError):
         derive_subseed(seed, 0)
     with pytest.raises(ParameterError):
-        _trial_blocks(ProductionNetwork(2, [(1, 2)]), 1, 1.0, seed, 3)
+        _theta_blocks(ProductionNetwork(2, [(1, 2)]), 1, 1.0, seed, 3)
     with pytest.raises(ParameterError):
         PercolationConfig(x=0.5, seed=seed)
 
@@ -213,7 +214,7 @@ def test_batches_split_into_blocks_give_the_same_arrays(name, size):
         cfg = PercolationConfig(x=0.45, y=y, n=n, seed=2**64 + 9)
         whole = run_batch(net, cfg, trials, keep_failures=True)
         with blocks_of(size, net, n, y):
-            assert [c for _, c in _trial_blocks(net, n, y, cfg.seed, trials)] == BLOCK_SPLITS[size]
+            assert [len(theta) for _, theta in _theta_blocks(net, n, y, cfg.seed, trials)] == BLOCK_SPLITS[size]
             split = run_batch(net, cfg, trials, keep_failures=True)
             for field in ("F", "S", "pmf", "failures"):
                 assert np.array_equal(getattr(split, field), getattr(whole, field)), field
@@ -241,12 +242,31 @@ def test_batch_limits_are_refused_before_any_block():
         patch.setattr(percolation, "TRIAL_BLOCK_BYTES", 1)  # one trial to a block
         # too many trials first, then the seed, then the size of the uniforms
         with pytest.raises(SizeError, match="trials exceed the limit"):
-            _trial_blocks(net, 1, 1.0, -1, 2**70)
+            _theta_blocks(net, 1, 1.0, -1, 2**70)
         with pytest.raises(ParameterError, match="^seed must be"):
-            _trial_blocks(net, 2**62, 1.0, -1, 2**32)
+            _theta_blocks(net, 2**62, 1.0, -1, 2**32)
         with pytest.raises(SizeError, match="supplier uniforms exceed"):
-            _trial_blocks(net, 2**62, 1.0, 0, 2**32)
+            _theta_blocks(net, 2**62, 1.0, 0, 2**32)
         with pytest.raises(SizeError, match="trials exceed the limit"):
             run_batch(net, PercolationConfig(x=0.5), 2**70)
         with pytest.raises(SizeError, match="trials exceed the limit"):
             resilience_curve(net, trials=MAX_TRIALS + 1)
+
+
+def test_batch_limits_are_refused_before_any_per_trial_allocation():
+    # _theta_blocks checks the limits when it is called, not at its first
+    # block: by then run_batch would have sized 2**32 + 1 failure counts
+    # (32 GB) and the curve a 19 x (MAX_TRIALS + 1) array of levels
+    net = ProductionNetwork(2, [(1, 2)])
+    for call in (
+        lambda: run_batch(net, PercolationConfig(x=0.5), 2**32 + 1),
+        lambda: resilience_curve(net, trials=MAX_TRIALS + 1),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError, match="trials exceed the limit"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
