@@ -4,8 +4,9 @@ The per-product failure-probability bounds beta solve a box-constrained
 linear program.  On DAGs a single pass in topological order solves it
 exactly; with edge survival y <= 1/Delta (Delta the max out-degree) the
 same optimum is the greatest fixed point of a monotone operator; and
-under the stricter spectral condition y < 1/Delta it collapses to a Katz
-centrality scaled by the spontaneous-failure probability x^n.  No LP
+under the stricter spectral condition y < 1/Delta the Katz centrality
+scaled by the spontaneous-failure probability x^n is at least that fixed
+point in every entry, with equality iff no entry exceeds 1.  No LP
 solver is embedded: these three routes cover every regime in use, and
 anything else is reported as unsupported.  Every Katz-type linear system
 (here and in `interventions`) goes through one sparse solver over the
@@ -134,7 +135,7 @@ def _check_y(net: ProductionNetwork, y: float, operation: str, strict: bool = Tr
 
 
 def _x_condition(net: ProductionNetwork, x: float, y: float, n: int) -> tuple[bool, float]:
-    """For y < `_y_limit(net)`: whether x^n * Katz(net, y) solves the program, and x's cap.
+    """For y < `_y_limit(net)`: whether x meets the Katz closed form's precondition, and x's cap.
 
     It does when x < x_cap = (1 - y Delta)^(1/n); x_cap = 1 (at Delta = 0 or y = 0) restricts no x.
     """
@@ -187,10 +188,11 @@ def katz_centrality(net: ProductionNetwork, y: float) -> np.ndarray:
 
 
 def katz_beta(net: ProductionNetwork, x: float, y: float, n: int = 1) -> BetaVector:
-    """Closed-form program solution x^n * Katz(net, y).
+    """Closed-form program bound x^n * Katz(net, y).
 
-    Equals the fixed point (and hence the program optimum) when
-    0 <= y < 1/Delta and x < (1 - y Delta)^(1/n).
+    For 0 <= y < 1/Delta and x < (1 - y Delta)^(1/n) it is at least the
+    fixed point (the program optimum) in every entry, with equality iff
+    no entry exceeds 1: the fixed point clamps each entry at 1 and Katz does not.
     """
     check_real(x, "x")
     check_real(y, "y")

@@ -5,6 +5,10 @@ acyclic networks with dense ids assigned in generation order.  Each tier
 or generation is a range of consecutive ids, so a network is built from
 id arrays in O(K + E) memory, and the random streams are unchanged: each
 generator draws the same numbers in the same order as its per-node form.
+The random DAG and the trellis keep their Bernoulli edges through one
+sampler, `_bernoulli_positions`: it still draws one double per candidate
+edge, but RDAG_BLOCK at a time, so the draws hold O(E + RDAG_BLOCK)
+memory.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 from .errors import INT64_MAX, ParameterError, SizeError, check_count, check_int, check_real, shown
 from .network import MAX_NODES, ProductionNetwork
 
-RDAG_BLOCK = 1 << 20  # node pairs per draw in generate_rdag: 8 MB of doubles
+RDAG_BLOCK = 1 << 20  # doubles per draw in _bernoulli_positions: 8 MB
 
 
 class BranchingDistribution:
@@ -138,9 +142,8 @@ def generate_rdag(K: int, p: float, seed: int) -> ProductionNetwork:
     """Random DAG on K ordered products: edge (l, k) for l < k w.p. p.
 
     Pair t of the upper triangle in row-major order keeps its edge iff the
-    t-th double of the seeded stream is below p.  The doubles are drawn
-    RDAG_BLOCK at a time, which yields the stream of one call, so memory
-    is O(K + E + RDAG_BLOCK) rather than O(K^2).
+    t-th double of the seeded stream is below p, so memory is
+    O(K + E + RDAG_BLOCK) rather than O(K^2).
     """
     K = check_int(K, "K")
     if K > MAX_NODES:  # refused before its K(K-1)/2 draws
@@ -149,11 +152,7 @@ def generate_rdag(K: int, p: float, seed: int) -> ProductionNetwork:
     rng = np.random.default_rng(check_int(seed, "seed", minimum=0))
     rows = np.arange(K)
     first = rows * (2 * K - rows - 1) // 2  # row l's pairs start at pair first[l]
-    pairs = K * (K - 1) // 2
-    kept = [np.zeros(0, dtype=np.int64)]
-    for lo in range(0, pairs, RDAG_BLOCK):
-        kept.append(lo + np.flatnonzero(rng.random(min(RDAG_BLOCK, pairs - lo)) < p))
-    t = np.concatenate(kept)
+    t = _bernoulli_positions(rng, K * (K - 1) // 2, p)
     src = np.searchsorted(first, t, side="right") - 1
     edges = np.column_stack((src, t - first[src] + src + 1)) + 1
     return ProductionNetwork(K, edges)
@@ -248,19 +247,35 @@ def generate_gw_tree(dist: BranchingDistribution, max_depth: int, seed: int) -> 
 
 
 def generate_trellis(w: int, D: int, p: float, seed: int) -> ProductionNetwork:
-    """Random width-w trellis: D tiers of w products, inter-tier edges w.p. p."""
+    """Random width-w trellis: D tiers of w products, inter-tier edges w.p. p.
+
+    Cell t = (d - 1) w^2 + a w + b, taken in row-major order over the D - 1
+    tier pairs, keeps the edge from product a of tier d to product b of
+    tier d + 1 (both counted from 0) iff the t-th double of the seeded
+    stream is below p.
+    """
     w = check_int(w, "w")
     D = check_int(D, "D")
     if w * D > MAX_NODES:  # refused before its (D - 1) w^2 draws
         raise SizeError(f"{shown(D)} tiers of {shown(w)} products exceed the limit of {MAX_NODES} products")
     check_real(p, "p")
     rng = np.random.default_rng(check_int(seed, "seed", minimum=0))
-    edges = [np.zeros((0, 2), dtype=np.int64)]
-    for d in range(1, D):
-        a, b = np.nonzero(rng.random((w, w)) < p)
-        edges.append(np.column_stack((a + (d - 1) * w, b + d * w)) + 1)
-    tiers = _tiers(np.full(D, w))
-    return ProductionNetwork(w * D, np.concatenate(edges), tiers=tiers)
+    pair, cell = np.divmod(_bernoulli_positions(rng, (D - 1) * w * w, p), w * w)
+    a, b = np.divmod(cell, w)
+    edges = np.column_stack((pair * w + a, (pair + 1) * w + b)) + 1
+    return ProductionNetwork(w * D, edges, tiers=_tiers(np.full(D, w)))
+
+
+def _bernoulli_positions(rng: np.random.Generator, count: int, p: float) -> np.ndarray:
+    """Ascending positions t < count whose t-th double of rng's stream is below p.
+
+    The doubles are drawn RDAG_BLOCK at a time, which yields the stream
+    of one call, so memory is O(kept + RDAG_BLOCK) for any count.
+    """
+    kept = [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, count, RDAG_BLOCK):
+        kept.append(lo + np.flatnonzero(rng.random(min(RDAG_BLOCK, count - lo)) < p))
+    return np.concatenate(kept)
 
 
 def _tiers(widths) -> dict[int, int]:

@@ -86,7 +86,8 @@ def evaluate_intervention(
 
     Under the closed-form preconditions solves (I - y A^T) beta = x^n (1-t)
     with the sparse strong-component solver behind `katz_centrality`, in
-    O(K + |E|) memory; when only y <= 1/Delta holds, runs the fixed point
+    O(K + |E|) memory unless a cyclic component falls back to a solve of
+    its own dense block; when only y <= 1/Delta holds, runs the fixed point
     with the protected spontaneous terms zeroed (a valid bound, but the
     top-centrality plan is no longer guaranteed optimal for it) and then
     warns once; above 1/Delta the fixed point raises PreconditionError

@@ -16,7 +16,9 @@ from prodnet import (
     dag_beta,
     dag_resilience_lb,
     dag_sparse_bound,
+    evaluate_intervention,
     fixed_point_beta,
+    generate_backward_tree,
     generate_parallel,
     generate_rdag,
     katz_beta,
@@ -211,6 +213,47 @@ def test_katz_beta_x_precondition():
     net = ProductionNetwork(3, [(1, 2), (1, 3)])
     with pytest.raises(PreconditionError):
         katz_beta(net, 0.9, 0.4, 1)  # x above (1 - y Delta)^(1/n)
+
+
+def sink_of_100_sources():
+    # K = 101, Delta = 1, Delta_R = 100: y = 0.9 < 1/Delta and x = 0.09 < 1 - y Delta
+    return ProductionNetwork(101, [(j, 101) for j in range(1, 101)]), 0.09, 0.9
+
+
+def test_katz_beta_bounds_the_fixed_point_and_meets_it_below_one():
+    # x^n Katz >= the fixed point entrywise, equal iff no entry exceeds 1
+    net, x, y = sink_of_100_sources()
+    kb, fp = katz_beta(net, x, y), fixed_point_beta(net, x, y)
+    assert kb.beta[-1] == pytest.approx(8.19) and fp.beta[-1] == 1.0 == dag_beta(net, x, y).beta[-1]
+    np.testing.assert_allclose(kb.beta[:-1], fp.beta[:-1], rtol=1e-12)
+    assert evaluate_intervention(net, np.zeros(101, dtype=bool), x, y)[0] == pytest.approx(17.19)
+    # backward trees (Delta = 1) at the same x and y: the root's Katz entry
+    # passes 1 from depth 4 at m = 2, and every entry stays below 1 on rdags
+    nets = [generate_backward_tree(m, D) for m in (1, 2, 3) for D in range(1, 6)]
+    nets += [generate_rdag(12, 0.4, seed=seed) for seed in range(10)]
+    over = 0
+    for net in nets:
+        y = 0.9 / max(net.max_out_degree, 1)
+        x = 0.9 * (1 - y * net.max_out_degree)
+        kb, fp = katz_beta(net, x, y).beta, fixed_point_beta(net, x, y).beta
+        assert np.all(kb >= fp - 1e-12)
+        if kb.max() <= 1.0:
+            np.testing.assert_allclose(kb, fp, rtol=1e-9)
+        over += kb.max() > 1.0
+    assert 0 < over < len(nets)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="katz_beta is not the fixed point under its own preconditions: on a sink fed "
+    "by 100 sources at y = 0.9, x = 0.09 it gives the sink 8.19 and the fixed point 1.0, "
+    "and evaluate_intervention with nothing protected totals 17.19 against 10.0",
+)
+def test_katz_route_is_the_fixed_point_under_its_preconditions():
+    net, x, y = sink_of_100_sources()
+    fp = fixed_point_beta(net, x, y)
+    total, _ = evaluate_intervention(net, np.zeros(101, dtype=bool), x, y)
+    assert (katz_beta(net, x, y).total(), total) == pytest.approx((fp.total(), fp.total()))
 
 
 def test_resilience_lb_katz_empty():

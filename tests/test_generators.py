@@ -319,6 +319,21 @@ def test_trellis_matches_the_reference(w, D, p):
         assert_same_network(generate_trellis(w, D, p, seed), trellis_reference(w, D, p, seed))
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    w=st.integers(1, 7),
+    D=st.integers(1, 5),
+    block=st.integers(1, 12),
+    p=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+    seed=st.integers(0, 2**32),
+)
+def test_trellis_blocks_draw_the_per_tier_stream(w, D, block, p, seed):
+    # blocks of 1-12 doubles cut tier pairs of w^2 cells, and their rows, mid-way
+    with mock.patch.object(generators, "RDAG_BLOCK", block):
+        net = generate_trellis(w, D, p, seed)
+    assert_same_network(net, trellis_reference(w, D, p, seed))
+
+
 @pytest.mark.parametrize(
     "K, m, d", [(1, 1, 1), (3, 2, 2), (6, 3, 3), (10, 4, 4), (7, 3, 2), (50, 3, 5)]
 )

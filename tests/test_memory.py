@@ -1,13 +1,14 @@
 """Memory regressions, traced with tracemalloc.
 
-Reading a K x K input-output table and drawing a random DAG on K
-products used to hold O(K^2) objects; both now hold O(K + E) plus a
-fixed block, so their traced peaks stay a small fraction of K^2.  A
-batch of many trials on a small network steps its PCG64 states in uint64
-arrays, with no Python int per trial.  Batches and resilience curves
-walk their trials in blocks of about TRIAL_BLOCK_BYTES, so a resolved
-curve (trials >= K ln 20) holds a block plus its u_t, not trials x K, and
-a block counts the widest level's inputs that theta gathers at once.
+Reading a K x K input-output table, drawing a random DAG on K products
+and drawing a width-w trellis used to hold O(K^2) objects (w^2 for the
+trellis); all three now hold O(K + E) plus a fixed block, so their
+traced peaks stay a small fraction of K^2.  A batch of many trials on a
+small network steps its PCG64 states in uint64 arrays, with no Python
+int per trial.  Batches and resilience curves walk their trials in
+blocks of about TRIAL_BLOCK_BYTES, so a resolved curve (trials >= K ln
+20) holds a block plus its u_t, not trials x K, and a block counts the
+widest level's inputs that theta gathers at once.
 """
 
 import math
@@ -20,6 +21,7 @@ from prodnet import (
     ProductionNetwork,
     generate_parallel,
     generate_rdag,
+    generate_trellis,
     parse_io_table,
     resilience_curve,
     run_batch,
@@ -58,6 +60,14 @@ def test_rdag_draws_in_blocks():
     assert 2000 < net.edge_count < 3000
     # one draw over all pairs took K^2/2 doubles (400 MB) and two index arrays
     assert peak < k * k / 2 * 8 / 20
+
+
+def test_trellis_draws_in_blocks():
+    w = 3000
+    net, peak = _traced_peak(lambda: generate_trellis(w, 2, 1e-4, seed=1))
+    assert 700 < net.edge_count < 1100
+    # one draw per tier pair took w^2 doubles (72 MB) and a w x w mask
+    assert peak < 20e6
 
 
 def test_small_network_batch_steps_its_states_in_arrays():
