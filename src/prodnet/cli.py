@@ -97,7 +97,7 @@ def _add_net_args(p: argparse.ArgumentParser):
         default="auto",
         help="input format (auto: .json as JSON, otherwise edge CSV)",
     )
-    p.add_argument("--io-threshold", type=float, default=0.0, help="io-table edge threshold")
+    p.add_argument("--io-threshold", type=float, default=0.0, help="nonnegative io-table edge threshold")
     p.add_argument("--n", type=int, help="suppliers per product (default: the network's n)")
 
 

@@ -1,10 +1,10 @@
 """Dataset ingestion and result serialization.
 
 Three network file formats are supported: edge CSVs with a
-"source,target" header, square input-output tables whose positive cells
-become edges, and the package's own JSON schema.  Node names are
-normalized to dense ids 1..K; JSON round-trips preserve the logical
-content exactly.  All CSV output is plain ASCII with '.' decimal points.
+"source,target" header, square input-output tables whose cells above a
+nonnegative threshold become edges, and the package's own JSON schema.
+Node names are normalized to dense ids 1..K; JSON round-trips preserve
+the logical content exactly.  All CSV output is plain ASCII with '.' decimal points.
 Every input file is read as UTF-8; bytes that do not decode raise
 FormatError, like any other malformed content.
 
@@ -90,13 +90,14 @@ _ZERO_RUNS = np.frombuffer(b"0,0,0,0,,0,0,0,0", np.uint64)  # 8 bytes of "0" cel
 
 
 def parse_io_table(path, threshold: float = 0.0) -> ProductionNetwork:
-    """Read a square input-output table; cells above threshold become edges.
+    """Read a square input-output table; cells above a nonnegative threshold become edges.
 
     Row industry j supplies column industry i, giving edge (j, i).  The
     diagonal is ignored and the result may be cyclic (flagged on the
     network).  Non-square tables, ragged rows and non-numeric off-diagonal
     cells raise FormatError: a non-square table first, else the first bad
-    row.  Rows whose cells all strip to nothing are skipped.
+    row.  Rows whose cells all strip to nothing are skipped.  A negative
+    threshold raises ParameterError, so a "0" cell is never an edge.
 
     The file is read in binary blocks of IO_TABLE_BLOCK bytes, each cut
     after its last line end and checked as UTF-8.  numpy scans a block's
@@ -105,9 +106,8 @@ def parse_io_table(path, threshold: float = 0.0) -> ProductionNetwork:
     A cell is a zero exactly when it is the single byte "0".  8-byte words
     of "0" cells inside a run of them are skipped whole, and only the
     cells that can become edges are decoded and converted: the data cells
-    off the diagonal that are not "0" (all of those when the threshold is
-    negative, which makes "0" cells edges), never the header or the
-    labels.  So no K x K structure is held and memory is O(block + K + E).
+    off the diagonal that are not "0", never the header or the labels.
+    So no K x K structure is held and memory is O(block + K + E).
     A file the scan cannot split as csv.reader would (one with a quote or
     NUL byte, or a cell longer than csv's field limit) is decoded by
     csv.reader instead.  Both sources feed one reducer, which takes each
@@ -116,12 +116,11 @@ def parse_io_table(path, threshold: float = 0.0) -> ProductionNetwork:
     the build.
     """
     path = Path(path)
-    threshold = check_real(threshold, "threshold", "[-inf, inf]")
-    zero_is_edge = 0.0 > threshold
+    threshold = check_real(threshold, "threshold", "[0, inf]")
     try:
-        return _reduce_io_table(path, threshold, _scanned_chunks(path, zero_is_edge))
+        return _reduce_io_table(path, threshold, _scanned_chunks(path))
     except _NeedsCsv:
-        return _reduce_io_table(path, threshold, _csv_chunks(path, zero_is_edge))
+        return _reduce_io_table(path, threshold, _csv_chunks(path))
 
 
 class _NeedsCsv(Exception):
@@ -133,8 +132,7 @@ def _reduce_io_table(path: Path, threshold: float, chunks) -> ProductionNetwork:
 
     A chunk is (widths, rows, cols, texts): each row's cell count, and for
     each cell that can be an edge its data row, its column and its text.
-    Those are the data cells off the diagonal, less the "0" cells when
-    "0" is not an edge.
+    Those are the data cells off the diagonal that are not "0".
     """
     k, seen, error, src, dst = 0, 0, None, [], []
     for widths, rows, cols, texts in chunks:
@@ -175,7 +173,7 @@ def _reduce_io_table(path: Path, threshold: float, chunks) -> ProductionNetwork:
     return ProductionNetwork(k, np.column_stack((np.concatenate(src), np.concatenate(dst))))
 
 
-def _csv_chunks(path: Path, zero_is_edge: bool):
+def _csv_chunks(path: Path):
     """The reducer's chunks from csv.reader's rows, 256 rows to a chunk."""
     r = -1  # the data row of the next kept row; the header's is -1
     widths, rows, cols, texts = [], [], [], []
@@ -183,7 +181,7 @@ def _csv_chunks(path: Path, zero_is_edge: bool):
         if not any(cell.strip() for cell in row):
             continue  # a row is kept when some cell is more than whitespace
         if r >= 0:
-            given = [c for c in range(1, len(row)) if c != r + 1 and (zero_is_edge or row[c] != "0")]
+            given = [c for c in range(1, len(row)) if c != r + 1 and row[c] != "0"]
             rows += [r] * len(given)
             cols += given
             texts += map(row.__getitem__, given)
@@ -195,22 +193,19 @@ def _csv_chunks(path: Path, zero_is_edge: bool):
     yield np.array(widths, np.intp), np.array(rows, np.intp), np.array(cols, np.intp), texts
 
 
-def _scanned_chunks(path: Path, zero_is_edge: bool):
+def _scanned_chunks(path: Path):
     """The reducer's chunks from a numpy scan of the file's bytes, one per block."""
     seen = 0  # rows kept in earlier blocks
     for block in _line_blocks(path):
         words = np.frombuffer(block, np.uint64, len(block) // 8)
-        if zero_is_edge:
-            kept = np.arange(len(words))
-        else:
-            # a word of four "0" cells between two copies of itself locates nothing,
-            # and dropping it leaves the same bytes around every byte that is kept
-            same = words[1:] == words[:-1]
-            run = (words == _ZERO_RUNS[0]) | (words == _ZERO_RUNS[1])
-            run[1:-1] &= same[1:]
-            run[1:-1] &= same[:-1]
-            run[:1] = run[-1:] = False
-            kept = np.flatnonzero(~run)
+        # a word of four "0" cells between two copies of itself locates nothing,
+        # and dropping it leaves the same bytes around every byte that is kept
+        same = words[1:] == words[:-1]
+        run = (words == _ZERO_RUNS[0]) | (words == _ZERO_RUNS[1])
+        run[1:-1] &= same[1:]
+        run[1:-1] &= same[:-1]
+        run[:1] = run[-1:] = False
+        kept = np.flatnonzero(~run)
         # the kept words, the bytes after the last whole word, and a line end (the
         # file's last line may lack one; after another it ends an empty line)
         text = b"".join((words[kept].tobytes(), block[len(words) * 8 :], b"\n"))
@@ -228,15 +223,14 @@ def _scanned_chunks(path: Path, zero_is_edge: bool):
         start[1:] |= comma[:-1]
         np.greater(nl[1:], nl[:-1], out=end[1:])
         end |= comma
-        if not zero_is_edge:
-            # a "0" between two commas is not located, so a line's first and last cells always are
-            zero = b == ord("0")
-            zero[1:] &= comma[:-1]
-            zero[:-1] &= comma[1:]
-            zero[0] = False
-            start ^= zero
-            end[1:] ^= zero[:-1]
-            del zero
+        # a "0" between two commas is not located, so a line's first and last cells always are
+        zero = b == ord("0")
+        zero[1:] &= comma[:-1]
+        zero[:-1] &= comma[1:]
+        zero[0] = False
+        start ^= zero
+        end[1:] ^= zero[:-1]
+        del zero
         starts, ends = np.flatnonzero(start), np.flatnonzero(end)
         heads = nl[starts - 1]  # a located cell after a line end starts a line (b[-1] is one, for starts[0] = 0)
         zeros = (ends - starts == 1) & (b[starts] == ord("0"))  # "0" cells first or last in their line
@@ -267,8 +261,7 @@ def _scanned_chunks(path: Path, zero_is_edge: bool):
         # the cells that can be edges: data cells, not labels, off the diagonal
         keep = cols != line + seen
         keep &= ~heads
-        if not zero_is_edge:
-            keep &= ~zeros  # a line's last cell may be "0"
+        keep &= ~zeros  # a line's last cell may be "0"
         if seen == 0:
             keep &= line > 0  # the header
         at = np.flatnonzero(keep)

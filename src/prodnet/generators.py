@@ -97,13 +97,19 @@ class BranchingDistribution:
         return rng.binomial(self._k * parents, self._p).astype(np.int64)
 
     def pgf(self, eta):
-        """Probability generating function E[eta^xi]."""
+        """Probability generating function E[eta^xi].
+
+        A scalar eta is evaluated as a 1-element array, so it gets the same
+        bits as the same eta inside an array (numpy's scalar power is libm's
+        pow, which can differ from its array loop in the last bit).
+        """
         eta = np.asarray(eta, dtype=np.float64)
+        flat = eta.reshape(-1)
         if self.kind == "poisson":
-            out = np.exp(self._mu * (eta - 1.0))
+            out = np.exp(self._mu * (flat - 1.0))
         else:  # a point mass is held as binomial(k, p = 1), whose 1 - p + p eta is eta exactly
-            out = (1.0 - self._p + self._p * eta) ** self._k
-        return out if out.ndim else float(out)
+            out = (1.0 - self._p + self._p * flat) ** self._k
+        return out.reshape(eta.shape) if eta.ndim else float(out[0])
 
     def pgf_complement(self, s: float) -> float:
         """1 - pgf(1 - s) for s in [0, 1], accurate where pgf(1 - s) rounds to 1.

@@ -221,10 +221,43 @@ def exact_survival_prob(net, x: float, n: int, s_min: int) -> float:
 
 def exact_resilience(net, epsilon: float, n: int = 1, tol: float = 1e-12) -> float:
     """Exact resilience by bisection on the exact survival probability."""
-    k = net.node_count
+    return _bisected_resilience(net.node_count, epsilon, lambda x, s_min: exact_survival_prob(net, x, n, s_min), tol)
+
+
+def tree_survivor_pmf(m: int, D: int, x: float, n: int = 1) -> np.ndarray:
+    """Exact pmf of the survivor count S of the complete backward m-ary tree of depth D at y = 1.
+
+    Sibling subtrees share no draws, so a subtree's law of (root alive?,
+    survivors) follows from one child's by m-fold convolution, a tier at a
+    time from the leaves.  With q = x^n, a leaf lives with 1 survivor
+    (1 - q) or dies with 0 (q).  A node lives iff all its inputs live and
+    it escapes its own failure (1 - q), adding itself to its inputs'
+    survivors; otherwise it dies with its inputs' survivors.  The cost is
+    O(K^2) per x, where the 2^K enumeration costs O(K 2^K).
+    """
+    q = x**n
+    alive, dead = np.array([0.0, 1.0 - q]), np.array([q, 0.0])  # indexed by survivors
+    for _ in range(D - 1):
+        inputs_alive, inputs_any = np.ones(1), np.ones(1)
+        for _ in range(m):
+            inputs_alive = np.convolve(inputs_alive, alive)
+            inputs_any = np.convolve(inputs_any, alive + dead)
+        alive = np.concatenate(([0.0], (1.0 - q) * inputs_alive))
+        dead = np.concatenate((inputs_any - (1.0 - q) * inputs_alive, [0.0]))
+    return alive + dead
+
+
+def tree_resilience(m: int, D: int, epsilon: float, n: int = 1, tol: float = 1e-12) -> float:
+    """Exact resilience of the complete backward m-ary tree, bisected on `tree_survivor_pmf`."""
+    k = D if m == 1 else (m**D - 1) // (m - 1)
+    return _bisected_resilience(k, epsilon, lambda x, s_min: float(tree_survivor_pmf(m, D, x, n)[s_min:].sum()), tol)
+
+
+def _bisected_resilience(k: int, epsilon: float, survival, tol: float) -> float:
+    """The x, to within tol, where survival(x, s_min) = Pr[S >= s_min] falls below 1 - 1/k; 1 if it never does."""
     theta = 1.0 - 1.0 / k
     s_min = math.ceil((1.0 - epsilon) * k - 1e-9)
-    p = lambda x: exact_survival_prob(net, x, n, s_min)
+    p = lambda x: survival(x, s_min)
     if p(1.0) >= theta:
         return 1.0
     lo, hi = 0.0, 1.0

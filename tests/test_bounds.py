@@ -466,6 +466,31 @@ def test_pgf_complement_keeps_tiny_survival_probabilities():
         assert dist.pgf_complement(1e-300) == pytest.approx(dist.mean * 1e-300, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "dist",
+    [
+        BranchingDistribution.poisson(1.5),
+        BranchingDistribution.poisson(2),
+        BranchingDistribution.poisson(10),
+        BranchingDistribution.binomial(3, 0.7),
+        BranchingDistribution.binomial(5, 0.5),
+        BranchingDistribution.binomial(50, 0.3),
+        BranchingDistribution.binomial(4, 0.9),
+        BranchingDistribution.point(2),
+    ],
+    ids=["poisson-1.5", "poisson-2", "poisson-10", "binomial-3-0.7", "binomial-5-0.5", "binomial-50-0.3",
+         "binomial-4-0.9", "point-2"],
+)
+def test_pgf_of_a_scalar_has_the_bits_of_an_array_entry(dist):
+    # gw_extinction bisects on the scalar form; an array-based caller gets its iterates bit for bit
+    eta = np.random.default_rng(0).random(10_000)
+    values = dist.pgf(eta)
+    assert values.shape == eta.shape and dist.pgf(eta.reshape(100, 100)).shape == (100, 100)
+    scalars = [dist.pgf(e) for e in eta.tolist()]
+    assert all(type(v) is float for v in scalars)
+    assert scalars == values.tolist()
+
+
 # -- Monte Carlo consistency of the analytic lower bounds ---------------------
 
 

@@ -345,6 +345,18 @@ def test_io_table_not_utf8_past_first_block_exit_code(tmp_path, capsys):
     assert stderr.startswith("prodnet: ") and "unreadable CSV" in stderr
 
 
+def test_io_table_negative_threshold_exit_code(tmp_path, capsys):
+    net_path = tmp_path / "io.csv"
+    net_path.write_text(",A,B\nA,0,1\nB,0,0\n", encoding="utf-8")
+    code, stdout, stderr = run_cli(
+        capsys, "simulate", "--net", str(net_path), "--net-format", "io-table", "--io-threshold", "-1",
+        "--x", "0.2", "--out", str(tmp_path / "h.csv"),
+    )
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("prodnet: ") and "threshold must lie in [0, inf], got -1.0" in stderr
+    assert "Traceback" not in stderr
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

@@ -2,10 +2,13 @@
 
 Each cell compares a bound with what the package computes on the
 network the bound speaks of: the exact resilience from the 2^K oracle
-where K is small, and per-product failure frequencies of a seeded batch
-where it is not.  A cell that fails is kept as a strict xfail naming
+where K is small, or from the tree oracle on backward trees with K in
+the thousands; elsewhere a crude resilience curve at 30 * ceil(K ln 20)
+trials, or per-product failure frequencies of a seeded batch.  A cell that fails is kept as a strict xfail naming
 ROADMAP item 9, so that a corrected formula shows as an XPASS.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -14,13 +17,16 @@ from prodnet import (
     PercolationConfig,
     dag_beta,
     generate_backward_tree,
+    generate_parallel,
     generate_rdag,
     generate_trellis,
+    parallel_bounds,
+    resilience_curve,
     run_batch,
     tree_bounds,
 )
 
-from oracles import exact_resilience
+from oracles import exact_resilience, tree_resilience
 
 
 @pytest.mark.parametrize(
@@ -44,6 +50,66 @@ def test_tree_bounds_bracket_the_exact_resilience(epsilon):
     bound = tree_bounds(2, 4, epsilon)
     r = exact_resilience(generate_backward_tree(2, 4), epsilon)
     assert bound.lower <= r <= bound.upper
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("epsilon", [0.1, 0.3, 0.5])
+@pytest.mark.parametrize("m, D", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
+def test_tree_oracle_matches_the_enumeration(m, D, epsilon, n):
+    exact = exact_resilience(generate_backward_tree(m, D), epsilon, n)
+    assert tree_resilience(m, D, epsilon, n) == pytest.approx(exact, rel=0, abs=1e-9)
+
+
+def _tree_upper_fails(D: int, epsilon: float, upper: float, r: float):
+    k = 2**D - 1
+    return pytest.param(
+        D,
+        epsilon,
+        marks=pytest.mark.xfail(
+            strict=True,
+            reason=f"ROADMAP item 9: tree_bounds(2, {D}, {epsilon}).upper is {upper:.4f}, below the "
+            f"exact resilience {r:.4f} of the {k}-product tree; the upper end falls with K while "
+            "the leaves, half the products, fail on their own draws only",
+        ),
+        id=f"D{D}-eps{epsilon}",
+    )
+
+
+@pytest.mark.parametrize(
+    "D, epsilon",
+    [
+        pytest.param(5, 0.1, id="D5-eps0.1"),
+        _tree_upper_fails(5, 0.5, 0.1009, 0.1098),
+        _tree_upper_fails(9, 0.5, 0.0556, 0.1838),
+        _tree_upper_fails(11, 0.3, 0.0636, 0.0794),
+        _tree_upper_fails(11, 0.5, 0.0455, 0.2100),
+    ],
+)
+def test_tree_bounds_bracket_the_tree_oracle(D, epsilon):
+    # binary backward trees up to K = 2047, refereed by the exact tree
+    # oracle; at D = 5, eps = 0.1 the bracket is 0.00117 <= 0.00136 <= 0.1817
+    bound = tree_bounds(2, D, epsilon)
+    r = tree_resilience(2, D, epsilon)
+    assert bound.lower <= r <= bound.upper
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 9: parallel_bounds(100, 2, 3, eps, scope='all-products').lower lies above "
+    "the crude resilience of generate_parallel(100, 2, 3); its sqrt(ln K / (2 m K)) term is added, "
+    "so the bound grows as K falls",
+)
+@pytest.mark.parametrize("epsilon", [0.1, 0.3])
+def test_parallel_lower_bound_lies_below_the_crude_resilience(epsilon):
+    # 167 products, so 30 * ceil(K ln 20) = 15,030 trials; the lower end is
+    # 0.1051 at eps = 0.1 and 0.1176 at 0.3, and r_hat over seeds 0-2 is
+    # 0.0118-0.0122 and 0.0813-0.0821
+    bound = parallel_bounds(100, 2, 3, epsilon, scope="all-products")
+    for seed in range(3):
+        net = generate_parallel(100, 2, 3, seed=seed)
+        trials = 30 * math.ceil(net.node_count * math.log(20))
+        r_hat = resilience_curve(net, [epsilon], trials=trials, seed=7).r_hat[0]
+        assert bound.lower <= r_hat, f"seed {seed}: lower end {bound.lower:.4f} above r_hat {r_hat:.4f}"
 
 
 @pytest.mark.parametrize(

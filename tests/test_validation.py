@@ -99,6 +99,7 @@ CASES = {
     "gw_bounds-mu-nan": lambda tmp: gw_bounds(NAN, 3, 0.3),
     "plan-objective-x-nan": lambda tmp: optimal_protection(CHAIN, 1, 0.5).objective(NAN),
     "parse_io_table-threshold-nan": lambda tmp: _io_table(tmp, NAN),
+    "parse_io_table-threshold-negative": lambda tmp: _io_table(tmp, -1e-300),
     # bools where an int is expected
     "estimate_resilience-n-bool": lambda tmp: estimate_resilience(CHAIN, 0.5, n=True, trials=10),
     "optimal_protection-T-bool": lambda tmp: optimal_protection(CHAIN, True, 0.5),
@@ -380,7 +381,7 @@ def test_removed_result_members():
 
 def test_removed_functions():
     # 0.4.0: fixed_point_beta iterates the operator; no single step is public
-    assert prodnet.__version__ == "0.4.0"
+    assert prodnet.__version__ == "0.5.0"
     assert not hasattr(prodnet, "contraction_step")
     assert not hasattr(prodnet.contagion, "contraction_step")
 
