@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
@@ -40,7 +40,6 @@ class BoundResult:
     lower: Optional[float]
     upper: Optional[float]
     regime: str
-    inputs: dict = field(default_factory=dict)
     lower_clamped: bool = False
     upper_clamped: bool = False
 
@@ -53,11 +52,11 @@ def _clamp01(v: float) -> tuple[float, bool]:
     return v, False
 
 
-def _bound_result(lower_raw: float, upper_raw: float, regime: str, inputs: dict) -> BoundResult:
+def _bound_result(lower_raw: float, upper_raw: float, regime: str) -> BoundResult:
     """The bounds clamped into [0, 1], with a flag for each one clamped."""
     lower, lower_clamped = _clamp01(lower_raw)
     upper, upper_clamped = _clamp01(upper_raw)
-    return BoundResult(lower, upper, regime, inputs, lower_clamped, upper_clamped)
+    return BoundResult(lower, upper, regime, lower_clamped, upper_clamped)
 
 
 def _times(count: int, value: float) -> float:
@@ -231,7 +230,7 @@ def parallel_bounds(
         upper_raw = _root(1.0 - (1.0 - epsilon) / _times(m + 1, 2.0), n)
     else:
         raise ParameterError(f"scope must be 'complex-only' or 'all-products', got {shown(scope)}")
-    return _bound_result(lower_raw, upper_raw, scope, {"K": K, "m": m, "d": d, "epsilon": epsilon, "n": n})
+    return _bound_result(lower_raw, upper_raw, scope)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +283,7 @@ def tree_bounds(m: int, D: int, epsilon: float, n: int = 1) -> BoundResult:
     else:
         regime = "fanout>=2"
         upper_raw = _root((1.0 - epsilon) * math.log(m) / log_k, n) if D > 1 else math.inf
-    return _bound_result(lower_raw, upper_raw, regime, {"m": m, "D": D, "epsilon": epsilon, "n": n})
+    return _bound_result(lower_raw, upper_raw, regime)
 
 
 def tree_tier_survival(m: int, D: int, x: float, n: int = 1) -> np.ndarray:
@@ -633,6 +632,4 @@ def trellis_bounds(w: int, D: int, p: float, epsilon: float, n: int = 1) -> Boun
         regime = "pw<1"
         lower_raw = _root(epsilon * (1.0 - pw) / d2, n)
         upper_raw = _root(_times(w, 1.0 + epsilon) * (1.0 - pw) / 2.0, n)
-    return _bound_result(
-        lower_raw, upper_raw, regime, {"w": w, "D": D, "p": p, "K": K, "epsilon": epsilon, "n": n}
-    )
+    return _bound_result(lower_raw, upper_raw, regime)

@@ -26,6 +26,7 @@ from .errors import ConvergenceError, CyclicGraphError, PreconditionError, check
 from .network import ProductionNetwork
 
 FIXED_POINT_TOL = 1e-12  # the iteration stops once no entry moves by this much
+FIXED_POINT_MAX_ITER = 10**6  # and raises ConvergenceError after this many steps
 KATZ_TOL = 1e-12  # a cyclic component's Neumann sweeps stop at this relative update
 
 
@@ -83,30 +84,30 @@ def fixed_point_beta(
     x: float,
     y: float,
     n: int = 1,
-    max_iter: int = 10**6,
+    *,
     spontaneous: Optional[np.ndarray] = None,
 ) -> BetaVector:
     """Greatest fixed point of the operator, iterated down from all-ones.
 
     It is the program optimum when y <= 1/Delta (max out-degree), and a
     larger y raises PreconditionError.  The iteration stops once no entry
-    moves by FIXED_POINT_TOL, and raises ConvergenceError after max_iter
-    steps.
+    moves by FIXED_POINT_TOL, and raises ConvergenceError after
+    FIXED_POINT_MAX_ITER steps.
     """
     check_real(x, "x")
     check_real(y, "y")
     n = check_int(n, "n")
-    max_iter = check_int(max_iter, "max_iter")
     _check_y(net, y, "fixed_point_beta", strict=False)
     beta = np.ones(net.node_count, dtype=np.float64)
-    for it in range(1, max_iter + 1):
+    for it in range(1, FIXED_POINT_MAX_ITER + 1):
         nxt = _contract(net, beta, x, y, n, spontaneous)
         residual = float(np.max(np.abs(nxt - beta))) if net.node_count else 0.0
         beta = nxt
         if residual < FIXED_POINT_TOL:
             return BetaVector(beta=beta, method="fixed-point", iterations=it, residual=residual)
     raise ConvergenceError(
-        f"fixed-point iteration did not reach tol={FIXED_POINT_TOL:g} within {max_iter} iterations",
+        f"fixed-point iteration did not reach tol={FIXED_POINT_TOL:g} "
+        f"within {FIXED_POINT_MAX_ITER} iterations",
         residual=residual,
     )
 

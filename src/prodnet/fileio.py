@@ -411,10 +411,25 @@ def write_resilience_csv(curve, path) -> None:
 
 
 def write_histogram_csv(pmf: np.ndarray, trials: int, path) -> None:
-    """Cascade-size histogram as CSV with columns f, count, frequency."""
+    """Cascade-size histogram as CSV with columns f, count, frequency.
+
+    The bytes are `write_csv`'s.  A cascade-size pmf is mostly zeros, so
+    each run of +0.0 rows ("f,0,0.0") is written by one join and only the
+    other rows are formatted one by one.
+    """
+    pmf = np.asarray(pmf, dtype=np.float64)
     # in float64, as the Python floats of `tolist()`; rint rounds half to even, as round() does
-    counts = np.rint(np.asarray(pmf, dtype=np.float64) * trials).astype(np.int64)
-    write_csv(path, ["f", "count", "frequency"], zip(range(len(pmf)), counts.tolist(), pmf.tolist()))
+    counts = np.rint(pmf * trials).astype(np.int64).tolist()
+    freqs = pmf.tolist()
+    parts, start = ["f,count,frequency\r\n"], 0
+    for f in np.flatnonzero(pmf.view(np.int64) != 0).tolist() + [len(freqs)]:  # rows not +0.0, then the end
+        if f > start:
+            parts.append(",0,0.0\r\n".join(map(str, range(start, f))) + ",0,0.0\r\n")
+        if f < len(freqs):
+            parts.append(f"{f},{counts[f]},{freqs[f]!r}\r\n")
+        start = f + 1
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write("".join(parts))
 
 
 def write_beta_csv(ranking, path) -> None:

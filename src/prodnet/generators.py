@@ -136,12 +136,11 @@ class GWTreeResult:
     """A realized branching tree plus how its growth ended.
 
     extinction_depth is the deepest nonempty tier when growth died out on
-    its own, and None when it was cut off at max_depth (truncated=True).
+    its own, and None when it was cut off at max_depth.
     """
 
     network: ProductionNetwork
     extinction_depth: Optional[int]
-    truncated: bool
 
 
 def generate_rdag(K: int, p: float, seed: int) -> ProductionNetwork:
@@ -225,7 +224,7 @@ def generate_gw_tree(dist: BranchingDistribution, max_depth: int, seed: int) -> 
     The root sits at depth 1; each node at depth d spawns an independent
     number of children, and edges run parent -> child so cascades flow
     root -> leaves.  Growth stops when a generation comes up empty
-    (extinct) or at max_depth (truncated).  Each generation is one range
+    (extinct) or at max_depth.  Each generation is one range
     of consecutive ids, its products' children the next range in order.
     """
     max_depth = check_int(max_depth, "max_depth")
@@ -248,8 +247,7 @@ def generate_gw_tree(dist: BranchingDistribution, max_depth: int, seed: int) -> 
         total += born
     edges = np.column_stack((np.concatenate(parents), np.arange(2, total + 1)))
     net = ProductionNetwork(total, edges, tiers=_tiers(widths))
-    truncated = len(widths) == max_depth
-    return GWTreeResult(net, None if truncated else len(widths), truncated)
+    return GWTreeResult(net, None if len(widths) == max_depth else len(widths))
 
 
 def generate_trellis(w: int, D: int, p: float, seed: int) -> ProductionNetwork:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .bounds import _power
 from .contagion import _check_y, _katz_solve, _rank, _root_bound, _x_condition, _y_limit, fixed_point_beta
-from .errors import ParameterError, check_count, check_int, check_real, is_int, shown
+from .errors import INT64_MAX, ParameterError, check_count, check_int, check_real, is_int, shown
 from .network import ProductionNetwork
 
 
@@ -39,8 +39,6 @@ class InterventionPlan:
     protected: np.ndarray
     reverse_katz: np.ndarray
     unprotected_mass: float
-    budget: int
-    y: float
 
     def protected_ids(self) -> list[int]:
         return (np.flatnonzero(self.protected) + 1).tolist()
@@ -76,7 +74,7 @@ def optimal_protection(net: ProductionNetwork, T: int, y: float) -> Intervention
     gamma_rev, order, mass = _ranked_reverse_katz(net, y)
     protected = np.zeros(net.node_count, dtype=bool)
     protected[order[:T]] = True
-    return InterventionPlan(protected, gamma_rev, float(mass[T]), budget=T, y=y)
+    return InterventionPlan(protected, gamma_rev, float(mass[T]))
 
 
 def evaluate_intervention(
@@ -141,7 +139,6 @@ class SupplierAllocation:
 
     extra: np.ndarray
     caps: np.ndarray
-    budget: int
     order: list[int]
     reverse_katz: np.ndarray
 
@@ -169,7 +166,12 @@ def supplier_allocation(
         raise ParameterError(
             f"caps must have one entry per product ({net.node_count}), got shape {caps.shape}"
         )
-    caps = np.array([check_count(c, f"caps[{i}]", minimum=0) for i, c in enumerate(caps.tolist())], np.int64)
+    if caps.dtype.kind in "iu" and caps.min() >= 0 and caps.max() <= INT64_MAX:
+        caps = caps.astype(np.int64)  # integers in range: nothing for the per-entry check to refuse
+    else:
+        caps = np.array(
+            [check_count(c, f"caps[{i}]", minimum=0) for i, c in enumerate(caps.tolist())], np.int64
+        )
     gamma_rev, order, _ = _ranked_reverse_katz(net, y)
     extra = np.zeros(net.node_count, dtype=np.int64)
     remaining = budget
@@ -178,6 +180,4 @@ def supplier_allocation(
             break
         extra[i] = give = min(int(caps[i]), remaining)
         remaining -= give
-    return SupplierAllocation(
-        extra=extra, caps=caps, budget=budget, order=(order + 1).tolist(), reverse_katz=gamma_rev
-    )
+    return SupplierAllocation(extra=extra, caps=caps, order=(order + 1).tolist(), reverse_katz=gamma_rev)

@@ -36,43 +36,62 @@ class ExactStats:
         return float(self.pmf[: k - s_min + 1].sum())
 
 
-def exact_cascade_stats(net, x: float, y: float = 1.0, n: int = 1) -> ExactStats:
-    """Exact joint-percolation statistics on a DAG by chain-rule DP.
+class CascadeTables:
+    """The x-independent tables of the 2^K enumeration on one DAG, built once.
 
     Enumerates all 2^K failure patterns; the probability of a pattern
     factorizes along any topological order because a product fails given
     its inputs' states with probability 1 - (1-x^n)(1-y)^(#failed inputs),
-    driven by draws local to that product.
+    driven by draws local to that product.  The order, each product's
+    failed bit and failed-input count per pattern, and the failures per
+    pattern depend on the network alone, so one build serves every x.
     """
-    k = net.node_count
-    xn = x**n
-    # a simple topological order computed here, independent of the library
-    indeg = {i: net.in_degree(i) for i in range(1, k + 1)}
-    order, ready = [], [i for i in range(1, k + 1) if indeg[i] == 0]
-    while ready:
-        u = ready.pop()
-        order.append(u)
-        for v in net.successors(u):
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                ready.append(v)
-    assert len(order) == k, "exact_cascade_stats needs a DAG"
 
-    masks = np.arange(2**k, dtype=np.int64)
-    failed_bits = (masks[:, None] >> np.arange(k)) & 1  # column v-1 = product v failed
-    prob = np.ones(2**k)
-    for v in order:
-        preds = [j - 1 for j in net.predecessors(v)]
-        c = failed_bits[:, preds].sum(axis=1) if preds else np.zeros(2**k, dtype=np.int64)
-        pf = 1.0 - (1.0 - xn) * (1.0 - y) ** c
-        prob *= np.where(failed_bits[:, v - 1] == 1, pf, 1.0 - pf)
-    f_of_mask = failed_bits.sum(axis=1)
-    pmf = np.bincount(f_of_mask, weights=prob, minlength=k + 1)
-    node_fail = prob @ failed_bits
-    fs = np.arange(k + 1)
-    mean = float((pmf * fs).sum())
-    var = float((pmf * fs**2).sum() - mean**2)
-    return ExactStats(pmf=pmf, node_fail=node_fail, mean_f=mean, var_f=var)
+    def __init__(self, net):
+        k = net.node_count
+        # a simple topological order computed here, independent of the library
+        indeg = {i: net.in_degree(i) for i in range(1, k + 1)}
+        order, ready = [], [i for i in range(1, k + 1) if indeg[i] == 0]
+        while ready:
+            u = ready.pop()
+            order.append(u)
+            for v in net.successors(u):
+                indeg[v] -= 1
+                if indeg[v] == 0:
+                    ready.append(v)
+        assert len(order) == k, "exact_cascade_stats needs a DAG"
+
+        # one byte per entry: every table holds 0/1 bits or counts below K,
+        # which numpy widens to the same float64 values where they meet floats
+        masks = np.arange(2**k, dtype=np.int64)
+        # column v-1 = product v failed
+        self.failed_bits = ((masks[:, None] >> np.arange(k)) & 1).astype(np.uint8)
+        self.factors = []  # per product in order: (failed in the pattern?, its failed inputs)
+        for v in order:
+            preds = [j - 1 for j in net.predecessors(v)]
+            c = self.failed_bits[:, preds].sum(axis=1, dtype=np.uint8)
+            self.factors.append((self.failed_bits[:, v - 1] == 1, c))
+        self.f_of_mask = self.failed_bits.sum(axis=1, dtype=np.int64)
+
+    def stats(self, x: float, y: float = 1.0, n: int = 1) -> ExactStats:
+        """Exact joint-percolation statistics at (x, y, n) by chain-rule DP."""
+        k = self.failed_bits.shape[1]
+        xn = x**n
+        prob = np.ones(2**k)
+        for failed, c in self.factors:
+            pf = 1.0 - (1.0 - xn) * (1.0 - y) ** c
+            prob *= np.where(failed, pf, 1.0 - pf)
+        pmf = np.bincount(self.f_of_mask, weights=prob, minlength=k + 1)
+        node_fail = prob @ self.failed_bits
+        fs = np.arange(k + 1)
+        mean = float((pmf * fs).sum())
+        var = float((pmf * fs**2).sum() - mean**2)
+        return ExactStats(pmf=pmf, node_fail=node_fail, mean_f=mean, var_f=var)
+
+
+def exact_cascade_stats(net, x: float, y: float = 1.0, n: int = 1) -> ExactStats:
+    """Exact joint-percolation statistics on a DAG, enumerating its 2^K failure patterns."""
+    return CascadeTables(net).stats(x, y, n)
 
 
 def _sync_propagate(net, spont: set[int], op_edges: set[tuple[int, int]]) -> set[int]:
@@ -220,8 +239,11 @@ def exact_survival_prob(net, x: float, n: int, s_min: int) -> float:
 
 
 def exact_resilience(net, epsilon: float, n: int = 1, tol: float = 1e-12) -> float:
-    """Exact resilience by bisection on the exact survival probability."""
-    return _bisected_resilience(net.node_count, epsilon, lambda x, s_min: exact_survival_prob(net, x, n, s_min), tol)
+    """Exact resilience by bisection on the exact survival probability, one table build per call."""
+    tables = CascadeTables(net)
+    return _bisected_resilience(
+        net.node_count, epsilon, lambda x, s_min: tables.stats(x, 1.0, n).survival_prob(s_min), tol
+    )
 
 
 def tree_survivor_pmf(m: int, D: int, x: float, n: int = 1) -> np.ndarray:

@@ -27,6 +27,7 @@ from prodnet import (
     resilience_lb_katz,
     vulnerability_ranking,
 )
+from prodnet import contagion
 from prodnet.contagion import _contract, _ranking
 
 from oracles import brute_force_stats, exact_cascade_stats
@@ -99,10 +100,11 @@ def test_fixed_point_two_cycle():
     assert np.allclose(bv.beta, 0.4, atol=1e-10)  # solves b = 0.5 b + x
 
 
-def test_fixed_point_stops_at_max_iter():
+def test_fixed_point_stops_at_max_iter(monkeypatch):
     net = ProductionNetwork(2, [(1, 2), (2, 1)])  # halves its distance to 0.4 per step
-    with pytest.raises(ConvergenceError) as info:
-        fixed_point_beta(net, 0.2, 0.5, 1, max_iter=2)
+    monkeypatch.setattr(contagion, "FIXED_POINT_MAX_ITER", 2)
+    with pytest.raises(ConvergenceError, match="within 2 iterations") as info:
+        fixed_point_beta(net, 0.2, 0.5, 1)
     assert 0.0 < info.value.residual < math.inf
 
 

@@ -15,12 +15,14 @@ from prodnet import (
     DuplicateEdgeWarning,
     FormatError,
     ParameterError,
+    PercolationConfig,
     ProductionNetwork,
     ValidationError,
     generate_parallel,
     load_network_json,
     parse_edge_csv,
     parse_io_table,
+    run_batch,
     save_edge_csv,
     save_network_json,
 )
@@ -389,6 +391,30 @@ def test_csv_writers_keep_the_per_cell_bytes(tmp_path):
             ["product", "beta", "rank"],
             [(pid, beta, rank) for rank, (pid, beta) in enumerate(ranking, start=1)],
         )
+
+
+def test_histogram_rows_in_runs_keep_write_csv_bytes(tmp_path):
+    # zero rows are joined a run at a time; every file must equal
+    # write_csv's, whose counts round half to even as round() does
+    def same(pmf, trials):
+        write_histogram_csv(pmf, trials, tmp_path / "new.csv")
+        rows = [(f, round(p * trials), p) for f, p in enumerate(np.asarray(pmf, dtype=np.float64).tolist())]
+        write_csv(tmp_path / "old.csv", ["f", "count", "frequency"], rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes(), (pmf, trials)
+
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        k, trials = int(rng.integers(0, 3000)), int(rng.integers(1, 500))
+        counts = np.bincount(rng.integers(0, k + 1, int(rng.integers(1, 40))), minlength=k + 1)
+        same(counts / counts.sum(), trials)
+    same(np.array([0.0, 0.0, 0.5, 0.0, 0.5, 0.0, 0.0]), 2)  # zero runs at both ends and inside
+    same(np.array([0.25, 0.0, 0.0, 0.75]), 4)  # nonzero at both ends
+    same(np.array([0.0]), 10)
+    same(np.array([1.0 - 1e-9, 1e-9, 0.0]), 100)  # a nonzero entry whose count rounds to 0
+    same(np.array([0.0, -0.0, 0.0]), 3)  # -0.0 is written as itself
+    same(np.array([0.5, 0.0, 0.25, 0.25], dtype=np.float32), 7)
+    one = ProductionNetwork(1, [])
+    same(run_batch(one, PercolationConfig(x=0.3, seed=1), 100).pmf, 100)  # a one-product network's two rows
 
 
 @pytest.mark.parametrize(

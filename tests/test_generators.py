@@ -150,13 +150,12 @@ def test_gw_point_zero():
     res = generate_gw_tree(BranchingDistribution.point(0), 10, seed=0)
     assert res.network.node_count == 1
     assert res.extinction_depth == 1
-    assert not res.truncated
 
 
 def test_gw_point_two_truncated():
     res = generate_gw_tree(BranchingDistribution.point(2), 3, seed=0)
     assert res.network.node_count == 7
-    assert res.truncated and res.extinction_depth is None
+    assert res.extinction_depth is None
     assert res.network.out_degree(1) == 2
     for j, i in res.network.edges:
         assert res.network.tiers[i] == res.network.tiers[j] + 1
@@ -171,7 +170,7 @@ def test_gw_tree_of_exactly_the_node_cap(monkeypatch):
     # 1 + 3 + 9 products reach the cap of 13 exactly, as the complete tree does
     monkeypatch.setattr(generators, "MAX_NODES", 13)
     res = generate_gw_tree(BranchingDistribution.point(3), 3, 0)
-    assert res.network.node_count == 13 and res.truncated
+    assert res.network.node_count == 13 and res.extinction_depth is None
     assert generate_backward_tree(3, 3).node_count == 13
 
 
@@ -185,7 +184,7 @@ def test_gw_tree_one_past_the_node_cap(monkeypatch):
 def test_gw_subcritical_extinction_frequency():
     dist = BranchingDistribution.poisson(0.5)
     extinct = sum(
-        1 for s in range(10_000) if not generate_gw_tree(dist, 50, seed=s).truncated
+        1 for s in range(10_000) if generate_gw_tree(dist, 50, seed=s).extinction_depth is not None
     )
     assert extinct / 10_000 > 0.99
 
@@ -300,7 +299,7 @@ def test_gw_tree_matches_the_reference(dist):
             res = generate_gw_tree(dist, max_depth, seed)
             ref, extinction_depth, truncated = gw_tree_reference(dist, max_depth, seed)
             assert_same_network(res.network, ref)
-            assert (res.extinction_depth, res.truncated) == (extinction_depth, truncated)
+            assert (res.extinction_depth, res.extinction_depth is None) == (extinction_depth, truncated)
 
 
 def test_gw_tree_dying_out_next_to_max_depth():
@@ -309,7 +308,7 @@ def test_gw_tree_dying_out_next_to_max_depth():
     for max_depth, ending in [(6, (5, False)), (5, (None, True))]:
         res = generate_gw_tree(dist, max_depth, 5)
         ref, *ref_ending = gw_tree_reference(dist, max_depth, 5)
-        assert (res.extinction_depth, res.truncated) == ending == tuple(ref_ending)
+        assert (res.extinction_depth, res.extinction_depth is None) == ending == tuple(ref_ending)
         assert_same_network(res.network, ref)
 
 

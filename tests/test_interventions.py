@@ -189,6 +189,25 @@ def test_allocation_slack_budget():
     assert alloc.extra.tolist() == [2, 1, 0, 3]
 
 
+def test_allocation_takes_integer_arrays_whole():
+    # integer arrays in [0, INT64_MAX] skip the per-entry check; everything
+    # else still meets it and is refused by its index
+    net = generate_rdag(30, 0.2, seed=3)
+    caps = [int(c) for c in np.random.default_rng(2).integers(0, 4, 30)]
+    want = supplier_allocation(net, 0.1, 1, caps, 25)
+    for dtype in (np.int32, np.uint64, np.int8):
+        got = supplier_allocation(net, 0.1, 1, np.array(caps, dtype=dtype), 25)
+        assert got.extra.tolist() == want.extra.tolist() and got.order == want.order
+        assert got.caps.dtype == np.int64 and got.caps.tolist() == caps
+    huge = np.array([1, 2**63, 1], dtype=np.uint64)
+    with pytest.raises(ParameterError, match=rf"^caps\[1\] must be at most {2**63 - 1}, got {2**63}$"):
+        supplier_allocation(chain(3), 0.2, 1, huge, 2)
+    with pytest.raises(ParameterError, match=r"^caps\[0\] must be "):
+        supplier_allocation(chain(3), 0.2, 1, np.array([True, False, True]), 2)
+    with pytest.raises(ParameterError, match=r"^caps\[2\] must be "):
+        supplier_allocation(chain(3), 0.2, 1, np.array([1, 0, -1], dtype=np.int64), 2)
+
+
 def test_allocation_greedy_prefix_trace():
     # reverse-Katz order on the chain is (1, 2, 3, 4); budget 3 fills 2+1
     net = chain(4)

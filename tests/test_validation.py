@@ -109,7 +109,6 @@ CASES = {
     "generate_trellis-w-bool": lambda tmp: generate_trellis(True, 2, 0.5, seed=1),
     "powerlaw_pmf-K-bool": lambda tmp: powerlaw_pmf(1, True, 0.5, 0.5),
     "katz_beta-n-bool": lambda tmp: katz_beta(CHAIN, 0.1, 0.1, n=True),
-    "fixed_point_beta-max_iter-bool": lambda tmp: fixed_point_beta(CHAIN, 0.1, 0.1, max_iter=True),
     "binomial-k-bool": lambda tmp: BranchingDistribution.binomial(True, 0.5),
     "point-value-bool": lambda tmp: BranchingDistribution.point(True),
     "evaluate_intervention-n-bool": lambda tmp: evaluate_intervention(
@@ -381,9 +380,24 @@ def test_removed_result_members():
 
 def test_removed_functions():
     # 0.4.0: fixed_point_beta iterates the operator; no single step is public
-    assert prodnet.__version__ == "0.5.0"
+    assert prodnet.__version__ == "0.6.0"
     assert not hasattr(prodnet, "contraction_step")
     assert not hasattr(prodnet.contagion, "contraction_step")
+    # 0.6.0: the fixed point's iteration cap is a module constant, and result
+    # objects carry no field that no caller read
+    with pytest.raises(TypeError):
+        fixed_point_beta(CHAIN, 0.1, 0.1, max_iter=5)
+    with pytest.raises(TypeError):
+        fixed_point_beta(CHAIN, 0.1, 0.1, 1, 5)
+    assert prodnet.contagion.FIXED_POINT_MAX_ITER == 10**6
+    for cls, gone in [
+        (prodnet.BoundResult, "inputs"),
+        (prodnet.InterventionPlan, "budget"),
+        (prodnet.InterventionPlan, "y"),
+        (prodnet.SupplierAllocation, "budget"),
+        (prodnet.GWTreeResult, "truncated"),
+    ]:
+        assert gone not in {f.name for f in fields(cls)}, (cls, gone)
 
 
 def test_messages_name_the_argument_and_its_domain():
