@@ -43,7 +43,7 @@ from .generators import (
     generate_rdag,
     generate_trellis,
 )
-from .interventions import _ranked_reverse_katz
+from .interventions import _check_budget, _ranked_reverse_katz
 from .percolation import PercolationConfig, run_batch
 
 EXIT_USAGE = 1
@@ -217,9 +217,7 @@ def _cmd_intervene(args):
     if y is None:
         # the spectral default: safely below 1/max(Delta, Delta_R)
         y = 1.0 / (1e-5 + max(net.max_out_degree, net.max_in_degree, 1))
-    t_max = net.node_count if args.t_max is None else check_int(args.t_max, "--t-max", minimum=0)
-    if t_max > net.node_count:
-        raise ParameterError(f"--t-max {t_max} exceeds the product count {net.node_count}")
+    t_max = net.node_count if args.t_max is None else _check_budget(net, args.t_max, "--t-max")
     # row T holds optimal_protection(net, T, y)'s objective and bound, read off one ranked pass
     mass = _ranked_reverse_katz(net, y)[2][: t_max + 1].tolist()
     epsilon, n = check_real(args.epsilon, "epsilon", "(0, 1)"), check_int(n, "n")

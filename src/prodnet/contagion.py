@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import _LOG_FLOAT_MAX, _clamp01, _power, _root, _times
-from .errors import ConvergenceError, CyclicGraphError, PreconditionError, check_int, check_real
+from .errors import ConvergenceError, CyclicGraphError, PreconditionError, check_int, check_real, check_vector
 from .network import ProductionNetwork
 
 FIXED_POINT_TOL = 1e-12  # the iteration stops once no entry moves by this much
@@ -64,19 +64,10 @@ def dag_beta(net: ProductionNetwork, x: float, y: float, n: int = 1) -> BetaVect
     return BetaVector(beta=beta, method="dag-linear")
 
 
-def _contract(net, beta, x, y, n, spontaneous):
-    """One application of the monotone operator min(1, y A^T beta + x^n).
-
-    `spontaneous`, when given, replaces the uniform x^n vector (interventions
-    zero the protected products' terms).
-    """
+def _contract(net, beta, y, rhs):
+    """One application of the monotone operator min(1, y A^T beta + rhs), rhs the spontaneous terms."""
     src, dst = net.edge_arrays()
-    if spontaneous is None:
-        acc = np.full(net.node_count, _power(x, n))
-    else:
-        acc = np.array(spontaneous, dtype=np.float64)
-    acc += np.bincount(dst, weights=y * beta[src], minlength=net.node_count)
-    return np.minimum(1.0, acc)
+    return np.minimum(1.0, rhs + np.bincount(dst, weights=y * beta[src], minlength=net.node_count))
 
 
 def fixed_point_beta(
@@ -90,17 +81,26 @@ def fixed_point_beta(
     """Greatest fixed point of the operator, iterated down from all-ones.
 
     It is the program optimum when y <= 1/Delta (max out-degree), and a
-    larger y raises PreconditionError.  The iteration stops once no entry
+    larger y raises PreconditionError.  `spontaneous`, one term in [0, 1]
+    per product, replaces the uniform x^n (interventions zero the
+    protected products' terms).  The iteration stops once no entry
     moves by FIXED_POINT_TOL, and raises ConvergenceError after
     FIXED_POINT_MAX_ITER steps.
     """
     check_real(x, "x")
     check_real(y, "y")
     n = check_int(n, "n")
+    if spontaneous is None:
+        rhs = np.full(net.node_count, _power(x, n))
+    else:  # a float array in range is taken whole, anything else entry by entry
+        rhs = check_vector(spontaneous, "spontaneous", net.node_count)
+        if not (rhs.dtype.kind == "f" and ((rhs >= 0) & (rhs <= 1)).all()):  # NaN fails both
+            rhs = [check_real(v, f"spontaneous[{i}]") for i, v in enumerate(rhs.tolist())]
+        rhs = np.asarray(rhs, dtype=np.float64)
     _check_y(net, y, "fixed_point_beta", strict=False)
     beta = np.ones(net.node_count, dtype=np.float64)
     for it in range(1, FIXED_POINT_MAX_ITER + 1):
-        nxt = _contract(net, beta, x, y, n, spontaneous)
+        nxt = _contract(net, beta, y, rhs)
         residual = float(np.max(np.abs(nxt - beta))) if net.node_count else 0.0
         beta = nxt
         if residual < FIXED_POINT_TOL:

@@ -6,15 +6,21 @@ solves with 4.  `check_int` and `check_real` are the one place where an
 argument's domain is checked: every public entry point runs its
 arguments through them once, so NaN, bools and non-numbers end in a
 ParameterError wherever they are passed.  `check_count` is `check_int`
-for a count that numpy holds or draws as an int64.  Network ids and tiers follow
-`check_int`'s rule (`is_int`), refused with a ValidationError.  Every
-message that quotes a caller's value quotes it through `shown`, so an
-integer too long to print is refused like any other value.
+for a count that numpy holds or draws as an int64.  `check_vector` is
+the one place where a per-product vector (a protection set, supplier
+caps, spontaneous-failure terms) becomes an array of one entry per
+product; each caller then checks the entries by its own rule.  Network
+ids and tiers follow `check_int`'s rule (`is_int`), refused with a
+ValidationError.  Every message that quotes a caller's value quotes it
+through `shown`, so an integer too long to print is refused like any
+other value.
 """
 
 import math
 import numbers
 import sys
+
+import numpy as np
 
 INT64_MAX = 2**63 - 1  # the largest count that numpy's int64 arrays and draws hold
 
@@ -108,6 +114,28 @@ def check_real(value, name: str, interval: str = "[0, 1]") -> float:
     ):
         raise ParameterError(f"{name} must lie in {interval}, got {shown(value)}")
     return float(value)
+
+
+def check_vector(values, name: str, size: int) -> np.ndarray:
+    """`values` as an array of shape (size,), refused when it is ragged or of another shape.
+
+    The entries are left for the caller to check.  An array comes back as
+    it is, uncopied, and so does a sequence that numpy reads as bools.  Any
+    other sequence comes back as an object array of its own entries,
+    because numpy's reading can recast them before a check sees them:
+    [True, 0.5] reads as [1.0, 0.5], and [0, "a"] as two strings.
+    """
+    try:
+        array = np.asarray(values)
+    except ValueError as exc:  # a ragged nesting, such as [[1], [0, 1], 0]
+        raise ParameterError(
+            f"{name} must have one entry per product ({size}), got a ragged {type(values).__name__}"
+        ) from exc
+    if array.shape != (size,):
+        raise ParameterError(f"{name} must have one entry per product ({size}), got shape {array.shape}")
+    if isinstance(values, np.ndarray) or array.dtype == bool:
+        return array
+    return np.asarray(values, dtype=object)
 
 
 def shown(value) -> str:

@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import INT64_MAX, ParameterError, SizeError, check_count, check_int, check_real, shown
-from .network import MAX_NODES, ProductionNetwork
+from .errors import INT64_MAX, ParameterError, check_count, check_int, check_real, shown
+from .network import ProductionNetwork, check_node_count
 
 RDAG_BLOCK = 1 << 20  # doubles per draw in _bernoulli_positions: 8 MB
 
@@ -151,8 +151,7 @@ def generate_rdag(K: int, p: float, seed: int) -> ProductionNetwork:
     O(K + E + RDAG_BLOCK) rather than O(K^2).
     """
     K = check_int(K, "K")
-    if K > MAX_NODES:  # refused before its K(K-1)/2 draws
-        raise SizeError(f"K {shown(K)} exceeds the limit of {MAX_NODES} products")
+    check_node_count(K, f"a random DAG of K = {shown(K)} products")  # before its K(K - 1)/2 draws
     check_real(p, "p")
     rng = np.random.default_rng(check_int(seed, "seed", minimum=0))
     rows = np.arange(K)
@@ -181,6 +180,8 @@ def generate_parallel(K: int, m: int, d: int, seed: int) -> ProductionNetwork:
             f"supply dependency d={shown(d)} too large: raw pool ceil(m*K/d)={shown(rho)} "
             f"cannot provide m={shown(m)} distinct inputs per product"
         )
+    # before the K draws of rho doubles each
+    check_node_count(rho + K, f"a parallel network of K = {shown(K)} products on {shown(rho)} raw materials")
     rng = np.random.default_rng(check_int(seed, "seed", minimum=0))
     capacity = np.full(rho, d, dtype=np.int64)
     inputs = np.empty((K, m), dtype=np.int64)  # row c: complex product c's raws, 0-based
@@ -207,11 +208,10 @@ def generate_backward_tree(m: int, D: int) -> ProductionNetwork:
     """
     m = check_int(m, "m")
     D = check_int(D, "D")
-    # the m^(D-1) leaves alone are refused from D log m, before any size is built
-    too_deep = m > 1 and D - 1 > math.log(MAX_NODES) / math.log(m)
-    total = None if too_deep else D if m == 1 else (m**D - 1) // (m - 1)
-    if total is None or total > MAX_NODES:
-        raise SizeError(f"tree would exceed the limit of {MAX_NODES} nodes")
+    # m^(D-1) leaves past int64 count as infinitely many, found from D log m before any size is built
+    too_deep = m > 1 and D - 1 > math.log(INT64_MAX) / math.log(m)
+    total = math.inf if too_deep else D if m == 1 else (m**D - 1) // (m - 1)
+    check_node_count(total, f"a complete {shown(m)}-ary tree of depth {shown(D)}")
     m = min(m, total)  # equal unless D = 1, where a huge m would leave int64
     inputs = np.arange(2, total + 1)
     edges = np.column_stack((inputs, (inputs - 2) // m + 1))
@@ -235,11 +235,7 @@ def generate_gw_tree(dist: BranchingDistribution, max_depth: int, seed: int) -> 
     while len(widths) < max_depth:
         counts = dist.sample(rng, widths[-1])
         born = int(counts.sum())
-        if total + born > MAX_NODES:
-            raise SizeError(
-                f"branching tree exceeded the limit of {MAX_NODES} nodes; "
-                f"lower max_depth for supercritical distributions"
-            )
+        check_node_count(total + born, f"a branching tree of max_depth {shown(max_depth)}")
         if not born:
             break
         parents.append(np.repeat(np.arange(total - widths[-1] + 1, total + 1), counts))
@@ -260,8 +256,8 @@ def generate_trellis(w: int, D: int, p: float, seed: int) -> ProductionNetwork:
     """
     w = check_int(w, "w")
     D = check_int(D, "D")
-    if w * D > MAX_NODES:  # refused before its (D - 1) w^2 draws
-        raise SizeError(f"{shown(D)} tiers of {shown(w)} products exceed the limit of {MAX_NODES} products")
+    # before its (D - 1) w^2 draws
+    check_node_count(w * D, f"a trellis of {shown(D)} tiers of {shown(w)} products")
     check_real(p, "p")
     rng = np.random.default_rng(check_int(seed, "seed", minimum=0))
     pair, cell = np.divmod(_bernoulli_positions(rng, (D - 1) * w * w, p), w * w)

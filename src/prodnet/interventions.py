@@ -23,7 +23,7 @@ import numpy as np
 
 from .bounds import _power
 from .contagion import _check_y, _katz_solve, _rank, _root_bound, _x_condition, _y_limit, fixed_point_beta
-from .errors import INT64_MAX, ParameterError, check_count, check_int, check_real, is_int, shown
+from .errors import INT64_MAX, ParameterError, check_count, check_int, check_real, check_vector, is_int, shown
 from .network import ProductionNetwork
 
 
@@ -63,14 +63,20 @@ def _ranked_reverse_katz(net: ProductionNetwork, y: float) -> tuple[np.ndarray, 
     return gamma_rev, order, mass
 
 
+def _check_budget(net: ProductionNetwork, T, name: str) -> int:
+    """T as an int, refused unless it is a budget of 0..K products; name is T's name in the message."""
+    T = check_int(T, name, minimum=0)
+    if T > net.node_count:
+        raise ParameterError(f"{name} {shown(T)} exceeds the product count {net.node_count}")
+    return T
+
+
 def optimal_protection(net: ProductionNetwork, T: int, y: float) -> InterventionPlan:
     """Protect the T products with the largest reverse-graph Katz scores.
 
     Ties break by ascending product id so plans are reproducible.
     """
-    T = check_int(T, "T", minimum=0)
-    if T > net.node_count:
-        raise ParameterError(f"T = {shown(T)} exceeds the product count {net.node_count}")
+    T = _check_budget(net, T, "T")
     gamma_rev, order, mass = _ranked_reverse_katz(net, y)
     protected = np.zeros(net.node_count, dtype=bool)
     protected[order[:T]] = True
@@ -91,13 +97,9 @@ def evaluate_intervention(
     warns once; above 1/Delta the fixed point raises PreconditionError
     before anything is warned.
     """
-    mask = np.asarray(t)
-    if mask.shape != (net.node_count,):
-        raise ParameterError(
-            f"t must have one entry per product ({net.node_count}), got shape {mask.shape}"
-        )
+    mask = check_vector(t, "t", net.node_count)
     if mask.dtype != bool:
-        for i, v in enumerate(t):
+        for i, v in enumerate(mask.tolist()):
             if not (isinstance(v, (bool, np.bool_)) or (is_int(v) and v in (0, 1))):
                 raise ParameterError(f"t[{i}] must be a bool or the integer 0 or 1, got {shown(v)}")
         mask = mask.astype(bool)
@@ -161,11 +163,7 @@ def supplier_allocation(
     """
     budget = check_int(budget, "budget", minimum=0)
     check_int(base_n, "base_n")
-    caps = np.asarray(caps)
-    if caps.shape != (net.node_count,):
-        raise ParameterError(
-            f"caps must have one entry per product ({net.node_count}), got shape {caps.shape}"
-        )
+    caps = check_vector(caps, "caps", net.node_count)
     if caps.dtype.kind in "iu" and caps.min() >= 0 and caps.max() <= INT64_MAX:
         caps = caps.astype(np.int64)  # integers in range: nothing for the per-entry check to refuse
     else:

@@ -32,6 +32,16 @@ from .errors import CyclicGraphError, SizeError, ValidationError, check_int, is_
 MAX_NODES = 10_000_000  # products per network: construction allocates CSR offsets of K + 1 entries
 
 
+def check_node_count(count, request: str):
+    """Raise the one node-cap SizeError, naming `request`, when `count` products exceed MAX_NODES.
+
+    The constructor and every generator call it before they allocate or
+    draw; count may be math.inf for a size too large to compute.
+    """
+    if count > MAX_NODES:
+        raise SizeError(f"{request} exceeds the limit of {MAX_NODES} products")
+
+
 class Cycle(NamedTuple):
     """A strong component of several products and its internal edges.
 
@@ -103,8 +113,7 @@ class ProductionNetwork:
         tiers: Optional[Mapping[int, int]] = None,
     ):
         k = check_int(node_count, "node_count")
-        if k > MAX_NODES:
-            raise SizeError(f"node_count {shown(k)} exceeds the limit of {MAX_NODES} products")
+        check_node_count(k, f"node_count {shown(k)}")
         n = check_int(supplier_count, "supplier_count")
         src, dst = _canonical_edges(k, edges)
         # inputs by consumer: a stable sort keeps each consumer's sources ascending
@@ -395,7 +404,8 @@ def _canonical_edges(k: int, edges) -> tuple[np.ndarray, np.ndarray]:
     given, quoted = edges, None  # quoted: the pairs error messages quote, when they differ from `pairs`
     try:
         try:
-            if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu":
+            # uint64 ids, which may lie past int64, take the list route, so a message quotes them as given
+            if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and np.can_cast(edges.dtype, np.int64):
                 pairs = np.asarray(edges, dtype=np.int64)
             else:
                 given = edges.tolist() if isinstance(edges, np.ndarray) else list(edges)

@@ -184,7 +184,7 @@ def test_tree_and_gw_sizes_beyond_float_range(tmp_path, capsys):
         "--out", str(tmp_path / "t.json"),
     )
     assert (code, stdout) == (2, "") and "Traceback" not in stderr
-    assert stderr == f"prodnet: tree would exceed the limit of {pn.generators.MAX_NODES} nodes\n"
+    assert stderr == f"prodnet: a complete 2-ary tree of depth 100000 exceeds the limit of {pn.network.MAX_NODES} products\n"
     # bounds at D = 10**12 never build m**D, and a supercritical tau = 10**400 gives the limit 0
     out = tmp_path / "b.csv"
     started = time.monotonic()

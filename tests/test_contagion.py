@@ -119,7 +119,7 @@ def test_fixed_point_iterates_monotone():
     delta = max(net.max_out_degree, 1)
     beta = np.ones(10)
     for _ in range(30):
-        nxt = _contract(net, beta, 0.3, 1.0 / delta, 1, None)
+        nxt = _contract(net, beta, 1.0 / delta, np.full(10, 0.3))
         assert np.all(nxt <= beta + 1e-15)
         beta = nxt
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodnet import generators
+from prodnet import generators, network
 
 from prodnet import (
     BranchingDistribution,
@@ -135,7 +135,8 @@ def test_backward_tree_size_limit():
         generate_backward_tree(2, 40)
     # refused from D log m, with no size built or formatted
     for m, D in ((2, 100_000), (2, 10**400), (10**400, 2)):
-        with pytest.raises(SizeError, match=f"^tree would exceed the limit of {generators.MAX_NODES} nodes$"):
+        message = f"^a complete {m}-ary tree of depth {D} exceeds the limit of {network.MAX_NODES} products$"
+        with pytest.raises(SizeError, match=message):
             generate_backward_tree(m, D)
     assert generate_backward_tree(10**400, 1).node_count == 1
 
@@ -168,14 +169,14 @@ def test_gw_supercritical_growth_capped():
 
 def test_gw_tree_of_exactly_the_node_cap(monkeypatch):
     # 1 + 3 + 9 products reach the cap of 13 exactly, as the complete tree does
-    monkeypatch.setattr(generators, "MAX_NODES", 13)
+    monkeypatch.setattr(network, "MAX_NODES", 13)
     res = generate_gw_tree(BranchingDistribution.point(3), 3, 0)
     assert res.network.node_count == 13 and res.extinction_depth is None
     assert generate_backward_tree(3, 3).node_count == 13
 
 
 def test_gw_tree_one_past_the_node_cap(monkeypatch):
-    monkeypatch.setattr(generators, "MAX_NODES", 13)
+    monkeypatch.setattr(network, "MAX_NODES", 13)
     assert generate_gw_tree(BranchingDistribution.point(12), 2, 0).network.node_count == 13
     with pytest.raises(SizeError):
         generate_gw_tree(BranchingDistribution.point(13), 2, 0)  # 14 products

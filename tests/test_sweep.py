@@ -54,7 +54,7 @@ def test_tree_bounds_bracket_the_exact_resilience(epsilon):
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("epsilon", [0.1, 0.3, 0.5])
-@pytest.mark.parametrize("m, D", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
+@pytest.mark.parametrize("m, D", [(1, 3), (1, 8), (1, 12), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
 def test_tree_oracle_matches_the_enumeration(m, D, epsilon, n):
     exact = exact_resilience(generate_backward_tree(m, D), epsilon, n)
     assert tree_resilience(m, D, epsilon, n) == pytest.approx(exact, rel=0, abs=1e-9)

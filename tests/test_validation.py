@@ -36,6 +36,7 @@ from prodnet import (
     PercolationConfig,
     ProdnetError,
     ProductionNetwork,
+    SizeError,
     ValidationError,
     cascade_tail_g,
     cascade_tail_g_envelope,
@@ -47,6 +48,7 @@ from prodnet import (
     estimate_survival_prob,
     evaluate_intervention,
     fixed_point_beta,
+    generate_backward_tree,
     generate_gw_tree,
     generate_parallel,
     generate_rdag,
@@ -168,6 +170,11 @@ CASES = {
         CHAIN, np.array([1.0, 0.0, 0.0]), 0.1, 0.5
     ),
     "evaluate_intervention-t-none": lambda tmp: evaluate_intervention(CHAIN, [None, 0, 1], 0.1, 0.5),
+    # spontaneous-failure terms outside [0, 1]
+    "fixed_point_beta-spontaneous-above-one": lambda tmp: fixed_point_beta(CHAIN, 0.1, 0.5, spontaneous=[0.1, 1.5, 0]),
+    "fixed_point_beta-spontaneous-negative": lambda tmp: fixed_point_beta(
+        CHAIN, 0.1, 0.5, spontaneous=np.array([0.1, -0.1, 0])
+    ),
     # out of range
     "estimate_resilience_ensemble-empty": lambda tmp: estimate_resilience_ensemble([], 0.3),
     "poisson-inf": lambda tmp: BranchingDistribution.poisson(float("inf")),
@@ -215,8 +222,42 @@ def test_bad_argument_raises_parameter_error(call, tmp_path):
             call(tmp_path)
 
 
+# each per-product vector argument, and vectors that are not one valid entry per product
+VECTOR_ARGUMENTS = {
+    "t": lambda v: evaluate_intervention(CHAIN, v, 0.1, 0.5),
+    "caps": lambda v: supplier_allocation(CHAIN, 0.2, 1, v, 2),
+    "spontaneous": lambda v: fixed_point_beta(CHAIN, 0.1, 0.5, spontaneous=v),
+}
+MALFORMED_VECTORS = {
+    "ragged": [[1], [0, 1], 0],
+    "short": [0, 0],
+    "none": None,
+    "none-entry": [0, None, 0],
+    "str": "abc",
+    "str-entry": [0, "a", 0],
+    "nan-entry": [0, NAN, 0],
+}
+
+
+@pytest.mark.parametrize(
+    "name, kind",
+    [
+        (name, kind)
+        for name in VECTOR_ARGUMENTS
+        for kind in MALFORMED_VECTORS
+        if (name, kind) != ("spontaneous", "none")  # the default: the uniform x^n
+    ],
+)
+def test_malformed_per_product_vector_names_the_argument(name, kind):
+    # refused at once: a NaN spontaneous term used to run the fixed point to its iteration cap
+    start = time.perf_counter()
+    with pytest.raises(ParameterError, match=rf"^{name}\b"):
+        VECTOR_ARGUMENTS[name](MALFORMED_VECTORS[kind])
+    assert time.perf_counter() - start < 1.0
+
+
 # sizes that numpy cannot hold, or networks past the node cap, refused
-# before any draw: the last two would draw about 5e13 and 1e12 doubles
+# before any draw: the last three would draw about 5e13, 1e12 and 1e24 doubles
 OVERSIZE = {
     "generate_rdag-K-beyond-int64": lambda: generate_rdag(2**70, 0.3, seed=1),
     "generate_trellis-w-beyond-int64": lambda: generate_trellis(2**70, 2, 0.5, seed=1),
@@ -226,6 +267,7 @@ OVERSIZE = {
     ),
     "generate_rdag-K-past-the-cap": lambda: generate_rdag(10**7 + 1, 1e-12, seed=1),
     "generate_trellis-w-times-D-past-the-cap": lambda: generate_trellis(10**4, 10**4, 1e-9, seed=1),
+    "generate_parallel-K-past-the-cap": lambda: generate_parallel(10**12, 2, 2, seed=1),
 }
 
 
@@ -235,6 +277,23 @@ def test_oversize_request_is_refused_before_drawing(call):
     with pytest.raises(ProdnetError):
         call()
     assert time.perf_counter() - start < 1.0
+
+
+# every request for more than MAX_NODES products, refused by the one node-cap check
+NODE_CAP = {
+    "ProductionNetwork": lambda: ProductionNetwork(10**7 + 1, []),
+    "generate_rdag": lambda: generate_rdag(10**7 + 1, 1e-12, seed=1),
+    "generate_parallel": lambda: generate_parallel(10**12, 2, 2, seed=1),
+    "generate_backward_tree": lambda: generate_backward_tree(2, 24),
+    "generate_gw_tree": lambda: generate_gw_tree(BranchingDistribution.point(3), 50, seed=1),
+    "generate_trellis": lambda: generate_trellis(10**4, 10**4, 1e-9, seed=1),
+}
+
+
+@pytest.mark.parametrize("call", NODE_CAP.values(), ids=NODE_CAP.keys())
+def test_node_cap_has_one_message(call):
+    with pytest.raises(SizeError, match=r" exceeds the limit of 10000000 products$"):
+        call()
 
 
 # edge ids and tiers that break check_int's rule, and tier keys outside 1..K
@@ -277,6 +336,9 @@ def test_network_messages_name_the_first_bad_pair_or_entry():
         ProductionNetwork(3, [(1, 2), (2, 2.5), (3, "1")])
     with pytest.raises(ValidationError, match=r"pairs of integers: got \[1\.0, 2\.7\]$"):
         ProductionNetwork(3, np.array([[1, 2.7]]))
+    # uint64 ids past int64 are quoted as given, not wrapped to negative int64
+    with pytest.raises(ValidationError, match=r"^edge \(1, 18446744073709551615\) references a node outside 1\.\.3$"):
+        ProductionNetwork(3, np.array([[1, 2**64 - 1]], dtype=np.uint64))
     with pytest.raises(ValidationError, match=r"^tier entry 5: 3 needs a product id in 1\.\.2 "):
         ProductionNetwork(2, [(1, 2)], tiers={1: 0, 2: 1, 5: 3})
     with pytest.raises(ValidationError, match=r"^tier entry 1: 'a' needs "):
@@ -380,7 +442,7 @@ def test_removed_result_members():
 
 def test_removed_functions():
     # 0.4.0: fixed_point_beta iterates the operator; no single step is public
-    assert prodnet.__version__ == "0.6.0"
+    assert prodnet.__version__ == "0.7.0"
     assert not hasattr(prodnet, "contraction_step")
     assert not hasattr(prodnet.contagion, "contraction_step")
     # 0.6.0: the fixed point's iteration cap is a module constant, and result
