@@ -374,21 +374,18 @@ def _bisect(pred, lo: float, hi: float) -> tuple[float, float]:
 def gw_extinction(dist: BranchingDistribution) -> float:
     """Extinction probability: smallest fixed point of the pgf on [0, 1].
 
-    Returns 1 exactly when the mean is <= 1; otherwise bisects
-    eta - pgf(eta) to 1e-10 (0 exactly when zero offspring is impossible).
+    Returns 1 exactly when the mean is <= 1, and 0 exactly when zero
+    offspring is impossible.  Otherwise it bisects the survival
+    probability s = 1 - eta, the root of `pgf_complement(s) = s` in
+    (0, 1], to 1e-10: that form keeps its digits as eta -> 1, where
+    eta - pgf(eta) cancels.
     """
     if dist.mean <= 1.0:
         return 1.0
     if dist.prob_zero() == 0.0:
         return 0.0
-    h = lambda eta: eta - float(dist.pgf(eta))
-    hi = 1.0 - 1e-9
-    while h(hi) <= 0.0:
-        hi = 1.0 - (1.0 - hi) / 10.0
-        if 1.0 - hi < 1e-15:
-            return 1.0
-    lo, hi = _bisect(lambda eta: h(eta) < 0.0, 0.0, hi)
-    return 0.5 * (lo + hi)
+    lo, hi = _bisect(lambda s: dist.pgf_complement(s) > s, 0.0, 1.0)
+    return 1.0 - 0.5 * (lo + hi)
 
 
 def _log_expm1_abs(u: float) -> float:
@@ -450,7 +447,7 @@ def gw_bound_upper(mu: float, tau: int, epsilon: float, n: int = 1) -> float:
     check_real(epsilon, "epsilon", "(0, 1)")
     n = check_int(n, "n")
     _gw_check_regime(mu, "upper", epsilon)
-    return _gw_upper_bracket(mu, tau, epsilon, n)[1]
+    return _gw_upper(mu, tau, epsilon, n)
 
 
 def gw_bound_lower(mu: float, tau: int, epsilon: float, n: int = 1) -> float:
@@ -459,53 +456,42 @@ def gw_bound_lower(mu: float, tau: int, epsilon: float, n: int = 1) -> float:
     check_real(epsilon, "epsilon", "(0, 1)")
     n = check_int(n, "n")
     _gw_check_regime(mu, "lower", epsilon)
-    return _gw_lower_bracket(mu, tau, epsilon, n)[0]
+    return _gw_lower(mu, tau, epsilon, n)
 
 
-# Each bracket function returns the final bisection bracket (lo, hi) of its
-# bound, on checked arguments.  `last`, the bracket at another depth, is
-# returned as it is when the new condition still separates its ends: the
-# condition is monotone in x, so the halving from [0, top] would take
-# last's path again.  gw_expected_bounds passes the previous depth's.
-
-
-def _gw_upper_bracket(mu: float, tau: int, epsilon: float, n: int, last=None) -> tuple[float, float]:
-    """The bracket whose hi is gw_bound_upper: the condition fails at lo and holds at hi."""
+def _gw_upper(mu: float, tau: int, epsilon: float, n: int) -> float:
+    """gw_bound_upper on checked arguments."""
     t = _times(tau, 1.0)
     # expected-survivor condition: z * gsum(mu z) <= (1 - eps)/2 * gsum(mu)
     log_limit = math.log((1.0 - epsilon) / 2.0) + _log_geom_sum(mu, t)
     sat = lambda x: _gw_log_survivors(mu, t, 1.0 - _power(x, n)) <= log_limit
-    if last is not None and not sat(last[0]) and sat(last[1]):
-        return last
     hi = _gw_x_interval_top(mu, n)
     if sat(0.0):
-        return 0.0, 0.0
+        return 0.0
     if not sat(hi):
         raise UnsupportedRegimeError(
             f"no x in [0, {hi:g}] satisfies the survivor condition for "
             f"mu={mu:g}, tau={tau}, epsilon={epsilon:g}"
         )
-    return _bisect(lambda x: not sat(x), 0.0, hi)
+    return _bisect(lambda x: not sat(x), 0.0, hi)[1]
 
 
-def _gw_lower_bracket(mu: float, tau: int, epsilon: float, n: int, last=None) -> tuple[float, float]:
-    """The bracket whose lo is gw_bound_lower: the condition holds at lo and fails at hi."""
+def _gw_lower(mu: float, tau: int, epsilon: float, n: int) -> float:
+    """gw_bound_lower on checked arguments."""
     t = _times(tau, 1.0)
     # expected-failure condition: gsum(mu) - z * gsum(mu z) <= eps, which x = 0 meets
     log_n, log_eps = _log_geom_sum(mu, t), math.log(epsilon)
     if log_n == math.inf:  # an expected size beyond float range (tau -> inf): only x = 0 meets it
-        return 0.0, 0.0
+        return 0.0
 
     def sat(x):
         diff = _gw_log_survivors(mu, t, 1.0 - _power(x, n)) - log_n
         return diff >= 0.0 or log_n + math.log(-math.expm1(diff)) <= log_eps
 
-    if last is not None and sat(last[0]) and not sat(last[1]):
-        return last
     hi = _gw_x_interval_top(mu, n)
     if sat(hi):
-        return hi, hi
-    return _bisect(sat, 0.0, hi)
+        return hi
+    return _bisect(sat, 0.0, hi)[0]
 
 
 def gw_bounds(mu: float, tau: int, epsilon: float, n: int = 1) -> tuple[float, float]:
@@ -568,9 +554,7 @@ def gw_expected_bounds(
     alive at max_tau - 1 contribute zero, and extinct_fraction is
     f_{max_tau-1}(0).  The sum ends once s stops falling, and a bound's
     bisection is skipped at a depth whose weight can no longer change its
-    sum (the bounds lie in [0, 1]).  Each depth first tests the last
-    depth's bisection bracket, which the bounds keep once they settle.
-    None of these shortcuts changes the result.
+    sum (the bounds lie in [0, 1]).  Neither shortcut changes the result.
     """
     check_real(epsilon, "epsilon", "(0, 1)")
     n = check_int(n, "n")
@@ -579,7 +563,6 @@ def gw_expected_bounds(
     _gw_check_regime(mu, "upper", epsilon)
     _gw_check_regime(mu, "lower", epsilon)
     upper = lower = 0.0
-    up = low = None  # the last depth's bisection brackets
     s, tau = 1.0, 1  # s = s_{tau-1}, the probability of surviving past depth tau - 1
     while tau < max_tau:
         s_next = dist.pgf_complement(s)
@@ -587,11 +570,9 @@ def gw_expected_bounds(
             break
         weight = s - s_next
         if upper + weight != upper:
-            up = _gw_upper_bracket(mu, tau, epsilon, n, up)
-            upper += weight * up[1]
+            upper += weight * _gw_upper(mu, tau, epsilon, n)
         if lower + weight != lower:
-            low = _gw_lower_bracket(mu, tau, epsilon, n, low)
-            lower += weight * low[0]
+            lower += weight * _gw_lower(mu, tau, epsilon, n)
         s, tau = s_next, tau + 1
     return GWExpectedBounds(upper=upper, lower=lower, extinct_fraction=1.0 - s)
 

@@ -110,14 +110,16 @@ def _eps_grid(spec: str | None):
         raise ParameterError(f"bad --eps-grid value {spec!r}: {exc}") from exc
 
 
-# --arch -> (flags it requires, builder).  The builders are lambdas so that
-# every call looks its target up in the module namespace when it runs.
+# --arch -> (flags it requires, builder).  A flag that another --arch
+# requires is refused (`_by_arch`); --max-depth has a default, so no entry
+# lists it.  The builders are lambdas so that every call looks its target
+# up in the module namespace when it runs.
 _GENERATORS = {
     "rdag": (("K", "p", "seed"), lambda a: generate_rdag(a.K, a.p, a.seed)),
     "parallel": (("K", "m", "d", "seed"), lambda a: generate_parallel(a.K, a.m, a.d, a.seed)),
     "backward-tree": (("m", "D"), lambda a: generate_backward_tree(a.m, a.D)),
     "gw-tree": (
-        ("dist", "max_depth", "seed"),
+        ("dist", "seed"),
         lambda a: generate_gw_tree(_parse_dist(a.dist), a.max_depth, a.seed).network,
     ),
     "trellis": (("w", "D", "p", "seed"), lambda a: generate_trellis(a.w, a.D, a.p, a.seed)),
@@ -157,11 +159,16 @@ _BOUNDS = {
 
 
 def _by_arch(table, args):
-    """Check that every flag --arch requires was given, then build."""
+    """Check that --arch got every flag it requires and none that only another --arch reads, then build."""
     required, build = table[args.arch]
-    missing = [f"--{n.replace('_', '-')}" for n in required if getattr(args, n) is None]
+    flags = lambda names: ", ".join(f"--{n}" for n in names)
+    missing = [n for n in required if getattr(args, n) is None]
     if missing:
-        raise ParameterError(f"--arch {args.arch} requires {', '.join(missing)}")
+        raise ParameterError(f"--arch {args.arch} requires {flags(missing)}")
+    others = dict.fromkeys(n for names, _ in table.values() for n in names if n not in required)
+    unread = [n for n in others if getattr(args, n) is not None]
+    if unread:
+        raise ParameterError(f"--arch {args.arch} does not read {flags(unread)}")
     return build(args)
 
 

@@ -184,7 +184,7 @@ def katz_centrality(net: ProductionNetwork, y: float) -> np.ndarray:
     Solved sparsely by `_katz_solve`, in O(K + |E|) memory unless a cyclic
     component falls back to a solve of its own dense block.
     """
-    _check_y(net, check_real(y, "y", "[0, inf)"), "katz_centrality")
+    _check_y(net, check_real(y, "y"), "katz_centrality")
     return _katz_solve(net, y, np.ones(net.node_count))
 
 

@@ -6,7 +6,8 @@ solves with 4.  `check_int` and `check_real` are the one place where an
 argument's domain is checked: every public entry point runs its
 arguments through them once, so NaN, bools and non-numbers end in a
 ParameterError wherever they are passed.  `check_count` is `check_int`
-for a count that numpy holds or draws as an int64.  `check_vector` is
+for a count that numpy holds or draws as an int64, and `allocate` turns
+an array that does not fit in memory into a SizeError.  `check_vector` is
 the one place where a per-product vector (a protection set, supplier
 caps, spontaneous-failure terms) becomes an array of one entry per
 product; each caller then checks the entries by its own rule.  Network
@@ -89,6 +90,18 @@ def check_count(value, name: str, minimum: int = 1) -> int:
     if value > INT64_MAX:
         raise ParameterError(f"{name} must be at most {INT64_MAX}, got {shown(value)}")
     return value
+
+
+def allocate(request: str, make, *args, **kwargs):
+    """make(*args, **kwargs), a numpy allocation, with its MemoryError raised as a SizeError.
+
+    request names what is allocated, such as "the failure counts of 5
+    trials"; the message adds numpy's own, which gives the bytes and shape.
+    """
+    try:
+        return make(*args, **kwargs)
+    except MemoryError as exc:
+        raise SizeError(f"out of memory for {request}: {exc}") from exc
 
 
 def is_int(value) -> bool:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_int, check_real, shown
+from .errors import ParameterError, allocate, check_int, check_real, shown
 from .network import ProductionNetwork
 from .percolation import PercolationConfig, _theta_blocks, derive_subseed, run_batch
 
@@ -43,7 +43,8 @@ def _survival_levels(net: ProductionNetwork, n: int, trials: int, seed: int, s_m
     Each block of trials is ranked, and only its u_t are kept.
     """
     blocks = _theta_blocks(net, n, 1.0, seed, trials)
-    levels = np.full((len(s_mins), trials), np.inf)
+    request = f"the survival levels of {trials} trials at {len(s_mins)} tolerances"
+    levels = allocate(request, np.full, (len(s_mins), trials), np.inf)
     for start, ranked in blocks:
         ranked.sort(axis=1)
         for row, s in zip(levels, s_mins):

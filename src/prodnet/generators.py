@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import INT64_MAX, ParameterError, check_count, check_int, check_real, shown
+from .errors import INT64_MAX, ParameterError, allocate, check_count, check_int, check_real, shown
 from .network import ProductionNetwork, check_node_count
 
 RDAG_BLOCK = 1 << 20  # doubles per draw in _bernoulli_positions: 8 MB
@@ -184,7 +184,8 @@ def generate_parallel(K: int, m: int, d: int, seed: int) -> ProductionNetwork:
     check_node_count(rho + K, f"a parallel network of K = {shown(K)} products on {shown(rho)} raw materials")
     rng = np.random.default_rng(check_int(seed, "seed", minimum=0))
     capacity = np.full(rho, d, dtype=np.int64)
-    inputs = np.empty((K, m), dtype=np.int64)  # row c: complex product c's raws, 0-based
+    # row c: complex product c's raws, 0-based
+    inputs = allocate(f"the {K} x {m} input table", np.empty, (K, m), dtype=np.int64)
     for c in range(K):
         keys = rng.random(rho)
         # stable sort on (remaining capacity desc, random key) picks the m

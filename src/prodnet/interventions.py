@@ -55,7 +55,7 @@ def _ranked_reverse_katz(net: ProductionNetwork, y: float) -> tuple[np.ndarray, 
     mass[T], the unprotected mass of budget T, is the suffix sum of the ranked
     scores from rank T on: it never increases with T and is exactly 0 at T = K.
     """
-    _check_y(net, check_real(y, "y", "[0, inf)"), "protection planning", planning=True)
+    _check_y(net, check_real(y, "y"), "protection planning", planning=True)
     gamma_rev = _katz_solve(net, y, np.ones(net.node_count), reverse=True)
     order = _rank(gamma_rev)
     mass = np.zeros(net.node_count + 1)

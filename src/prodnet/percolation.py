@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SizeError, check_int, check_real, shown
+from .errors import ParameterError, SizeError, allocate, check_int, check_real, shown
 from .network import Cycle, ProductionNetwork
 
 
@@ -131,7 +131,7 @@ def _draws(
     width = k * n + (e if y < 1.0 else 0)
     bits = np.random.PCG64(seed)
     bits.advance(start * width)
-    uniforms = np.random.Generator(bits).random((count, width))
+    uniforms = allocate(f"{count} trials of {width} uniforms", np.random.Generator(bits).random, (count, width))
     # a max over the short supplier axis is slow; n - 1 strided maxima into
     # the first supplier's uniforms, which nothing reads again, are not
     maxima = uniforms[:, : k * n : n]
@@ -268,8 +268,10 @@ def run_batch(
     trials = check_int(trials, "trials")
     k = net.node_count
     blocks = _theta_blocks(net, cfg.n, cfg.y, cfg.seed, trials, stop=cfg.x)
-    f_counts = np.empty(trials, dtype=np.int64)
-    failures = np.empty((trials, k), dtype=bool) if keep_failures else None
+    f_counts = allocate(f"the failure counts of {trials} trials", np.empty, trials, dtype=np.int64)
+    failures = None
+    if keep_failures:
+        failures = allocate(f"the {trials} x {k} failure matrix", np.empty, (trials, k), dtype=bool)
     for start, theta in blocks:
         failed = theta < cfg.x
         f_counts[start : start + len(failed)] = failed.sum(axis=1)

@@ -30,7 +30,7 @@ from prodnet import (
     trellis_bounds,
 )
 
-from prodnet.bounds import _LOG_FLOAT_MAX, _times
+from prodnet.bounds import _LOG_FLOAT_MAX, BISECTION_TOL, _times
 
 from oracles import (
     brute_force_stats,
@@ -328,6 +328,34 @@ def test_extinction_poisson_two():
     assert gw_extinction(BranchingDistribution.poisson(2.0)) == pytest.approx(0.2032, abs=1e-3)
 
 
+NEAR_CRITICAL = {
+    **{f"poisson-1+1e-{k}": ("poisson", 1 + 10.0**-k) for k in range(5, 10)},
+    "binomial-2-0.500000005": ("binomial", 2, 0.5 + 5e-9),
+    "binomial-10-0.10000001": ("binomial", 10, 0.1 + 1e-8),
+    "poisson-2": ("poisson", 2.0),
+}
+
+
+@pytest.mark.parametrize("law", NEAR_CRITICAL.values(), ids=NEAR_CRITICAL.keys())
+def test_extinction_meets_its_tolerance_near_criticality(law):
+    # the 60-digit root of s = 1 - pgf(1 - s) in (0, 1], bisected to 2**-200;
+    # eta - pgf(eta) cancels as eta -> 1, so only the survival form keeps 1e-10 there
+    kind, *params = law
+    with mpmath.workdps(60):
+        if kind == "poisson":
+            mu = mpmath.mpf(params[0])
+            complement = lambda s: -mpmath.expm1(-mu * s)
+        else:
+            k, p = params[0], mpmath.mpf(params[1])
+            complement = lambda s: 1 - (1 - p * s) ** k
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if complement(mid) > mid else (lo, mid)
+        eta = float(1 - lo)
+    assert abs(gw_extinction(getattr(BranchingDistribution, kind)(*params)) - eta) <= BISECTION_TOL
+
+
 def test_gw_bounds_exist_subcritical():
     for mu in (0.2, 0.5, 0.9):
         for tau in (1, 3, 10):
@@ -482,7 +510,7 @@ def test_pgf_complement_keeps_tiny_survival_probabilities():
          "binomial-4-0.9", "point-2"],
 )
 def test_pgf_of_a_scalar_has_the_bits_of_an_array_entry(dist):
-    # gw_extinction bisects on the scalar form; an array-based caller gets its iterates bit for bit
+    # a scalar, as prob_zero and the extinction-depth oracle pass, gets the bits of an array entry
     eta = np.random.default_rng(0).random(10_000)
     values = dist.pgf(eta)
     assert values.shape == eta.shape and dist.pgf(eta.reshape(100, 100)).shape == (100, 100)

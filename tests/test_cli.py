@@ -537,6 +537,82 @@ def test_trials_beyond_int64_exit_code(tmp_path, capsys):
     assert "exceed the limit" in stderr
 
 
+# runs too large for memory, each in a process whose address space is capped
+# at 1.5 GB as CI's `ulimit -v 1500000` caps it; uncapped, an allocation that
+# overcommit grants could be killed in place of the refusal
+TOO_LARGE_FOR_MEMORY = {
+    "simulate-supplier-uniforms": (
+        ["-m", "prodnet.cli", "simulate", "--net", "rdag.json", "--x", "0.2", "--n", "10000000000",
+         "--trials", "5", "--out", "h.csv"],
+        "out of memory for 1 trials of 200000000000 uniforms: ",
+    ),
+    "resilience-supplier-uniforms": (
+        ["-m", "prodnet.cli", "resilience", "--net", "rdag.json", "--n", "10000000000", "--out", "r.csv"],
+        "out of memory for 1 trials of 200000000000 uniforms: ",
+    ),
+    "resilience-levels": (
+        ["-m", "prodnet.cli", "resilience", "--net", "rdag.json", "--trials", "4000000000", "--out", "r.csv"],
+        "out of memory for the survival levels of 4000000000 trials at 19 tolerances: ",
+    ),
+    "simulate-failure-counts": (
+        ["-m", "prodnet.cli", "simulate", "--net", "rdag.json", "--x", "0.2", "--trials", "4000000000",
+         "--out", "h.csv"],
+        "out of memory for the failure counts of 4000000000 trials: ",
+    ),
+    "generate-parallel-input-table": (
+        ["-m", "prodnet.cli", "generate", "--arch", "parallel", "--K", "5000000", "--m", "5000000",
+         "--d", "5000000", "--seed", "1", "--out", "p.json"],
+        "out of memory for the 5000000 x 5000000 input table: ",
+    ),
+    "run_batch-failure-matrix": (
+        ["-c", "import prodnet as pn; pn.run_batch(pn.ProductionNetwork(1000, []), pn.PercolationConfig(0.2), "
+               "10_000_000, keep_failures=True)"],
+        "SizeError: out of memory for the 10000000 x 1000 failure matrix: ",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, message", TOO_LARGE_FOR_MEMORY.values(), ids=TOO_LARGE_FOR_MEMORY.keys())
+def test_run_too_large_for_memory_exit_code(tmp_path, argv, message):
+    resource = pytest.importorskip("resource")
+    limit = 1_500_000 * 1024
+    pn.save_network_json(pn.generate_rdag(20, 0.2, 1), tmp_path / "rdag.json")
+    src = str(Path(pn.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    if argv[0] == "-m":  # the CLI refuses with exit 2 and no traceback; the API raises the SizeError
+        assert done.returncode == 2 and "Traceback" not in done.stderr, done.stderr
+    assert message in done.stderr, done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (["generate", "--arch", "backward-tree", "--m", "2", "--D", "3", "--K", "50", "--p", "0.9", "--seed", "4"],
+         "--arch backward-tree does not read --K, --p, --seed"),
+        (["generate", "--arch", "rdag", "--K", "5", "--p", "0.3", "--seed", "1", "--w", "2"],
+         "--arch rdag does not read --w"),
+        (["generate", "--arch", "gw-tree", "--dist", "poisson:0.5", "--seed", "1", "--D", "3"],
+         "--arch gw-tree does not read --D"),
+        (["bounds", "--arch", "backward-tree", "--m", "2", "--D", "3", "--epsilon", "0.3", "--K", "100",
+          "--mu", "3"],
+         "--arch backward-tree does not read --K, --mu"),
+        (["bounds", "--arch", "gw", "--mu", "0.6", "--tau", "4", "--epsilon", "0.3", "--p", "0.1"],
+         "--arch gw does not read --p"),
+    ],
+    ids=["generate-tree", "generate-rdag", "generate-gw-tree", "bounds-tree", "bounds-gw"],
+)
+def test_flags_the_arch_does_not_read_exit_code(tmp_path, capsys, argv, unread):
+    # a flag that only another --arch reads is refused, not echoed in the spec beside an output it never shaped
+    out = tmp_path / "out"
+    code, stdout, stderr = run_cli(capsys, *argv, "--out", str(out))
+    assert (code, stdout, stderr) == (2, "", f"prodnet: {unread}\n")
+    assert not out.exists()
+
+
 def test_negative_seed_exit_code(tmp_path, capsys):
     net_path = tmp_path / "net.csv"
     net_path.write_text("source,target\n1,2\n", encoding="utf-8")

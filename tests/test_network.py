@@ -223,8 +223,12 @@ def test_constructor_matches_per_edge_checks(k, edges, huge, form):
     assert _outcome(lambda: ProductionNetwork(k, given).edges) == expected
 
 
+def test_constructor_takes_an_empty_integer_array_as_no_edges():
+    assert ProductionNetwork(3, np.array([], dtype=np.int64)) == ProductionNetwork(3, [])
+
+
 def test_constructor_refuses_what_is_not_pairs():
-    for edges in ([(1, 2, 3)], [(1,)], [("a", "b")], [(None, 1)], np.zeros((2, 3), dtype=int), 5):
+    for edges in ([(1, 2, 3)], [(1,)], [()], [("a", "b")], [(None, 1)], np.zeros((2, 3), dtype=int), 5):
         with pytest.raises(ValidationError, match="pairs"):
             ProductionNetwork(3, edges)
 

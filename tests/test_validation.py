@@ -191,6 +191,9 @@ CASES = {
     ),
     "katz_centrality-y-inf": lambda tmp: katz_centrality(EDGELESS, float("inf")),
     "katz_centrality-y-beyond-float": lambda tmp: katz_centrality(EDGELESS, 10**400),
+    # y above 1, which no edgeless network's spectral limit refuses
+    "katz_centrality-y-above-one": lambda tmp: katz_centrality(EDGELESS, 7.0),
+    "optimal_protection-y-above-one": lambda tmp: optimal_protection(EDGELESS, 1, 7.0),
     # a protection set of the wrong shape, f above K and an unknown scope
     "evaluate_intervention-t-shape": lambda tmp: evaluate_intervention(CHAIN, [0, 0], 0.1, 0.5),
     "powerlaw_pmf-f-above-K": lambda tmp: powerlaw_pmf(4, 3, 0.3, 0.3),
@@ -442,7 +445,7 @@ def test_removed_result_members():
 
 def test_removed_functions():
     # 0.4.0: fixed_point_beta iterates the operator; no single step is public
-    assert prodnet.__version__ == "0.7.0"
+    assert prodnet.__version__ == "0.8.0"
     assert not hasattr(prodnet, "contraction_step")
     assert not hasattr(prodnet.contagion, "contraction_step")
     # 0.6.0: the fixed point's iteration cap is a module constant, and result
