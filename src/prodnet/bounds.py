@@ -378,14 +378,25 @@ def gw_extinction(dist: BranchingDistribution) -> float:
     offspring is impossible.  Otherwise it bisects the survival
     probability s = 1 - eta, the root of `pgf_complement(s) = s` in
     (0, 1], to 1e-10: that form keeps its digits as eta -> 1, where
-    eta - pgf(eta) cancels.
+    eta - pgf(eta) cancels.  An absolute 1e-10 holds no digit of an eta
+    near or below it.  So when the first pgf iterate from 0, the
+    probability of no offspring, already lies within 1e-10 of eta, the
+    iterates, which rise to eta, are followed until they stop rising:
+    f' is small there, and they reach eta to relative accuracy in a few
+    steps.
     """
     if dist.mean <= 1.0:
         return 1.0
-    if dist.prob_zero() == 0.0:
+    eta = dist.prob_zero()
+    if eta == 0.0:
         return 0.0
     lo, hi = _bisect(lambda s: dist.pgf_complement(s) > s, 0.0, 1.0)
-    return 1.0 - 0.5 * (lo + hi)
+    bisected = 1.0 - 0.5 * (lo + hi)
+    if bisected - eta > BISECTION_TOL:
+        return bisected
+    while (rise := dist.pgf(eta)) > eta:
+        eta = rise
+    return eta
 
 
 def _log_expm1_abs(u: float) -> float:

@@ -110,16 +110,18 @@ def _eps_grid(spec: str | None):
         raise ParameterError(f"bad --eps-grid value {spec!r}: {exc}") from exc
 
 
-# --arch -> (flags it requires, builder).  A flag that another --arch
-# requires is refused (`_by_arch`); --max-depth has a default, so no entry
-# lists it.  The builders are lambdas so that every call looks its target
-# up in the module namespace when it runs.
+# --arch -> (flags it reads, builder).  A flag that another --arch reads
+# is refused (`_by_arch`).  Every flag read is required unless it has an
+# entry in _DEFAULTS, which `_by_arch` resolves when the flag is left out.
+# The builders are lambdas so that every call looks its target up in the
+# module namespace when it runs.
+_DEFAULTS = {"max_depth": 1000}
 _GENERATORS = {
     "rdag": (("K", "p", "seed"), lambda a: generate_rdag(a.K, a.p, a.seed)),
     "parallel": (("K", "m", "d", "seed"), lambda a: generate_parallel(a.K, a.m, a.d, a.seed)),
     "backward-tree": (("m", "D"), lambda a: generate_backward_tree(a.m, a.D)),
     "gw-tree": (
-        ("dist", "seed"),
+        ("dist", "seed", "max_depth"),
         lambda a: generate_gw_tree(_parse_dist(a.dist), a.max_depth, a.seed).network,
     ),
     "trellis": (("w", "D", "p", "seed"), lambda a: generate_trellis(a.w, a.D, a.p, a.seed)),
@@ -130,7 +132,7 @@ def _regime_row(r) -> tuple:
     return (r.regime, r.lower, r.upper)
 
 
-# --arch -> (flags it requires, builder of the (regime, lower, upper) rows)
+# --arch -> (flags it reads, builder of the (regime, lower, upper) rows)
 _BOUNDS = {
     "rdag": (
         ("K", "p"),
@@ -159,13 +161,20 @@ _BOUNDS = {
 
 
 def _by_arch(table, args):
-    """Check that --arch got every flag it requires and none that only another --arch reads, then build."""
-    required, build = table[args.arch]
-    flags = lambda names: ", ".join(f"--{n}" for n in names)
-    missing = [n for n in required if getattr(args, n) is None]
+    """Check that --arch got every flag it requires and none that only another --arch reads, then build.
+
+    A flag with a default that --arch reads is resolved to it in args, so
+    the JSON record's spec shows the value the build used.
+    """
+    read, build = table[args.arch]
+    flags = lambda names: ", ".join(f"--{n.replace('_', '-')}" for n in names)
+    for name in read:
+        if getattr(args, name) is None and name in _DEFAULTS:
+            setattr(args, name, _DEFAULTS[name])
+    missing = [n for n in read if getattr(args, n) is None]
     if missing:
         raise ParameterError(f"--arch {args.arch} requires {flags(missing)}")
-    others = dict.fromkeys(n for names, _ in table.values() for n in names if n not in required)
+    others = dict.fromkeys(n for names, _ in table.values() for n in names if n not in read)
     unread = [n for n in others if getattr(args, n) is not None]
     if unread:
         raise ParameterError(f"--arch {args.arch} does not read {flags(unread)}")
@@ -244,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="emit a network file from a generator")
     _add_arch_args(gen, _GENERATORS)
     gen.add_argument("--dist", help="branching distribution, e.g. poisson:0.8 or binomial:4,0.2")
-    gen.add_argument("--max-depth", type=int, default=1000)
+    gen.add_argument("--max-depth", type=int, help=f"gw-tree depth cap (default {_DEFAULTS['max_depth']})")
     gen.add_argument("--seed", type=int)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_generate)

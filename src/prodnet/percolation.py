@@ -24,11 +24,17 @@ prefix of those rows, and writes the rows back.  Draws and theta are
 composed in two places only: `_theta_blocks` for batches and the
 estimator's curves, and `_trial_zero` for `run_trial` and
 `run_coupled_pair`.  `_theta_blocks` checks a batch's limits when it is
-called and yields theta in blocks of B trials, sized so that a block's
-draws, theta and its gather of the widest level's inputs take about
-TRIAL_BLOCK_BYTES; each caller keeps only each trial's reduction, so it
-holds O(B K + E) memory, not O(trials K), and only keep_failures=True
-keeps a (trials, K) matrix.
+called.  For a curve it yields float theta in blocks of B trials, sized
+so that a block's draws, theta and its gather of the widest level's
+inputs take about TRIAL_BLOCK_BYTES.  A batch at one level x needs only
+whether theta < x, so the same walk runs on the survival indicators
+maxima >= x: on bools its minimum is a logical and, and a dead input
+raised by 1 is a logical or.  That walk holds bytes, not doubles, per
+product and edge, so its blocks are sized from TRIAL_BLOCK_BYTES on
+their own and hold several draw blocks of B trials, each thresholded as
+soon as it is drawn.  Curves and trial 0 walk float theta.  Each caller
+keeps only each trial's reduction, so it holds O(B K + E) memory, not
+O(trials K), and only keep_failures=True keeps a (trials, K) matrix.
 
 Seeding contract, fixed because every seeded output depends on it: all
 trials read one stream, that of `default_rng(seed)`, and trial t reads
@@ -151,22 +157,57 @@ def _trial_bytes(net: ProductionNetwork, n: int, y: float) -> int:
     return 8 * (net.node_count * (n + 2) + widest) + (10 * net.edge_count if y < 1.0 else 0)
 
 
-def _theta_blocks(net: ProductionNetwork, n: int, y: float, seed: int, trials: int, stop: float = 1.0):
-    """A batch's theta, yielded as (start, theta (count, K)) blocks of about TRIAL_BLOCK_BYTES.
+def _walk_bytes(net: ProductionNetwork, y: float) -> int:
+    """Bytes that a batch at one level holds per trial of a walk block.
 
-    The batch's limits are checked at the call, before a caller sizes
-    anything by trials.  Each block is drawn and thresholded when it is
-    asked for, and nothing of it is held once it is yielded.
+    They are the trial's survival indicators, the walk's copy of them and
+    a level's rows of the products it feeds, (K,) each, two gathers of
+    the widest level's inputs (theirs and their edges') and, when y < 1,
+    its operational mask and the mask's complement, one byte each.
+    """
+    widest = max(len(level.sources) for level in net.level_plan())
+    return 3 * net.node_count + 2 * widest + (2 * net.edge_count if y < 1.0 else 0)
+
+
+def _theta_blocks(net: ProductionNetwork, n: int, y: float, seed: int, trials: int, x: float | None = None):
+    """A batch's theta, or at level x its indicators theta >= x, as (start, (count, K) block) pairs.
+
+    Each block is drawn and walked when it is asked for.  theta comes in
+    draw blocks of B trials, about TRIAL_BLOCK_BYTES by `_trial_bytes`.
+    The indicators come in walk blocks of about TRIAL_BLOCK_BYTES by
+    `_walk_bytes`, each filled from whole draw blocks, so it holds one
+    draw block more while it fills.  The batch's limits are checked at
+    the call, before a caller sizes anything by trials, and nothing of a
+    block is held once it is yielded.
     """
     if trials > MAX_TRIALS:
         raise SizeError(f"{shown(trials)} trials exceed the limit of {MAX_TRIALS} per batch")
     check_int(seed, "seed", minimum=0)
     _check_uniforms(trials, net.node_count, n)
     size = max(1, TRIAL_BLOCK_BYTES // _trial_bytes(net, n, y))
-    return (
-        (start, _failure_thresholds(net, *_draws(net, n, y, seed, min(size, trials - start), start), stop))
-        for start in range(0, trials, size)
-    )
+    if x is None:
+        return (
+            (start, _failure_thresholds(net, *_draws(net, n, y, seed, min(size, trials - start), start)))
+            for start in range(0, trials, size)
+        )
+
+    def survivors(start: int, count: int) -> np.ndarray:
+        # held in the walk's layout, a row of trials per product and per
+        # edge; a byte copy transposes a block several times faster than a
+        # bool one
+        alive = np.empty((net.node_count, count), dtype=bool)
+        live = np.empty((net.edge_count, count), dtype=bool) if y < 1.0 else None
+        for at in range(0, count, size):
+            maxima, op_mask = _draws(net, n, y, seed, min(size, count - at), start + at)
+            cols = slice(at, at + len(maxima))
+            alive.view(np.uint8)[:, cols] = (maxima >= x).view(np.uint8).T
+            if live is not None:
+                live.view(np.uint8)[:, cols] = op_mask.view(np.uint8).T
+            del maxima, op_mask  # before the next block is drawn
+        return _failure_thresholds(net, alive.T, None if live is None else live.T)
+
+    walk = size * max(1, TRIAL_BLOCK_BYTES // (size * _walk_bytes(net, y)))
+    return ((start, survivors(start, min(walk, trials - start))) for start in range(0, trials, walk))
 
 
 def _failure_thresholds(
@@ -182,6 +223,7 @@ def _failure_thresholds(
     least value when every edge operates; otherwise `_flood` spreads
     values below `stop` along its operational edges.  Entries below
     `stop` are exact; an entry at or above `stop` is only known to be so.
+    Given the bools maxima >= x, the walk returns theta >= x.
     """
     theta = np.array(maxima.T, order="C")  # a contiguous row of trials per product
     dead = None if op_mask is None else np.logical_not(op_mask.T, order="C")
@@ -260,24 +302,24 @@ def run_batch(
     Trial t reads uniforms t U to (t + 1) U - 1 of `default_rng(cfg.seed)`,
     U per trial as the module describes; trial 0 is exactly `run_trial`
     with the same config, and a batch can be split by trial index.  Each
-    block of `_theta_blocks` is reduced to its trials' failure counts
-    before the next is drawn, so memory is O(B K + E) for B trials to a
-    block.  With keep_failures=True the (trials, K) failure-indicator
-    matrix is kept in the result for per-product statistics.
+    block of survival indicators from `_theta_blocks` is reduced to its
+    trials' failure counts before the next is drawn, so memory is
+    O(B K + E) for B trials to a block.  With keep_failures=True the
+    (trials, K) failure-indicator matrix is kept in the result for
+    per-product statistics.
     """
     trials = check_int(trials, "trials")
     k = net.node_count
-    blocks = _theta_blocks(net, cfg.n, cfg.y, cfg.seed, trials, stop=cfg.x)
+    blocks = _theta_blocks(net, cfg.n, cfg.y, cfg.seed, trials, cfg.x)
     f_counts = allocate(f"the failure counts of {trials} trials", np.empty, trials, dtype=np.int64)
     failures = None
     if keep_failures:
         failures = allocate(f"the {trials} x {k} failure matrix", np.empty, (trials, k), dtype=bool)
-    for start, theta in blocks:
-        failed = theta < cfg.x
-        f_counts[start : start + len(failed)] = failed.sum(axis=1)
+    for start, alive in blocks:
+        f_counts[start : start + len(alive)] = k - np.count_nonzero(alive, axis=1)
         if keep_failures:
-            failures[start : start + len(failed)] = failed
-        del theta, failed  # before the next block is drawn
+            np.logical_not(alive, out=failures[start : start + len(alive)])
+        del alive  # before the next block is drawn
     pmf = np.bincount(f_counts, minlength=k + 1).astype(np.float64) / trials
     return BatchResult(F=f_counts, S=k - f_counts, pmf=pmf, failures=failures)
 

@@ -356,6 +356,34 @@ def test_extinction_meets_its_tolerance_near_criticality(law):
     assert abs(gw_extinction(getattr(BranchingDistribution, kind)(*params)) - eta) <= BISECTION_TOL
 
 
+TINY_EXTINCTION = {
+    "poisson-20": (("poisson", 20.0), 2.061e-9),
+    "poisson-30": (("poisson", 30.0), 9.358e-14),
+    "poisson-100": (("poisson", 100.0), 3.720e-44),
+    "binomial-50-0.9": (("binomial", 50, 0.9), 1.0e-50),
+}
+
+
+@pytest.mark.parametrize("law, rounded", TINY_EXTINCTION.values(), ids=TINY_EXTINCTION.keys())
+def test_extinction_far_below_the_tolerance_has_its_digits(law, rounded):
+    # an absolute 1e-10 holds no digit of these; the 60-digit pgf iterates
+    # from 0 reach eta to 1e-40 relative in well under 100 steps here
+    kind, *params = law
+    with mpmath.workdps(60):
+        if kind == "poisson":
+            mu = mpmath.mpf(params[0])
+            pgf = lambda eta: mpmath.exp(mu * (eta - 1))
+        else:
+            k, p = params[0], mpmath.mpf(params[1])
+            pgf = lambda eta: (1 - p + p * eta) ** k
+        eta = mpmath.mpf(0)
+        for _ in range(100):
+            eta = pgf(eta)
+        eta = float(eta)
+    assert eta == pytest.approx(rounded, rel=1e-3)
+    assert gw_extinction(getattr(BranchingDistribution, kind)(*params)) == pytest.approx(eta, rel=1e-12)
+
+
 def test_gw_bounds_exist_subcritical():
     for mu in (0.2, 0.5, 0.9):
         for tau in (1, 3, 10):

@@ -597,13 +597,15 @@ def test_run_too_large_for_memory_exit_code(tmp_path, argv, message):
          "--arch rdag does not read --w"),
         (["generate", "--arch", "gw-tree", "--dist", "poisson:0.5", "--seed", "1", "--D", "3"],
          "--arch gw-tree does not read --D"),
+        (["generate", "--arch", "rdag", "--K", "5", "--p", "0.5", "--seed", "1", "--max-depth", "5"],
+         "--arch rdag does not read --max-depth"),
         (["bounds", "--arch", "backward-tree", "--m", "2", "--D", "3", "--epsilon", "0.3", "--K", "100",
           "--mu", "3"],
          "--arch backward-tree does not read --K, --mu"),
         (["bounds", "--arch", "gw", "--mu", "0.6", "--tau", "4", "--epsilon", "0.3", "--p", "0.1"],
          "--arch gw does not read --p"),
     ],
-    ids=["generate-tree", "generate-rdag", "generate-gw-tree", "bounds-tree", "bounds-gw"],
+    ids=["generate-tree", "generate-rdag", "generate-gw-tree", "generate-max-depth", "bounds-tree", "bounds-gw"],
 )
 def test_flags_the_arch_does_not_read_exit_code(tmp_path, capsys, argv, unread):
     # a flag that only another --arch reads is refused, not echoed in the spec beside an output it never shaped
@@ -611,6 +613,21 @@ def test_flags_the_arch_does_not_read_exit_code(tmp_path, capsys, argv, unread):
     code, stdout, stderr = run_cli(capsys, *argv, "--out", str(out))
     assert (code, stdout, stderr) == (2, "", f"prodnet: {unread}\n")
     assert not out.exists()
+
+
+def test_max_depth_is_resolved_only_where_it_is_read(tmp_path, capsys):
+    # gw-tree reads --max-depth, 1000 when left out, and its record shows
+    # the depth it built to; rdag neither reads nor records it
+    out, expected = tmp_path / "cli.json", tmp_path / "api.json"
+    dist = pn.BranchingDistribution.poisson(0.8)
+    code, stdout, _ = run_cli(capsys, "generate", "--arch", "gw-tree", "--dist", "poisson:0.8", "--seed", "3",
+                              "--out", str(out))
+    assert code == 0 and json.loads(stdout)["spec"]["max_depth"] == 1000
+    pn.save_network_json(pn.generate_gw_tree(dist, 1000, 3).network, expected)
+    assert out.read_bytes() == expected.read_bytes()
+    code, stdout, _ = run_cli(capsys, "generate", "--arch", "rdag", "--K", "5", "--p", "0.5", "--seed", "1",
+                              "--out", str(out))
+    assert code == 0 and "max_depth" not in json.loads(stdout)["spec"]
 
 
 def test_negative_seed_exit_code(tmp_path, capsys):

@@ -236,6 +236,40 @@ def test_estimates_split_into_blocks_give_the_same_arrays(name, size):
     assert split.auc == whole.auc
 
 
+LEVELS = (0.0, 1e-300, 0.35, 1.0)
+
+
+def pin_split_batches(test):
+    """Pins both block networks at every level and shock, 23 trials to a batch."""
+    for net in BLOCK_NETWORKS.values():
+        for x in LEVELS:
+            for n, y in ((1, 1.0), (2, 0.5)):
+                test = example(net=net, seed=2**64 + 9, trials=23, x=x, n=n, y=y)(test)
+    return test
+
+
+@settings(max_examples=100, deadline=None)
+@given(net=networks(), seed=seeds, trials=st.integers(1, 40), x=st.sampled_from(LEVELS), **shocks)
+@pin_split_batches
+def test_batch_at_a_level_is_float_theta_below_it(net, seed, trials, x, n, y):
+    # a batch walks the indicators theta >= x; with two trials to a draw
+    # block, and a walk block of several of them, both split mid-batch
+    maxima, live = numpy_stream(net, seed, trials, n, y)
+    failed = _failure_thresholds(net, maxima, live) < x
+    f = failed.sum(axis=1)
+    with blocks_of(2, net, n, y):
+        walks = [len(block) for _, block in _theta_blocks(net, n, y, seed, trials, x)]
+        batch = run_batch(net, PercolationConfig(x=x, y=y, n=n, seed=seed), trials, keep_failures=True)
+    # walk blocks of whole draw blocks, several to one, and the pinned
+    # batches of 23 trials take more than one walk block
+    assert sum(walks) == trials and all(w == walks[0] for w in walks[:-1])
+    assert walks[0] == trials or (walks[0] % 2 == 0 and walks[0] >= 4)
+    assert len(walks) > 1 or trials < 23
+    assert np.array_equal(batch.failures, failed)
+    assert np.array_equal(batch.F, f) and np.array_equal(batch.S, net.node_count - f)
+    assert np.array_equal(batch.pmf, np.bincount(f, minlength=net.node_count + 1) / trials)
+
+
 def test_batch_limits_are_refused_before_any_block():
     net = ProductionNetwork(2, [(1, 2)])
     with pytest.MonkeyPatch.context() as patch:
