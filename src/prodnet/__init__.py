@@ -8,7 +8,7 @@ architecture, expected-cascade bounds via the topological/fixed-point/
 Katz pipeline, and budget-constrained protection planning.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .bounds import (
     BoundResult,

@@ -1,16 +1,16 @@
 """Upper bounds on expected cascade size via the union-bound program.
 
 The per-product failure-probability bounds beta solve a box-constrained
-linear program.  On DAGs a single pass in topological order solves it
-exactly; with edge survival y <= 1/Delta (Delta the max out-degree) the
-same optimum is the greatest fixed point of a monotone operator; and
-under the stricter spectral condition y < 1/Delta the Katz centrality
-scaled by the spontaneous-failure probability x^n is at least that fixed
-point in every entry, with equality iff no entry exceeds 1.  No LP
-solver is embedded: these three routes cover every regime in use, and
-anything else is reported as unsupported.  Every Katz-type linear system
-(here and in `interventions`) goes through one sparse solver over the
-strongly connected components, walking the network's level plan.
+linear program, whose optimum is the greatest fixed point of the monotone
+operator min(1, y A^T beta + spontaneous terms).  `_program_optimum`
+finds it exactly by one pass in topological order on a DAG, at any y, or
+by iterating down from all-ones when y <= 1/Delta (Delta the max
+out-degree); no LP solver is embedded, so a cyclic network above 1/Delta
+is reported as unsupported.  The paper's Katz closed form x^n Katz
+(`katz_beta`, y < 1/Delta) bounds the optimum from above, equal to it iff
+no entry exceeds 1.  Every Katz-type linear system (here and in
+`interventions`) goes through one sparse solver over the strongly
+connected components, walking the network's level plan.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .bounds import _LOG_FLOAT_MAX, _clamp01, _power, _root, _times
-from .errors import ConvergenceError, CyclicGraphError, PreconditionError, check_int, check_real, check_vector
+from .errors import ConvergenceError, CyclicGraphError, PreconditionError, allocate, check_int, check_real, check_vector
 from .network import ProductionNetwork
 
 FIXED_POINT_TOL = 1e-12  # the iteration stops once no entry moves by this much
@@ -55,10 +55,18 @@ def dag_beta(net: ProductionNetwork, x: float, y: float, n: int = 1) -> BetaVect
     n = check_int(n, "n")
     if not net.acyclic:
         raise CyclicGraphError("dag_beta requires an acyclic network")
-    xn = _power(x, n)
+    return _dag_pass(net, y, np.full(net.node_count, _power(x, n), dtype=np.float64))
+
+
+def _dag_pass(net: ProductionNetwork, y: float, rhs: np.ndarray) -> BetaVector:
+    """The program optimum on a DAG for spontaneous terms rhs, a float array with one per product.
+
+    beta_i = min(1, y * sum of input betas + rhs_i), one `np.add.at` per
+    level of `net.level_plan()`, so every input's beta is final when it is read.
+    """
     beta = np.zeros(net.node_count, dtype=np.float64)
     for level in net.level_plan():
-        acc = np.full(len(level.products), xn, dtype=np.float64)  # then y beta_j, in input order
+        acc = rhs[level.products]  # then y beta_j, in input order
         np.add.at(acc, level.segment, y * beta[level.sources])
         beta[level.products] = np.minimum(1.0, acc)
     return BetaVector(beta=beta, method="dag-linear")
@@ -97,6 +105,11 @@ def fixed_point_beta(
         if not (rhs.dtype.kind == "f" and ((rhs >= 0) & (rhs <= 1)).all()):  # NaN fails both
             rhs = [check_real(v, f"spontaneous[{i}]") for i, v in enumerate(rhs.tolist())]
         rhs = np.asarray(rhs, dtype=np.float64)
+    return _fixed_point(net, y, rhs)
+
+
+def _fixed_point(net: ProductionNetwork, y: float, rhs: np.ndarray) -> BetaVector:
+    """Greatest fixed point of min(1, y A^T beta + rhs) from all-ones, for y <= 1/Delta only."""
     _check_y(net, y, "fixed_point_beta", strict=False)
     beta = np.ones(net.node_count, dtype=np.float64)
     for it in range(1, FIXED_POINT_MAX_ITER + 1):
@@ -110,6 +123,11 @@ def fixed_point_beta(
         f"within {FIXED_POINT_MAX_ITER} iterations",
         residual=residual,
     )
+
+
+def _program_optimum(net: ProductionNetwork, y: float, rhs: np.ndarray) -> BetaVector:
+    """The optimum for spontaneous terms rhs: `_dag_pass` on a DAG, at any y, else `_fixed_point`."""
+    return (_dag_pass if net.acyclic else _fixed_point)(net, y, rhs)
 
 
 def _y_limit(net: ProductionNetwork, planning: bool = False) -> float:
@@ -155,7 +173,8 @@ def _katz_solve(net: ProductionNetwork, y: float, b: np.ndarray, reverse: bool =
     runs Neumann sweeps over its internal edges until the update is
     within KATZ_TOL of the largest entry.  A component still short of that
     after len(component) sweeps, which happens when y * A is close to
-    spectral radius 1 on it, solves its own dense block instead.
+    spectral radius 1 on it, solves its own dense block instead; a block
+    that does not fit in memory raises SizeError ("out of memory for").
     """
     g = np.array(b, dtype=np.float64)
     for level in net.level_plan(reverse):
@@ -171,9 +190,10 @@ def _katz_solve(net: ProductionNetwork, y: float, b: np.ndarray, reverse: bool =
                 if converged:
                     break
             else:
-                block = np.eye(m)
+                request = f"the dense {m} x {m} block of a cyclic component"
+                block = allocate(request, np.eye, m)
                 block[cycle.heads, cycle.tails] = -y
-                gc = np.linalg.solve(block, r)
+                gc = allocate(request, np.linalg.solve, block, r)
             g[cycle.members] = gc
     return g
 
@@ -189,11 +209,12 @@ def katz_centrality(net: ProductionNetwork, y: float) -> np.ndarray:
 
 
 def katz_beta(net: ProductionNetwork, x: float, y: float, n: int = 1) -> BetaVector:
-    """Closed-form program bound x^n * Katz(net, y).
+    """The paper's closed-form bound x^n * Katz(net, y) on the program optimum.
 
-    For 0 <= y < 1/Delta and x < (1 - y Delta)^(1/n) it is at least the
-    fixed point (the program optimum) in every entry, with equality iff
-    no entry exceeds 1: the fixed point clamps each entry at 1 and Katz does not.
+    It needs 0 <= y < 1/Delta and x < (1 - y Delta)^(1/n).  It is a bound,
+    not the optimum: at least the fixed point in every entry, and equal to
+    it iff no entry exceeds 1, because the optimum clamps each entry at 1
+    and Katz does not.
     """
     check_real(x, "x")
     check_real(y, "y")
@@ -256,11 +277,14 @@ def vulnerability_ranking(
 ) -> list[tuple[int, float]]:
     """Products ordered most-vulnerable-first by their beta bound.
 
-    Uses the DAG pass when the network is acyclic, the fixed point
-    otherwise; ties break by ascending product id for determinism.
+    The bounds are `_program_optimum`'s: the DAG pass when the network is
+    acyclic, the fixed point otherwise; ties break by ascending product id
+    for determinism.
     """
-    solve = dag_beta if net.acyclic else fixed_point_beta
-    return _ranking(solve(net, x, y, n))
+    check_real(x, "x")
+    check_real(y, "y")
+    n = check_int(n, "n")
+    return _ranking(_program_optimum(net, y, np.full(net.node_count, _power(x, n), dtype=np.float64)))
 
 
 def _ranking(bv: BetaVector) -> list[tuple[int, float]]:

@@ -433,12 +433,15 @@ def write_histogram_csv(pmf: np.ndarray, trials: int, path) -> None:
 
 
 def write_beta_csv(ranking, path) -> None:
-    """Vulnerability ranking as CSV with columns product, beta, rank."""
-    write_csv(
-        path,
-        ["product", "beta", "rank"],
-        [(pid, float(beta), rank) for rank, (pid, beta) in enumerate(ranking, start=1)],
-    )
+    """Vulnerability ranking as CSV with columns product, beta, rank.
+
+    The bytes are `write_csv`'s, written by one join: repr of a Python
+    float is what csv writes for it, and float() keeps numpy's own repr
+    (`np.float64(...)`) out of the file.
+    """
+    rows = [f"{pid},{float(beta)!r},{rank}\r\n" for rank, (pid, beta) in enumerate(ranking, start=1)]
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write("".join(["product,beta,rank\r\n", *rows]))
 
 
 def write_intervention_csv(rows, path) -> None:

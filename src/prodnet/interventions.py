@@ -5,7 +5,9 @@ dragged down by failed inputs).  Under the spectral preconditions the
 worst-case expected damage of a protection set decomposes through the
 reverse-graph Katz vector, so the optimal plan protects the top-budget
 products by that score; supplier-count allocation follows the same
-ordering with a greedy prefix fill.
+ordering with a greedy prefix fill.  `evaluate_intervention` gives any
+set's damage as the union-bound program's optimum, which that Katz
+objective bounds from above and meets while no beta reaches 1.
 
 The reverse-graph Katz vector solves (I - y A) g = 1 with the sparse
 strong-component solver of `contagion`, on the network's reverse level
@@ -16,13 +18,12 @@ budgets 0..T costs one solve plus O(K log K + T), with no plan built.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import _power
-from .contagion import _check_y, _katz_solve, _rank, _root_bound, _x_condition, _y_limit, fixed_point_beta
+from .contagion import _check_y, _katz_solve, _program_optimum, _rank, _root_bound
 from .errors import INT64_MAX, ParameterError, check_count, check_int, check_real, check_vector, is_int, shown
 from .network import ProductionNetwork
 
@@ -88,14 +89,11 @@ def evaluate_intervention(
 ) -> tuple[float, np.ndarray]:
     """Damage bound and per-product betas for an arbitrary protection set.
 
-    Under the closed-form preconditions solves (I - y A^T) beta = x^n (1-t)
-    with the sparse strong-component solver behind `katz_centrality`, in
-    O(K + |E|) memory unless a cyclic component falls back to a solve of
-    its own dense block; when only y <= 1/Delta holds, runs the fixed point
-    with the protected spontaneous terms zeroed (a valid bound, but the
-    top-centrality plan is no longer guaranteed optimal for it) and then
-    warns once; above 1/Delta the fixed point raises PreconditionError
-    before anything is warned.
+    The betas are the program optimum (`contagion._program_optimum`) with
+    the protected products' spontaneous terms zeroed and x^n elsewhere:
+    the DAG pass on an acyclic network, exact at any y in [0, 1], and the
+    fixed point otherwise, which raises PreconditionError above 1/Delta.
+    The damage bound is their sum.
     """
     mask = check_vector(t, "t", net.node_count)
     if mask.dtype != bool:
@@ -106,17 +104,8 @@ def evaluate_intervention(
     check_real(x, "x")
     check_real(y, "y")
     n = check_int(n, "n")
-    spontaneous = _power(x, n) * (~mask).astype(np.float64)
-    if y < _y_limit(net) and _x_condition(net, x, y, n)[0]:
-        beta = _katz_solve(net, y, spontaneous)
-    else:
-        beta = fixed_point_beta(net, x, y, n, spontaneous=spontaneous).beta
-        warnings.warn(
-            "closed-form preconditions violated; evaluated via the fixed point, "
-            "for which the centrality ranking is not guaranteed optimal",
-            stacklevel=2,
-        )
-    return float(beta.sum()), beta
+    optimum = _program_optimum(net, y, _power(x, n) * (~mask).astype(np.float64))
+    return optimum.total(), optimum.beta
 
 
 def post_intervention_resilience_lb(

@@ -564,6 +564,10 @@ TOO_LARGE_FOR_MEMORY = {
          "--d", "5000000", "--seed", "1", "--out", "p.json"],
         "out of memory for the 5000000 x 5000000 input table: ",
     ),
+    "intervene-dense-block": (  # a 15000-cycle at the default y misses Neumann's tolerance: a 1.68 GiB block
+        ["-m", "prodnet.cli", "intervene", "--net", "cycle.csv", "--out", "i.csv"],
+        "out of memory for the dense 15000 x 15000 block of a cyclic component: ",
+    ),
     "run_batch-failure-matrix": (
         ["-c", "import prodnet as pn; pn.run_batch(pn.ProductionNetwork(1000, []), pn.PercolationConfig(0.2), "
                "10_000_000, keep_failures=True)"],
@@ -577,6 +581,7 @@ def test_run_too_large_for_memory_exit_code(tmp_path, argv, message):
     resource = pytest.importorskip("resource")
     limit = 1_500_000 * 1024
     pn.save_network_json(pn.generate_rdag(20, 0.2, 1), tmp_path / "rdag.json")
+    (tmp_path / "cycle.csv").write_text("source,target\n" + "".join(f"{i},{i % 15000 + 1}\n" for i in range(1, 15001)))
     src = str(Path(pn.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(

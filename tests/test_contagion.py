@@ -228,7 +228,6 @@ def test_katz_beta_bounds_the_fixed_point_and_meets_it_below_one():
     kb, fp = katz_beta(net, x, y), fixed_point_beta(net, x, y)
     assert kb.beta[-1] == pytest.approx(8.19) and fp.beta[-1] == 1.0 == dag_beta(net, x, y).beta[-1]
     np.testing.assert_allclose(kb.beta[:-1], fp.beta[:-1], rtol=1e-12)
-    assert evaluate_intervention(net, np.zeros(101, dtype=bool), x, y)[0] == pytest.approx(17.19)
     # backward trees (Delta = 1) at the same x and y: the root's Katz entry
     # passes 1 from depth 4 at m = 2, and every entry stays below 1 on rdags
     nets = [generate_backward_tree(m, D) for m in (1, 2, 3) for D in range(1, 6)]
@@ -245,17 +244,11 @@ def test_katz_beta_bounds_the_fixed_point_and_meets_it_below_one():
     assert 0 < over < len(nets)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="katz_beta is not the fixed point under its own preconditions: on a sink fed "
-    "by 100 sources at y = 0.9, x = 0.09 it gives the sink 8.19 and the fixed point 1.0, "
-    "and evaluate_intervention with nothing protected totals 17.19 against 10.0",
-)
-def test_katz_route_is_the_fixed_point_under_its_preconditions():
+def test_evaluate_intervention_is_the_optimum_where_katz_exceeds_it():
+    # katz_beta totals 17.19 here (the test above); the program optimum is 10.0
     net, x, y = sink_of_100_sources()
-    fp = fixed_point_beta(net, x, y)
-    total, _ = evaluate_intervention(net, np.zeros(101, dtype=bool), x, y)
-    assert (katz_beta(net, x, y).total(), total) == pytest.approx((fp.total(), fp.total()))
+    total, beta = evaluate_intervention(net, np.zeros(101, dtype=bool), x, y)
+    assert total == pytest.approx(10.0, rel=1e-15) and beta.tolist() == fixed_point_beta(net, x, y).beta.tolist()
 
 
 def test_resilience_lb_katz_empty():

@@ -25,6 +25,7 @@ from prodnet import (
     run_batch,
     save_edge_csv,
     save_network_json,
+    vulnerability_ranking,
 )
 from prodnet import fileio
 from prodnet.fileio import (
@@ -391,6 +392,23 @@ def test_csv_writers_keep_the_per_cell_bytes(tmp_path):
             ["product", "beta", "rank"],
             [(pid, beta, rank) for rank, (pid, beta) in enumerate(ranking, start=1)],
         )
+
+
+def test_beta_csv_join_keeps_csv_writer_bytes(tmp_path):
+    # the rows are joined as text; each file must equal csv.writer's through write_csv
+    values = [0.0, 1.0, 5e-324, 1e-17, 0.1 + 0.2, 1 / 3, 1 / 3, 0.5, 0.5]  # ties included
+    rankings = [
+        list(zip(range(1, 10), values)),
+        list(zip(np.arange(1, 10), np.array(values))),  # numpy ids and float64 scalars
+        list(zip(range(9, 0, -1), np.array(values, dtype=np.float32))),
+        vulnerability_ranking(ProductionNetwork(4, [(1, 2), (1, 3), (1, 4)]), 0.2, 0.3),  # tied betas
+        [],
+    ]
+    for ranking in rankings:
+        write_beta_csv(ranking, tmp_path / "new.csv")
+        rows = [(pid, float(beta), rank) for rank, (pid, beta) in enumerate(ranking, start=1)]
+        write_csv(tmp_path / "old.csv", ["product", "beta", "rank"], rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes(), ranking
 
 
 def test_histogram_rows_in_runs_keep_write_csv_bytes(tmp_path):

@@ -8,6 +8,7 @@ from prodnet import (
     ParameterError,
     PreconditionError,
     ProductionNetwork,
+    dag_beta,
     evaluate_intervention,
     fixed_point_beta,
     generate_rdag,
@@ -19,6 +20,9 @@ from prodnet import (
     reverse_graph,
     supplier_allocation,
 )
+from prodnet.contagion import _dag_pass
+
+from oracles import dag_beta_pass
 
 
 def chain(k):
@@ -139,27 +143,54 @@ def test_evaluate_intervention_accepts_bools_and_zero_one_ints():
         assert evaluate_intervention(net, t, 0.2, 0.25)[0] == expected
 
 
-def test_evaluate_intervention_fallback_warns():
+def test_evaluate_intervention_does_not_warn_at_one_over_delta():
+    # y = 1/Delta on a DAG: no warning, the DAG pass's optimum
     net = ProductionNetwork(2, [(1, 2)])
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         obj, beta = evaluate_intervention(net, np.zeros(2, dtype=bool), 0.9, 1.0, 1)
-    assert np.all(beta <= 1.0)
+    assert beta.tolist() == dag_beta(net, 0.9, 1.0).beta.tolist() == [0.9, 1.0]
 
 
-def test_evaluate_intervention_warns_only_after_the_fixed_point_ran():
+def test_evaluate_intervention_takes_a_dag_above_one_over_delta_and_refuses_a_cycle():
+    # no route warns: a DAG takes y above 1/Delta, and a cyclic network above 1/Delta raises
     out_star = ProductionNetwork(3, [(1, 2), (1, 3)])  # Delta = 2
-    with warnings.catch_warnings(record=True) as seen:
-        warnings.simplefilter("always")
-        with pytest.raises(PreconditionError):
-            evaluate_intervention(out_star, [0, 0, 0], 0.1, 0.9)
-    assert seen == []
-    # y = 1/Delta puts x_cap at 0: the fixed point runs, then one warning
-    with warnings.catch_warnings(record=True) as seen:
-        warnings.simplefilter("always")
-        obj, beta = evaluate_intervention(out_star, [1, 0, 0], 0.1, 0.5)
-    assert [w.category for w in seen] == [UserWarning]
-    expected = fixed_point_beta(out_star, 0.1, 0.5, spontaneous=np.array([0.0, 0.1, 0.1])).beta
-    assert beta.tolist() == expected.tolist() and obj == float(expected.sum())
+    cyclic = ProductionNetwork(3, [(1, 2), (2, 1), (1, 3)])  # Delta = 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        obj, beta = evaluate_intervention(out_star, [0, 1, 0], 0.1, 0.9)
+        with pytest.raises(PreconditionError, match=r"needs y <= 1/Delta = 0\.5, got y = 0\.9"):
+            evaluate_intervention(cyclic, [0, 1, 0], 0.1, 0.9)
+    np.testing.assert_allclose(beta, dag_beta(out_star, 0.1, 0.9).beta - [0.0, 0.1, 0.0], rtol=1e-15)
+    assert obj == float(beta.sum())
+
+
+def test_evaluate_intervention_is_the_program_optimum():
+    # random networks and protection sets: the betas are _dag_pass's on a DAG
+    # and the fixed point's otherwise, each with the protected terms zeroed
+    rng = np.random.default_rng(33)
+    cyclic = 0
+    for trial in range(120):
+        k = int(rng.integers(2, 13))
+        acyclic_draw = trial % 2 == 0
+        pairs = rng.integers(1, k + 1, size=(2 * k, 2))
+        net = ProductionNetwork(k, {(int(j), int(i)) for j, i in pairs if j < i or (j > i and not acyclic_draw)})
+        x, n = float(rng.random()), int(rng.integers(1, 3))
+        t = rng.random(k) < 0.3
+        rhs = x**n * (~t).astype(np.float64)
+        delta = max(net.max_out_degree, 1)
+        cyclic += not net.acyclic
+        for y in [0.5 / delta, 1.0 / delta] + ([0.9] if net.acyclic else []):
+            total, beta = evaluate_intervention(net, t, x, y, n)
+            if net.acyclic:
+                ref = _dag_pass(net, y, rhs).beta
+                if not t.any():
+                    np.testing.assert_array_equal(beta, dag_beta_pass(net, x, y, n))
+            else:
+                ref = fixed_point_beta(net, x, y, n, spontaneous=rhs).beta
+            np.testing.assert_array_equal(beta, ref)
+            assert abs(total - float(ref.sum())) <= 1e-12 * k
+    assert 40 < cyclic < 80
 
 
 @pytest.mark.parametrize("y", [-0.5, 1.5, float("nan")])

@@ -445,7 +445,7 @@ def test_removed_result_members():
 
 def test_removed_functions():
     # 0.4.0: fixed_point_beta iterates the operator; no single step is public
-    assert prodnet.__version__ == "0.8.0"
+    assert prodnet.__version__ == "0.9.0"
     assert not hasattr(prodnet, "contraction_step")
     assert not hasattr(prodnet.contagion, "contraction_step")
     # 0.6.0: the fixed point's iteration cap is a module constant, and result
