@@ -116,8 +116,9 @@ class ProductionNetwork:
         check_node_count(k, f"node_count {shown(k)}")
         n = check_int(supplier_count, "supplier_count")
         src, dst = _canonical_edges(k, edges)
-        # inputs by consumer: a stable sort keeps each consumer's sources ascending
-        by_consumer = np.argsort(dst, kind="stable")
+        # inputs by consumer, each consumer's sources ascending: distinct edges
+        # give distinct keys, so any sort gives that one order
+        by_consumer = np.argsort(dst * (k + 1) + src)
         # CSR, 0-based: product v's successors are dst[out_starts[v]:out_starts[v + 1]]
         # and its inputs src[by_consumer][in_starts[v]:in_starts[v + 1]]
         ids = np.arange(k + 1)
@@ -427,7 +428,7 @@ def _canonical_edges(k: int, edges) -> tuple[np.ndarray, np.ndarray]:
     keys = j * (k + 1) + i
     order = np.argsort(keys, kind="stable")  # equal keys stay in input order
     keys = keys[order]
-    bad = (pairs < 1).any(axis=1) | (pairs > k).any(axis=1) | (j == i)
+    bad = (j < 1) | (j > k) | (i < 1) | (i > k) | (j == i)
     bad[order[1:][keys[1:] == keys[:-1]]] = True  # repeats of an earlier pair
     if bad.any():
         e = int(np.argmax(bad))

@@ -6,9 +6,10 @@ trellis); all three now hold O(K + E) plus a fixed block, so their
 traced peaks stay a small fraction of K^2.  A batch of many trials on a
 small network steps its PCG64 states in uint64 arrays, with no Python
 int per trial.  Batches and resilience curves walk their trials in
-blocks of about TRIAL_BLOCK_BYTES, so a resolved curve (trials >= K ln
-20) holds a block plus its u_t, not trials x K, and a block counts the
-widest level's inputs that theta gathers at once.
+blocks that hold, with their draw piece, less than TRIAL_BLOCK_BYTES, so
+a resolved curve (trials >= K ln 20) holds a block plus its u_t, not
+trials x K, and a block counts the widest level's inputs that theta
+gathers at once.
 """
 
 import math
@@ -114,3 +115,12 @@ def test_joint_batch_on_one_wide_level_holds_a_block():
     batch, peak = _traced_peak(lambda: run_batch(net, PercolationConfig(x=0.3, y=0.5, seed=1), 200))
     assert batch.trials == 200
     assert peak < 1.25 * TRIAL_BLOCK_BYTES
+
+
+def test_joint_batch_on_many_levels_holds_a_block():
+    # 54 levels, 20,000 edges: a walk block of indicators and dead edges
+    # filled from whole 5.8 MB draw blocks peaked at 1.26 x TRIAL_BLOCK_BYTES
+    net = generate_rdag(2000, 0.01, seed=1)
+    batch, peak = _traced_peak(lambda: run_batch(net, PercolationConfig(x=0.05, y=0.5, seed=1), 200))
+    assert batch.trials == 200
+    assert peak < TRIAL_BLOCK_BYTES

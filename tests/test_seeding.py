@@ -7,9 +7,9 @@ from any later one, to slices of that stream bit for bit, and single
 trials seeded with integers of any size to what `default_rng(cfg.seed)`
 draws.  `derive_subseed` is held to `SeedSequence((seed, index))`; seeds
 of 2**96 and more give entropy pools of more than four words, which
-take the hash's tail-mixing loop.  Batches walk their trials in blocks;
-split into blocks of any size, a batch or a resilience curve gives the
-arrays of a single block.
+take the hash's tail-mixing loop.  Batches walk their trials in blocks,
+each drawn a piece at a time; split into blocks and pieces of any size,
+a batch or a resilience curve gives the arrays of a single block.
 """
 
 import tracemalloc
@@ -34,7 +34,7 @@ from prodnet import (
     run_trial,
 )
 from prodnet import percolation
-from prodnet.percolation import MAX_TRIALS, _draws, _failure_thresholds, _theta_blocks, _trial_bytes
+from prodnet.percolation import MAX_TRIALS, _draw_piece, _failure_thresholds, _fill, _theta_blocks
 
 EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 7, 2**130 + 5)
 seeds = st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**140))
@@ -72,10 +72,20 @@ def numpy_draws(net, seed, n, y):
     return maxima, (rng.random(net.edge_count) < y if y < 1.0 else None)
 
 
+def walked(net, maxima, live):
+    """theta (trials, K) from supplier maxima (trials, K) and operational masks (trials, E).
+
+    They are put into the walk's layout, a row of trials per product and
+    per edge, with the mask's complement, the dead edges.
+    """
+    dead = None if live is None else np.logical_not(live.T, order="C")
+    return _failure_thresholds(net, np.array(maxima.T, order="C"), dead)
+
+
 def numpy_outcome(net, seed, x, n, y):
     """Failed and spontaneously failed products at level x on `default_rng(seed)`'s draws."""
     maxima, live = numpy_draws(net, seed, n, y)
-    theta = _failure_thresholds(net, maxima[None], None if live is None else live[None])[0]
+    theta = walked(net, maxima[None], None if live is None else live[None])[0]
     return theta < x, maxima < x
 
 
@@ -90,6 +100,16 @@ def numpy_stream(net, seed, trials, n, y):
     uniforms = np.random.default_rng(seed).random((trials, width))
     maxima = uniforms[:, : k * n].reshape(trials, k, n).max(axis=2)
     return maxima, (uniforms[:, k * n :] < y if y < 1.0 else None)
+
+
+def filled(net, n, y, seed, count, start=0, x=None):
+    """`_fill`'s block, transposed: theta (count, K) and the operational mask (count, E) or None.
+
+    The block is drawn in pieces of three trials, so a block of more
+    than three splits mid-block.
+    """
+    theta, dead = _fill(net, n, y, seed, start, count, x, _draw_piece(net, n, y, 3))
+    return theta.T, None if dead is None else ~dead.T
 
 
 @settings(max_examples=200, deadline=None)
@@ -122,21 +142,25 @@ def pin_every_shock(test):
 @pin_edge_seeds(net=ProductionNetwork(1, []), trials=1, n=2, y=0.5)
 @pin_every_shock
 def test_batch_draws_match_default_rng(net, seed, trials, n, y):
-    maxima, op_mask = _draws(net, n, y, seed, trials)
+    maxima, op_mask = filled(net, n, y, seed, trials)
     expected_maxima, expected_mask = numpy_stream(net, seed, trials, n, y)
     assert np.array_equal(maxima, expected_maxima)
     if y < 1.0:
         assert np.array_equal(op_mask, expected_mask)
     else:
         assert op_mask is None
+    # at a level, the fill writes the survival indicators of the same draws
+    alive, level_mask = filled(net, n, y, seed, trials, x=0.35)
+    assert alive.dtype == bool and np.array_equal(alive, expected_maxima >= 0.35)
+    assert np.array_equal(level_mask, op_mask)
 
 
 @settings(max_examples=100, deadline=None)
 @given(net=networks(), seed=seeds, start=st.integers(0, 40), count=st.integers(1, 40), **shocks)
 @example(net=ProductionNetwork(4, [(1, 2), (2, 3), (4, 3)]), seed=2**130 + 5, start=7, count=3, n=3, y=0.5)
 def test_draws_from_an_offset_are_a_slice(net, seed, start, count, n, y):
-    maxima, op_mask = _draws(net, n, y, seed, count, start)
-    whole_maxima, whole_mask = _draws(net, n, y, seed, start + count)
+    maxima, op_mask = filled(net, n, y, seed, count, start)
+    whole_maxima, whole_mask = filled(net, n, y, seed, start + count)
     assert np.array_equal(maxima, whole_maxima[start:])
     if y < 1.0:
         assert np.array_equal(op_mask, whole_mask[start:])
@@ -155,7 +179,7 @@ def test_run_batch_matches_run_trial_per_subseed(net, seed, trials, x, n, y):
     assert batch.F[0] == single.F
     assert np.array_equal(batch.failures[0], single.Z == 0)
     maxima, live = numpy_stream(net, seed, trials, n, y)
-    failed = _failure_thresholds(net, maxima, live) < x
+    failed = walked(net, maxima, live) < x
     assert np.array_equal(batch.failures, failed)
     assert batch.F.tolist() == failed.sum(axis=1).tolist()
 
@@ -191,10 +215,13 @@ def test_seeding_rejects_non_integer_or_negative_seeds(seed):
 
 
 @contextmanager
-def blocks_of(size, net, n, y):
-    """Sets the block budget so that a batch on net goes `size` trials to a block."""
+def blocks_of(size):
+    """Sizes every batch's blocks at `size` trials, drawn in pieces of size - 1 trials (at least one).
+
+    So blocks of more than one trial split mid-block.
+    """
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(percolation, "TRIAL_BLOCK_BYTES", size * _trial_bytes(net, n, y))
+        patch.setattr(percolation, "_block_sizes", lambda *batch: (size, max(1, size - 1)))
         yield
 
 
@@ -213,7 +240,7 @@ def test_batches_split_into_blocks_give_the_same_arrays(name, size):
     for n, y in ((1, 1.0), (2, 0.5)):
         cfg = PercolationConfig(x=0.45, y=y, n=n, seed=2**64 + 9)
         whole = run_batch(net, cfg, trials, keep_failures=True)
-        with blocks_of(size, net, n, y):
+        with blocks_of(size):
             assert [len(theta) for _, theta in _theta_blocks(net, n, y, cfg.seed, trials)] == BLOCK_SPLITS[size]
             split = run_batch(net, cfg, trials, keep_failures=True)
             for field in ("F", "S", "pmf", "failures"):
@@ -227,13 +254,35 @@ def test_estimates_split_into_blocks_give_the_same_arrays(name, size):
     net, trials, eps = BLOCK_NETWORKS[name], 10, (0.05, 0.3, 0.6, 0.95)
     whole = resilience_curve(net, eps, n=2, trials=trials, seed=33)
     p_whole = estimate_survival_prob(net, 0.4, 1, 0.3, trials, seed=33)
-    with blocks_of(size, net, 2, 1.0):
+    with blocks_of(size):
         split = resilience_curve(net, eps, n=2, trials=trials, seed=33)
-    with blocks_of(size, net, 1, 1.0):
         assert estimate_survival_prob(net, 0.4, 1, 0.3, trials, seed=33) == p_whole
     for field in ("r_hat", "stderr"):
         assert np.array_equal(getattr(split, field), getattr(whole, field)), field
     assert split.auc == whole.auc
+
+
+@pytest.mark.parametrize("name", BLOCK_NETWORKS)
+def test_blocks_and_pieces_of_the_sizing_rule_give_the_same_arrays(name):
+    # a 3000-byte budget makes `_block_sizes` itself split 200 trials into
+    # blocks and each block into draw pieces, for float theta and at a level
+    net, trials = BLOCK_NETWORKS[name], 200
+
+    def theta(n, y):
+        return np.concatenate([block for _, block in _theta_blocks(net, n, y, 7, trials)])
+
+    for n, y in ((1, 1.0), (2, 0.5)):
+        cfg = PercolationConfig(x=0.45, y=y, n=n, seed=7)
+        whole, whole_theta = run_batch(net, cfg, trials, keep_failures=True), theta(n, y)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(percolation, "TRIAL_BLOCK_BYTES", 3000)
+            for x in (None, cfg.x):
+                block, piece = percolation._block_sizes(net, n, y, x)
+                assert 1 < piece < block < trials
+            split, split_theta = run_batch(net, cfg, trials, keep_failures=True), theta(n, y)
+        for field in ("F", "S", "pmf", "failures"):
+            assert np.array_equal(getattr(split, field), getattr(whole, field)), field
+        assert np.array_equal(split_theta, whole_theta)
 
 
 LEVELS = (0.0, 1e-300, 0.35, 1.0)
@@ -252,19 +301,15 @@ def pin_split_batches(test):
 @given(net=networks(), seed=seeds, trials=st.integers(1, 40), x=st.sampled_from(LEVELS), **shocks)
 @pin_split_batches
 def test_batch_at_a_level_is_float_theta_below_it(net, seed, trials, x, n, y):
-    # a batch walks the indicators theta >= x; with two trials to a draw
-    # block, and a walk block of several of them, both split mid-batch
+    # a batch walks the indicators theta >= x; with five trials to a block
+    # and four to a draw piece, blocks split mid-batch and pieces mid-block
     maxima, live = numpy_stream(net, seed, trials, n, y)
-    failed = _failure_thresholds(net, maxima, live) < x
+    failed = walked(net, maxima, live) < x
     f = failed.sum(axis=1)
-    with blocks_of(2, net, n, y):
+    with blocks_of(5):
         walks = [len(block) for _, block in _theta_blocks(net, n, y, seed, trials, x)]
         batch = run_batch(net, PercolationConfig(x=x, y=y, n=n, seed=seed), trials, keep_failures=True)
-    # walk blocks of whole draw blocks, several to one, and the pinned
-    # batches of 23 trials take more than one walk block
-    assert sum(walks) == trials and all(w == walks[0] for w in walks[:-1])
-    assert walks[0] == trials or (walks[0] % 2 == 0 and walks[0] >= 4)
-    assert len(walks) > 1 or trials < 23
+    assert walks == [5] * (trials // 5) + [trials % 5] * (trials % 5 > 0)
     assert np.array_equal(batch.failures, failed)
     assert np.array_equal(batch.F, f) and np.array_equal(batch.S, net.node_count - f)
     assert np.array_equal(batch.pmf, np.bincount(f, minlength=net.node_count + 1) / trials)

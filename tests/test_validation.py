@@ -70,6 +70,7 @@ from prodnet import (
     resilience_lb_katz,
     run_batch,
     run_coupled_pair,
+    run_trial,
     simulate_extinction_depths,
     supplier_allocation,
     tree_bounds,
@@ -157,6 +158,14 @@ CASES = {
     "run_batch-n-beyond-int64": lambda tmp: run_batch(CHAIN, PercolationConfig(x=0.1, n=2**70), 10),
     "run_coupled_pair-n-too-large": lambda tmp: run_coupled_pair(
         CHAIN, PercolationConfig(x=0.1, n=2**62), 0.1, 0.2
+    ),
+    # K n supplier uniforms that just fit numpy's largest array, which the E
+    # edge uniforms of joint percolation overflow
+    "run_trial-n-too-large-with-edges": lambda tmp: run_trial(
+        CHAIN, PercolationConfig(x=0.1, y=0.5, n=np.iinfo(np.intp).max // 8 // 3)
+    ),
+    "run_batch-n-too-large-with-edges": lambda tmp: run_batch(
+        CHAIN, PercolationConfig(x=0.1, y=0.5, n=np.iinfo(np.intp).max // 8 // 3), 1
     ),
     "resilience_curve-trials-beyond-int64": lambda tmp: resilience_curve(CHAIN, trials=2**70),
     # an epsilon grid that is not a sequence
